@@ -32,7 +32,7 @@ class EvaluationRefused(RuntimeError):
         self.reason = reason
 
 
-class CounitRelationError(AssertionError):
+class CounitRelationError(Exception):
     """A transcription relation fails inside the target 2-category."""
 
 
@@ -549,8 +549,11 @@ def counit_assignment(C, N=4):
     """The generator assignment of the counit on categorify(natural nerve).
 
     Every relation of the presentation is evaluated inside C; a failing
-    relation raises, since it would falsify the transcription.
+    relation raises, since it would falsify the transcription.  N >= 3, so
+    that the tetrahedron pasting relations are part of the presentation.
     """
+    if N < 3:
+        raise InvalidInput("counit check needs dimension at least 3")
     X, info = nerves.nerve_with_info(C, N, "natural")
     P = categorify(X)
     inv = twocat.invertible_2cells(C)

@@ -223,7 +223,7 @@ def main(argv=None):
     except EvaluationRefused as exc:
         print(f"evaluation refused: {exc.reason}", file=sys.stderr)
         return EXIT_BUDGET if "budget" in exc.reason else EXIT_MATH
-    except (StageError, CounitRelationError, AssertionError) as exc:
+    except (StageError, CounitRelationError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_MATH
 

@@ -31,7 +31,7 @@ from .tdelta import TDeltaMap, TruncatedTDeltaSet, inclusion_map
 from .twocat import AdjointEquivalence
 
 
-class StageError(AssertionError):
+class StageError(Exception):
     """A stage assertion failed; the replay does not match the construction."""
 
 

@@ -241,7 +241,9 @@ def _compile_plan(ext):
     else:
         m, k, slots, fk_faces = A.dim, None, [None], None
         nd_top = A.nondegenerate_ids(m)
-        assert len(nd_top) == 1, "expected a simplex-shaped domain"
+        if len(nd_top) != 1:
+            raise InvalidInput(
+                f"{ext.label()}: expected a simplex-shaped domain")
         chains = _nondeg_chains(A, [(m, A._idx[m][nd_top[0]])])
     domain_marks = []
     for lvl, under in _free_token_unders(A):
@@ -255,7 +257,9 @@ def _compile_plan(ext):
         if tids <= set(A.token_ids(lvl)):
             continue  # every token here already lives in the domain
         if bid not in A._idx[lvl]:
-            assert ext.family == "horn", "new simplex outside a horn extension"
+            if ext.family != "horn":
+                raise InvalidInput(
+                    f"{ext.label()}: new simplex outside a horn extension")
             continue  # the horn top; its mark is checked by the fill search
         pos, drops = chains[(lvl, A._idx[lvl][bid])]
         lift_marks.append((lvl, pos, drops))
@@ -318,7 +322,7 @@ def _iter_domain_parts(X, plan, budget, reverse=False):
         for x in (reversed(rng) if reverse else rng):
             steps += 1
             if steps > budget:
-                raise BudgetExceeded("domain enumeration budget exhausted")
+                raise BudgetExceeded(f"{steps} domain nodes")
             if _plan_marks_ok(X, plan, (x,), plan.m, plan.domain_marks):
                 yield (x,)
         return
@@ -354,7 +358,7 @@ def _iter_domain_parts(X, plan, budget, reverse=False):
         for y in cand:
             steps += 1
             if steps > budget:
-                raise BudgetExceeded("domain enumeration budget exhausted")
+                raise BudgetExceeded(f"{steps} domain nodes")
             values.append(y)
             yield from rec(p + 1)
             values.pop()
@@ -397,10 +401,14 @@ def check_extension(X, ext, budget=None, reverse=False):
     plan = _compile_plan(ext)
     lvl_from = plan.m if plan.kind == "simplex" else plan.m - 1
     checked = 0
-    for values in _iter_domain_parts(X, plan, budget, reverse=reverse):
-        checked += 1
-        if not _plan_lift_exists(X, plan, values, lvl_from):
-            return ExtensionResult(ext, checked, _part_to_map(X, ext, plan, values))
+    try:
+        for values in _iter_domain_parts(X, plan, budget, reverse=reverse):
+            checked += 1
+            if not _plan_lift_exists(X, plan, values, lvl_from):
+                return ExtensionResult(ext, checked,
+                                       _part_to_map(X, ext, plan, values))
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(f"{ext.label()}: {exc}") from None
     return ExtensionResult(ext, checked, None)
 
 

@@ -264,7 +264,8 @@ def rs_to_natural(C, N=5):
             if m == 1:
                 f = rs.under_of(1, t)
                 idc = info.C.identity_of(info.C.one_cells[f].src)
-                assert f == idc, "rs marks only identity 1-simplices"
+                if f != idc:
+                    raise InvalidInput("rs marks only identity 1-simplices")
                 ae = twocat.AdjointEquivalence(
                     f, f, info.C.identity2_of(f), info.C.identity2_of(f))
                 tok[(m, t)] = completion_token(f, ae)

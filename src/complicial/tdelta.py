@@ -39,65 +39,83 @@ class BudgetExceeded(RuntimeError):
     """Search budget exhausted; distinct from a definitive negative answer."""
 
 
+def _index(ids, kind, m):
+    if not set(map(type, ids)) <= {str}:
+        raise InvalidInput(f"{kind} ids at level {m} must be strings")
+    table = {s: i for i, s in enumerate(ids)}
+    if len(table) != len(ids):
+        raise InvalidInput(f"duplicate {kind} ids at level {m}")
+    return table
+
+
+def _check(row, targets, what, sources):
+    """Raise unless every entry of ``row`` is -1 or an index into targets."""
+    if row and (min(row) < -1 or max(row) >= len(targets)):
+        j = next(j for j, v in enumerate(row) if not -1 <= v < len(targets))
+        raise InvalidInput(f"unknown {what} of {sources[j]!r}")
+
+
 class TruncatedTDeltaSet:
     def __init__(self, dim, simplices, faces, degeneracies, tokens, zeta,
                  name=""):
+        """Compile id-keyed dicts into the tables that ``_install_ids`` and
+        ``_install_tables`` check and adopt."""
+        try:
+            ids = [sorted(simplices.get(m, ())) for m in range(dim + 1)]
+            pairs = [None] + [sorted(tokens.get(m, ()))
+                              for m in range(1, dim + 1)]
+            tok_ids = [None] + [[t for t, _ in p] for p in pairs[1:]]
+            self._install_ids(dim, ids, tok_ids, name)
+            # the installed indexes, plus None (an undefined operator) -> -1
+            idx = [{None: -1} | d for d in self._idx]
+            tok_idx = [None] + [{None: -1} | d for d in self._tok_idx[1:]]
+            face = [None] + [
+                [[idx[m - 1].get(faces.get((m, i, s)), -2) for s in ids[m]]
+                 for i in range(m + 1)] for m in range(1, dim + 1)]
+            deg = [[[idx[m + 1].get(degeneracies.get((m, i, s)), -2)
+                     for s in ids[m]] for i in range(m + 1)]
+                   for m in range(dim)] + [None]
+            tok_under = [None] + [[idx[m].get(u, -2) for _, u in pairs[m]]
+                                  for m in range(1, dim + 1)]
+            zeta_t = [[[tok_idx[m + 1].get(zeta.get((m, i, s)), -2)
+                        for s in ids[m]] for i in range(m + 1)]
+                      for m in range(dim)] + [None]
+        except TypeError as exc:
+            raise InvalidInput(f"unusable simplex or token id: {exc}") from exc
+        self._install_tables(face, deg, tok_under, zeta_t)
+
+    def _install_ids(self, dim, ids, tok_ids, name):
+        """Adopt the sorted ids of every level; they must be unique strings."""
         if dim < 0:
             raise InvalidInput("dimension bound must be >= 0")
         self.dim = dim
         self.name = name
-        self._ids = []
-        self._idx = []
+        self._ids = ids
+        self._idx = [_index(ids[m], "simplex", m) for m in range(dim + 1)]
+        self._tok_ids = tok_ids
+        self._tok_idx = [None] + [_index(tok_ids[m], "token", m)
+                                  for m in range(1, dim + 1)]
+
+    def _install_tables(self, face, deg, tok_under, zeta):
+        """Adopt the index tables after checking them.
+
+        An entry is the index of an element of the right level, or -1 where
+        the operator is undefined (``validate`` reports those); anything
+        else names an unknown element.
+        """
+        ids, tok_ids, dim = self._ids, self._tok_ids, self.dim
+        self._face, self._deg = face, deg
+        self._tok_under, self._zeta = tok_under, zeta
         for m in range(dim + 1):
-            ids = sorted(simplices.get(m, ()))
-            self._ids.append(ids)
-            self._idx.append({s: i for i, s in enumerate(ids)})
-            if len(self._idx[m]) != len(ids):
-                raise InvalidInput(f"duplicate simplex ids at level {m}")
-        self._face = [None]
-        for m in range(1, dim + 1):
-            self._face.append(
-                [[self._lookup(m - 1, faces.get((m, i, s), None))
-                  for s in self._ids[m]] for i in range(m + 1)])
-        self._deg = []
-        for m in range(dim):
-            self._deg.append(
-                [[self._lookup(m + 1, degeneracies.get((m, i, s), None))
-                  for s in self._ids[m]] for i in range(m + 1)])
-        self._deg.append(None)
-        self._tok_ids = [None]
-        self._tok_idx = [None]
-        self._tok_under = [None]
-        for m in range(1, dim + 1):
-            pairs = sorted(tokens.get(m, ()))
-            ids = [t for t, _ in pairs]
-            self._tok_ids.append(ids)
-            self._tok_idx.append({t: i for i, t in enumerate(ids)})
-            if len(self._tok_idx[m]) != len(ids):
-                raise InvalidInput(f"duplicate token ids at level {m}")
-            self._tok_under.append([self._lookup(m, u) for _, u in pairs])
-        self._zeta = []
-        for m in range(dim):
-            self._zeta.append(
-                [[self._tok_lookup(m + 1, zeta.get((m, i, s), None))
-                  for s in self._ids[m]] for i in range(m + 1)])
-        self._zeta.append(None)
-
-    def _lookup(self, m, sid):
-        if sid is None:
-            return -1
-        try:
-            return self._idx[m][sid]
-        except KeyError:
-            raise InvalidInput(f"unknown simplex {sid!r} at level {m}")
-
-    def _tok_lookup(self, m, tid):
-        if tid is None:
-            return -1
-        try:
-            return self._tok_idx[m][tid]
-        except KeyError:
-            raise InvalidInput(f"unknown token {tid!r} at level {m}")
+            for i in range(m + 1):
+                if m:
+                    _check(face[m][i], ids[m - 1], f"simplex as d_{i}", ids[m])
+                if m < dim:
+                    _check(deg[m][i], ids[m + 1], f"simplex as s_{i}", ids[m])
+                    _check(zeta[m][i], tok_ids[m + 1], f"token as zeta_{i}",
+                           ids[m])
+            if m:
+                _check(tok_under[m], ids[m], "simplex under", tok_ids[m])
 
     # -- id-level accessors --------------------------------------------------
 
@@ -763,36 +781,35 @@ def _build_simplicial(dim, level_seqs, marked, name):
     """Stratified object on monotone vertex sequences with minimal markings.
 
     ``level_seqs[m]`` lists the sequences present at level m (closed under
-    faces and degeneracies); ``marked`` is a set of non-degenerate sequence
-    ids to mark on top of the degenerate ones.
+    faces and degeneracies); ``marked`` is a set of non-degenerate vertex
+    tuples to mark on top of the degenerate ones.  The tables come straight
+    from the ranks of vertex tuples within their level; each simplex's
+    string id is derived once, and only fixes the order of its level.
     """
-    simplices = {m: [_seq_id(s) for s in level_seqs[m]] for m in range(dim + 1)}
-    faces = {}
-    degs = {}
+    ids, seqs, rank = [], [], []
+    for level in level_seqs:
+        pairs = sorted((_seq_id(s), s) for s in level)
+        ids.append([sid for sid, _ in pairs])
+        seqs.append([s for _, s in pairs])
+        rank.append({s: j for j, (_, s) in enumerate(pairs)})
+    face = [None] + [[[rank[m - 1][s[:i] + s[i + 1:]] for s in seqs[m]]
+                      for i in range(m + 1)] for m in range(1, dim + 1)]
+    deg = [[[rank[m + 1][s[:i + 1] + s[i:]] for s in seqs[m]]
+            for i in range(m + 1)] for m in range(dim)] + [None]
+    tok_ids, tok_under, tok_of = [None], [None], [None]
     for m in range(1, dim + 1):
-        for s in level_seqs[m]:
-            for i in range(m + 1):
-                faces[(m, i, _seq_id(s))] = _seq_id(s[:i] + s[i + 1:])
-    for m in range(dim):
-        for s in level_seqs[m]:
-            for i in range(m + 1):
-                degs[(m, i, _seq_id(s))] = _seq_id(s[:i + 1] + s[i:])
-    tokens = {}
-    for m in range(1, dim + 1):
-        lvl = []
-        for s in level_seqs[m]:
-            sid = _seq_id(s)
-            degenerate = any(a == b for a, b in zip(s, s[1:]))
-            if degenerate or sid in marked:
-                lvl.append((f"t|{sid}", sid))
-        tokens[m] = lvl
-    zeta = {}
-    for m in range(dim):
-        for s in level_seqs[m]:
-            for i in range(m + 1):
-                zeta[(m, i, _seq_id(s))] = f"t|{_seq_id(s[:i + 1] + s[i:])}"
-    return TruncatedTDeltaSet(dim, simplices, faces, degs, tokens, zeta,
-                              name=name)
+        here = rank[m]
+        under = sorted(set().union(*deg[m - 1],
+                                   (here[s] for s in marked if s in here)))
+        tok_of.append({j: t for t, j in enumerate(under)})
+        tok_ids.append([f"t|{ids[m][j]}" for j in under])
+        tok_under.append(under)
+    zeta = [[[tok_of[m + 1][j] for j in row] for row in deg[m]]
+            for m in range(dim)] + [None]
+    X = TruncatedTDeltaSet.__new__(TruncatedTDeltaSet)
+    X._install_ids(dim, ids, tok_ids, name)
+    X._install_tables(face, deg, tok_under, zeta)
+    return X
 
 
 def _monotone(m, k):
@@ -806,7 +823,10 @@ def _filtered_levels(m, dim, keep):
 
 
 def delta(m, dim=None, marked=(), name=None):
+    """The m-simplex; ``marked`` lists vertex tuples marked on top."""
     dim = m if dim is None else dim
+    if not all(isinstance(s, tuple) for s in marked):
+        raise InvalidInput("marked simplices are given as vertex tuples")
     levels = [_monotone(m, k) for k in range(dim + 1)]
     return _build_simplicial(dim, levels, set(marked),
                              name or f"Delta[{m}]")
@@ -816,8 +836,7 @@ def delta_t(m, dim=None):
     dim = m if dim is None else dim
     if dim < m:
         raise InvalidInput("Delta[m]_t needs dim >= m")
-    top = _seq_id(range(m + 1))
-    return delta(m, dim, marked={top}, name=f"Delta[{m}]_t")
+    return delta(m, dim, marked={tuple(range(m + 1))}, name=f"Delta[{m}]_t")
 
 
 def boundary(m, dim=None):
@@ -831,16 +850,15 @@ def _admissible(k, m):
     return frozenset(v for v in (k - 1, k, k + 1) if 0 <= v <= m)
 
 
+def _nondegenerate(m, dim):
+    """Non-degenerate vertex tuples of Delta[m] at levels 1..dim."""
+    return [s for lvl in range(1, dim + 1)
+            for s in itertools.combinations(range(m + 1), lvl + 1)]
+
+
 def _marked_for_delta_k(k, m, dim):
     need = _admissible(k, m)
-    out = set()
-    for lvl in range(1, dim + 1):
-        for s in _monotone(m, lvl):
-            if any(a == b for a, b in zip(s, s[1:])):
-                continue
-            if need <= frozenset(s):
-                out.add(_seq_id(s))
-    return out
+    return {s for s in _nondegenerate(m, dim) if need.issubset(s)}
 
 
 def delta_k(k, m, dim=None):
@@ -852,22 +870,22 @@ def delta_k(k, m, dim=None):
                  name=f"Delta^{k}[{m}]")
 
 
+def _delta_k_primed(k, m, dim, drops, name):
+    """The k-admissible m-simplex with the faces opposite ``drops`` marked."""
+    marked = _marked_for_delta_k(k, m, dim)
+    marked.update(tuple(u for u in range(m + 1) if u != v)
+                  for v in drops if 0 <= v <= m)
+    return delta(m, dim, marked=marked, name=name)
+
+
 def delta_k_prime(k, m, dim=None):
     dim = m if dim is None else dim
-    marked = _marked_for_delta_k(k, m, dim)
-    for v in (k - 1, k + 1):
-        if 0 <= v <= m:
-            marked.add(_seq_id([u for u in range(m + 1) if u != v]))
-    return delta(m, dim, marked=marked, name=f"Delta^{k}[{m}]'")
+    return _delta_k_primed(k, m, dim, (k - 1, k + 1), f"Delta^{k}[{m}]'")
 
 
 def delta_k_dprime(k, m, dim=None):
     dim = m if dim is None else dim
-    marked = _marked_for_delta_k(k, m, dim)
-    for v in (k - 1, k, k + 1):
-        if 0 <= v <= m:
-            marked.add(_seq_id([u for u in range(m + 1) if u != v]))
-    return delta(m, dim, marked=marked, name=f"Delta^{k}[{m}]''")
+    return _delta_k_primed(k, m, dim, (k - 1, k, k + 1), f"Delta^{k}[{m}]''")
 
 
 def horn(k, m, dim=None):
@@ -877,29 +895,18 @@ def horn(k, m, dim=None):
     dim = m if dim is None else dim
     other = frozenset(v for v in range(m + 1) if v != k)
     levels = _filtered_levels(m, dim, lambda vs: not other <= vs)
-    need = _admissible(k, m)
-    marked = set()
-    for lvl in range(1, dim + 1):
-        for s in levels[lvl]:
-            if any(a == b for a, b in zip(s, s[1:])):
-                continue
-            if need <= frozenset(s):
-                marked.add(_seq_id(s))
-    return _build_simplicial(dim, levels, marked, f"Horn^{k}[{m}]")
+    return _build_simplicial(dim, levels, _marked_for_delta_k(k, m, dim),
+                             f"Horn^{k}[{m}]")
 
 
 def delta3_eq(dim=3):
-    marked = {"02", "13", "012", "013", "023", "123", "0123"}
+    marked = {(0, 2), (1, 3), (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
+              (0, 1, 2, 3)}
     return delta(3, dim, marked=marked, name="Delta[3]_eq")
 
 
 def delta3_sharp(dim=3):
-    marked = set()
-    for lvl in range(1, dim + 1):
-        for s in _monotone(3, lvl):
-            if all(a != b for a, b in zip(s, s[1:])):
-                marked.add(_seq_id(s))
-    return delta(3, dim, marked=marked, name="Delta[3]#")
+    return delta(3, dim, marked=_nondegenerate(3, dim), name="Delta[3]#")
 
 
 def standard(name, **params):

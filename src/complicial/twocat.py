@@ -667,7 +667,8 @@ def suspension(D, name=""):
         fix[f"i2_s_{o}"] = f"s_{ident}"
     wl = {k: fix.get(v, v) for k, v in wl.items()}
     wr = {k: fix.get(v, v) for k, v in wr.items()}
-    assert all(v in two_ids for v in wl.values())
+    if not all(v in two_ids for v in wl.values()):
+        raise InvalidInput("suspension: a whiskering leaves the 2-cells")
     return FiniteTwoCategory(("x", "y"), one, comp1, two, vcomp, wl, wr,
                              name=name)
 

@@ -105,7 +105,30 @@ def test_invalid_input_exit_code(tmp_path):
                 str(tmp_path / "o.json")]) == cli.EXIT_INPUT
 
 
-def test_budget_exit_code(tmp_path):
+@pytest.mark.parametrize("where", ["simplex", "token"])
+def test_non_string_ids_exit_code(tmp_path, capsys, where):
+    from complicial import tdelta
+    doc = tdelta.delta_t(1).to_json_dict()
+    if where == "simplex":
+        doc["simplices"][0][0] = 7  # one int id among str ids
+    else:
+        doc["tokens"][0][0]["id"] = 7
+    bad = tmp_path / "X.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["check-fibrant", "--input", str(bad),
+                "--dim", "1"]) == cli.EXIT_INPUT
+    assert "input error" in capsys.readouterr().err
+
+
+def test_counit_check_needs_dim_3(tmp_path, capsys):
+    cat = tmp_path / "C.json"
+    run(["examples", "--name", "iso", "--out", str(cat)])
+    assert run(["counit-check", "--cat", str(cat),
+                "--dim", "2"]) == cli.EXIT_INPUT
+    assert "at least 3" in capsys.readouterr().err
+
+
+def test_budget_exit_code(tmp_path, capsys):
     cat = tmp_path / "C.json"
     run(["examples", "--name", "chain-1", "--out", str(cat)])
     nerve = tmp_path / "X.json"
@@ -113,6 +136,7 @@ def test_budget_exit_code(tmp_path):
          "--out", str(nerve)])
     assert run(["check-fibrant", "--input", str(nerve), "--dim", "4",
                 "--budget", "2"]) == cli.EXIT_BUDGET
+    assert "horn(k=0,m=2): 3 domain nodes" in capsys.readouterr().err
 
 
 def test_console_entry_point():

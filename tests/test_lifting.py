@@ -158,8 +158,21 @@ def test_lift_soundness(catalog):
 def test_budget_exhaustion_is_distinct(catalog):
     X = nerves.natural_nerve(catalog["oriental-2"], 4)
     ext = anodyne_library(2, 4)[0]
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded,
+                       match=r"^horn\(k=0,m=1\): 3 domain nodes$"):
         check_extension(X, ext, budget=2)
+    with pytest.raises(BudgetExceeded,
+                       match=r"^horn\(k=0,m=3\): 51 domain nodes$"):
+        is_precomplicial(X, 2, 4, budget=50)
+
+
+def test_compile_plan_rejects_foreign_shapes(catalog):
+    """A raised invariant, so it also holds under ``python -O``."""
+    X = nerves.natural_nerve(catalog["chain-1"], 2)
+    ext = AnodyneExtension("triviality", (("l", 2),),
+                           tdelta.boundary(2, dim=2), tdelta.delta(2))
+    with pytest.raises(twocat.InvalidInput, match="simplex-shaped"):
+        check_extension(X, ext)
 
 
 def _relabel(X, prefix):

@@ -37,6 +37,9 @@ def test_degenerate_simplices_carry_exactly_their_token(X):
 
 def test_delta1_of_2_equals_delta2_marked():
     assert delta_k(1, 2).same_as(delta_t(2))
+    assert delta(2, marked={(0, 1, 2)}).same_as(delta_t(2))
+    with pytest.raises(twocat.InvalidInput):
+        delta(2, marked={"012"})  # marks are vertex tuples, not ids
 
 
 def test_delta3_eq_marked_set():
