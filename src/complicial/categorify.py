@@ -20,9 +20,9 @@ remaining relations through a congruence closure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from . import nerves, twocat
+from . import nerves
 from .twocat import FiniteTwoCategory, InvalidInput, OneCell, TwoCell
 
 
@@ -528,6 +528,8 @@ class CounitAssignment:
     polygraph: TwoPolygraph
     on_one: dict
     on_two: dict
+    nerve: object          # the natural nerve that polygraph presents
+    info: nerves.NerveInfo
 
 
 def _eval_word(C, on_one, w):
@@ -556,7 +558,7 @@ def counit_assignment(C, N=4):
         raise InvalidInput("counit check needs dimension at least 3")
     X, info = nerves.nerve_with_info(C, N, "natural")
     P = categorify(X)
-    inv = twocat.invertible_2cells(C)
+    inv = info.inv2
     by_token = {}
     for f, aes in info.completions.items():
         for ae in aes:
@@ -589,7 +591,7 @@ def counit_assignment(C, N=4):
     if failures:
         raise CounitRelationError(
             f"{len(failures)} relation(s) fail in {C.name}: {failures[:3]}")
-    return CounitAssignment(P, on_one, on_two)
+    return CounitAssignment(P, on_one, on_two, X, info)
 
 
 @dataclass
@@ -610,7 +612,10 @@ def section_check(C, x, y, N=4, assignment=None):
     """
     if assignment is None:
         assignment = counit_assignment(C, N)
-    X, info = nerves.nerve_with_info(C, N, "natural")
+    X, info = assignment.nerve, assignment.info
+    if info.dim != N:
+        raise InvalidInput(f"counit assignment built at dimension {info.dim}, "
+                           f"not {N}")
     on_one, on_two = assignment.on_one, assignment.on_two
     mismatches = []
     idx = C.identity_of(x)

@@ -108,18 +108,9 @@ def cmd_check_fibrant(args):
 def cmd_factorize(args):
     C = _load_two_category(args.input)
     os.makedirs(args.trace, exist_ok=True)
-    N = args.dim
-    P1, x_to_p1, rep1 = factorization.stage_p1(C, N)
-    _dump(os.path.join(args.trace, "p1.json"), P1.to_json_dict())
-    P2, x_to_p2, r12, s21, rep2 = factorization.stage_p2(P1, x_to_p1)
-    _dump(os.path.join(args.trace, "p2.json"), P2.to_json_dict())
-    P3, p2_to_p3, rep3 = factorization.stage_p3(P2, C, N)
-    _dump(os.path.join(args.trace, "p3.json"), P3.to_json_dict())
-    Q, p3_to_q, P4, p3_to_p4, q, s, rep4 = \
-        factorization.stage_p4_and_retract(P3, C, N)
-    _dump(os.path.join(args.trace, "p4.json"), P4.to_json_dict())
-    _dump(os.path.join(args.trace, "final.json"), Q.to_json_dict())
-    summary = factorization.verify_factorization(C, N)
+    *stages, summary = factorization.verify_factorization(C, args.dim)
+    for name, X in zip(("p1", "p2", "p3", "p4", "final"), stages):
+        _dump(os.path.join(args.trace, f"{name}.json"), X.to_json_dict())
     _dump(os.path.join(args.trace, "summary.json"), summary)
     print(f"factorization of {C.name} verified; trace in {args.trace}/")
     return EXIT_OK

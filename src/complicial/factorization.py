@@ -105,20 +105,20 @@ class StageReport:
     notes: dict = field(default_factory=dict)
 
 
-def _invertible_nonidentity(C):
-    inv = twocat.invertible_2cells(C)
-    return {a: b for a, b in inv.items() if not C.two_cells[a].identity}
+def _invertible_nonidentity(info):
+    return {a: b for a, b in info.inv2.items()
+            if not info.C.two_cells[a].identity}
 
 
-def stage_p1(C, N=5):
+def stage_p1(X, info):
     """Glue degenerate-join saturation extensions, one per invertible 2-cell.
 
-    Returns (P1, map rs -> P1, report).
+    X, info = nerve_with_info(C, N, "rs").  Returns (P1, map X -> P1, report).
     """
-    if N < 4:
+    C = info.C
+    if info.dim < 4:
         raise twocat.InvalidInput("stage P1 needs dimension at least 4")
-    X, info = nerves.nerve_with_info(C, N, "rs")
-    inv = _invertible_nonidentity(C)
+    inv = _invertible_nonidentity(info)
     pad = 4
     A = tdelta.join(tdelta.delta(0, dim=pad), tdelta.delta3_eq(dim=pad),
                     out_dim=pad, name="Delta[0]*Delta[3]_eq")
@@ -221,13 +221,14 @@ def stage_p2(P1, x_to_p1):
     return P2, x_to_p2, r, s, report
 
 
-def stage_p3(P2, C, N=5):
+def stage_p3(P2, info):
     """Glue thinness extensions until every invertible triangle is marked.
 
-    Returns (P3, map P2 -> P3, report).
+    info is the NerveInfo of the rs nerve under P2.  Returns (P3,
+    map P2 -> P3, report).
     """
-    _, info = nerves.nerve_with_info(C, N, "rs")
-    inv = _invertible_nonidentity(C)
+    C = info.C
+    inv = _invertible_nonidentity(info)
     A = tdelta.delta_k_prime(2, 3, dim=3)
     B = tdelta.delta_k_dprime(2, 3, dim=3)
     incl = inclusion_map(A, B)
@@ -258,22 +259,16 @@ def stage_p3(P2, C, N=5):
     return P3, p2_to_p3, report
 
 
-def _all_completions(C):
-    out = []
-    for f in sorted(C.one_cells):
-        out.extend(twocat.adjoint_equivalence_completions(C, f))
-    return out
-
-
-def stage_p4_and_retract(P3, C, N=5):
+def stage_p4_and_retract(P3, info):
     """Glue saturation extensions for every completion, then identify marks.
 
-    Returns (Q, map P3 -> Q, P4, map P3 -> P4, quotient P4 -> Q,
-    section Q -> P4, report).  Q carries the natural-nerve token labels.
+    info is the NerveInfo of the rs nerve under P3.  Returns (Q, map P3 -> Q,
+    P4, map P3 -> P4, quotient P4 -> Q, section Q -> P4, report).  Q carries
+    the natural-nerve token labels.
     """
-    _, info = nerves.nerve_with_info(C, N, "rs")
-    inv = twocat.invertible_2cells(C)
-    completions = _all_completions(C)
+    C, inv = info.C, info.inv2
+    completions = [ae for f in sorted(C.one_cells)
+                   for ae in twocat.adjoint_equivalence_completions(C, f, inv)]
     A = tdelta.delta3_eq(3)
     B = tdelta.delta3_sharp(3)
     incl = inclusion_map(A, B)
@@ -310,9 +305,10 @@ def stage_p4_and_retract(P3, C, N=5):
         ae0 = AdjointEquivalence(idc, idc, C.identity2_of(idc),
                                  C.identity2_of(idc))
         cls[(1, t)] = completion_token(idc, ae0)
+    known = set(completions)
     for idx, ae in enumerate(completions):
-        transpose = AdjointEquivalence(ae.g, ae.f, inv[ae.eps], inv[ae.eta])
-        if transpose not in twocat.adjoint_equivalence_completions(C, ae.g):
+        transpose = twocat.transpose_completion(C, ae, inv)
+        if transpose not in known:
             raise StageError(f"transpose of {ae} is not a completion")
         bmap = b_maps[idx]
         for edge, owner, key in (("01", ae.f, ae), ("23", ae.f, ae),
@@ -367,9 +363,8 @@ def stage_p4_and_retract(P3, C, N=5):
     return Q, p3_to_q, P4, p3_to_p4, q, s, report
 
 
-def _check_p2_characterization(P2, C, N):
-    _, info = nerves.nerve_with_info(C, N, "rs")
-    inv = twocat.invertible_2cells(C)
+def _check_p2_characterization(P2, info):
+    C, inv = info.C, info.inv2
     for sid, (u, v, alpha) in info.two_data.items():
         n = len(P2.tokens_over(2, sid))
         invertible = alpha in inv
@@ -381,26 +376,28 @@ def _check_p2_characterization(P2, C, N):
                 f"P2 marking off at {sid}: got {n}, expected {expected}")
 
 
-def _check_p3_characterization(P3, C, N):
-    _, info = nerves.nerve_with_info(C, N, "rs")
-    inv = twocat.invertible_2cells(C)
+def _check_p3_characterization(P3, info):
     for sid, (u, v, alpha) in info.two_data.items():
         n = len(P3.tokens_over(2, sid))
-        expected = 1 if alpha in inv else 0
+        expected = 1 if alpha in info.inv2 else 0
         if n != expected:
             raise StageError(
                 f"P3 marking off at {sid}: got {n}, expected {expected}")
 
 
 def verify_factorization(C, N=5):
-    """Run all stages and compare against the natural nerve on the nose."""
-    X = nerves.rs_nerve(C, N)
-    P1, x_to_p1, rep1 = stage_p1(C, N)
+    """Replay P1-P4 once on the rs nerve of C and compare the result with the
+    natural nerve on the nose.
+
+    Returns (P1, P2, P3, P4, Q, summary); raises StageError on a mismatch.
+    """
+    X, info = nerves.nerve_with_info(C, N, "rs")
+    P1, x_to_p1, rep1 = stage_p1(X, info)
     P2, x_to_p2, r12, s21, rep2 = stage_p2(P1, x_to_p1)
-    P3, p2_to_p3, rep3 = stage_p3(P2, C, N)
-    _check_p2_characterization(P2, C, N)
-    _check_p3_characterization(P3, C, N)
-    Q, p3_to_q, P4, p3_to_p4, q, s, rep4 = stage_p4_and_retract(P3, C, N)
+    P3, p2_to_p3, rep3 = stage_p3(P2, info)
+    _check_p2_characterization(P2, info)
+    _check_p3_characterization(P3, info)
+    Q, p3_to_q, P4, p3_to_p4, q, s, rep4 = stage_p4_and_retract(P3, info)
     for stage_map in (x_to_p1, x_to_p2, p2_to_p3, p3_to_p4, p3_to_q):
         if not stage_map.is_mono():
             raise StageError("stage map is not a monomorphism")
@@ -408,12 +405,9 @@ def verify_factorization(C, N=5):
     if not Q.same_as(nat):
         raise StageError("final object differs from the natural nerve")
     composite = p3_to_q.compose(p2_to_p3).compose(x_to_p2)
-    canonical = nerves.rs_to_natural(C, N)
-    # same codomain up to the identical token labels, so compare tables
-    if not (composite.simplex_table() == canonical.simplex_table() and
-            composite.token_table() == canonical.token_table()):
+    if not composite.equals(nerves.rs_to_natural(X, nat)):
         raise StageError("composite differs from the canonical comparison map")
-    return {
+    summary = {
         "category": C.name,
         "dim": N,
         "stages": [
@@ -424,3 +418,4 @@ def verify_factorization(C, N=5):
         "final_equals_natural_nerve": True,
         "composite_equals_rs_to_natural": True,
     }
+    return P1, P2, P3, P4, Q, summary

@@ -32,6 +32,7 @@ class NerveInfo:
     two_data: dict = field(default_factory=dict)   # sid -> (u, v, alpha)
     two_index: dict = field(default_factory=dict)  # (u, v, alpha) -> sid
     completions: dict = field(default_factory=dict)
+    inv2: dict = field(default_factory=dict)   # invertible_2cells(C)
 
     def witness(self, sid):
         return self.two_data[sid][2]
@@ -179,11 +180,11 @@ def _assemble(C, N, levels, faces, degs, info, marking):
     tokens = {}
     zeta = {}
 
+    inv2 = info.inv2 = twocat.invertible_2cells(C)
     if marking == "natural":
-        completions = {f: twocat.adjoint_equivalence_completions(C, f)
-                       for f in sorted(C.one_cells)}
-        info.completions = completions
-    inv2 = twocat.invertible_2cells(C) if marking in ("rs", "natural") else {}
+        info.completions = {
+            f: twocat.adjoint_equivalence_completions(C, f, inv2)
+            for f in sorted(C.one_cells)}
 
     def marked_plain(m, sid):
         if (m, sid) in degen:
@@ -249,29 +250,11 @@ def natural_nerve(C, N=5):
     return nerve_with_info(C, N, "natural")[0]
 
 
-def rs_to_natural(C, N=5):
-    """The inclusion: identity on simplices, identity-witnessed marks land
-    on the canonical marks of the natural nerve."""
-    rs, _ = nerve_with_info(C, N, "rs")
-    nat, info = nerve_with_info(C, N, "natural")
-    simp = {(m, s): s for m in range(N + 1) for s in rs.nondegenerate_ids(m)}
-    tok = {}
-    for m in range(1, N + 1):
-        wit = rs._zeta_wit[m]
-        for k, t in enumerate(rs._tok_ids[m]):
-            if wit[k] is not None:
-                continue
-            if m == 1:
-                f = rs.under_of(1, t)
-                idc = info.C.identity_of(info.C.one_cells[f].src)
-                if f != idc:
-                    raise InvalidInput("rs marks only identity 1-simplices")
-                ae = twocat.AdjointEquivalence(
-                    f, f, info.C.identity2_of(f), info.C.identity2_of(f))
-                tok[(m, t)] = completion_token(f, ae)
-            else:
-                tok[(m, t)] = t
-    return TDeltaMap(rs, nat, simp, tok)
+def rs_to_natural(rs, nat):
+    """The inclusion of the rs nerve into the natural nerve of the same C
+    and N: identity on simplices, and each rs mark lands on the natural mark
+    with the same id (every level-1 rs mark is degenerate)."""
+    return tdelta.inclusion_map(rs, nat)
 
 
 def nerve_map(F, C, D, N=5, marking="rs"):

@@ -175,15 +175,10 @@ class TruncatedTDeltaSet:
 
     @cached_property
     def _deg_wit(self):
-        """Per level: smallest (i, preimage index) writing the simplex as s_i."""
+        """Per level: (i, preimage index) writing the simplex as s_i, with
+        the smallest such i; None for a non-degenerate simplex."""
         wit = [[None] * len(self._ids[m]) for m in range(self.dim + 1)]
-        for m in range(self.dim):
-            for i in range(m + 1):
-                row = self._deg[m][i]
-                for j, target in enumerate(row):
-                    if target >= 0 and wit[m + 1][target] is None:
-                        wit[m + 1][target] = (i, j)
-        for m in range(self.dim):  # prefer smallest i deterministically
+        for m in range(self.dim):  # the last write, of the smallest i, wins
             for i in reversed(range(m + 1)):
                 row = self._deg[m][i]
                 for j, target in enumerate(row):
@@ -442,7 +437,8 @@ class TDeltaMap:
     """Levelwise map, stored on non-degenerate simplices and free tokens.
 
     Degenerate simplex values derive through the Eilenberg-Zilber witness;
-    comarked token values derive through zeta.
+    comarked token values derive through zeta.  Checks and operations read
+    per-level index tables that are computed once from the stored values.
     """
 
     def __init__(self, src, dst, simplex_map, token_map):
@@ -451,94 +447,116 @@ class TDeltaMap:
         self.simplex_map = dict(simplex_map)
         self.token_map = dict(token_map)
 
+    @cached_property
+    def _tables(self):
+        """(simplex images, token images): per level, the target index of
+        every source simplex or token; negative where the map is undefined,
+        including stored values that name no element of the target."""
+        A, X = self.src, self.dst
+        out = ([], [None])
+        for k, stored, ids, idx, wits, ops in (
+                (0, self.simplex_map, A._ids, X._idx, A._deg_wit, X._deg),
+                (1, self.token_map, A._tok_ids, X._tok_idx, A._zeta_wit,
+                 X._zeta)):
+            get = stored.get
+            for m in range(k, A.dim + 1):
+                at = idx[m] if m <= X.dim else {}
+                row = [-2 if (v := get((m, s))) is None else at.get(v, -1)
+                       for s in ids[m]]
+                if 0 < m <= X.dim:   # derive through the witness one level down
+                    below, op = out[0][m - 1], ops[m - 1]
+                    for j, w in enumerate(wits[m]):
+                        if w is not None and row[j] == -2 and below[w[1]] >= 0:
+                            row[j] = op[w[0]][below[w[1]]]
+                out[k].append(row)
+        return out
+
+    def _images(self, k):
+        """(m, row) for every level of simplex (k=0) or token (k=1) images,
+        in order; InvalidInput on reaching a row where the map is undefined."""
+        for m, row in enumerate(self._tables[k]):
+            if row and min(row) < 0:
+                ids = (self.src._ids, self.src._tok_ids)[k][m]
+                raise InvalidInput(
+                    f"map undefined on {ids[row.index(min(row))]!r}")
+            if row is not None:
+                yield m, row
+
     def apply_simplex(self, m, sid):
-        got = self.simplex_map.get((m, sid))
-        if got is not None:
-            return got
-        wit = self.src._deg_wit[m][self.src._idx[m][sid]]
-        if wit is None:
-            raise InvalidInput(f"map undefined on non-degenerate {sid!r}")
-        i, pre = wit
-        below = self.apply_simplex(m - 1, self.src._ids[m - 1][pre])
-        return self.dst.degeneracy_of(m - 1, i, below)
+        j = self._tables[0][m][self.src._idx[m][sid]]
+        if j < 0:
+            raise InvalidInput(f"map undefined on simplex {sid!r}")
+        return self.dst._ids[m][j]
 
     def apply_token(self, m, tid):
-        got = self.token_map.get((m, tid))
-        if got is not None:
-            return got
-        wit = self.src._zeta_wit[m][self.src._tok_idx[m][tid]]
-        if wit is None:
-            raise InvalidInput(f"map undefined on free token {tid!r}")
-        i, x = wit
-        below = self.apply_simplex(m - 1, self.src._ids[m - 1][x])
-        return self.dst.zeta_of(m - 1, i, below)
+        j = self._tables[1][m][self.src._tok_idx[m][tid]]
+        if j < 0:
+            raise InvalidInput(f"map undefined on token {tid!r}")
+        return self.dst._tok_ids[m][j]
 
     def simplex_table(self):
-        return {(m, s): self.apply_simplex(m, s)
-                for m in range(self.src.dim + 1)
-                for s in self.src.simplex_ids(m)}
+        ids = self.dst._ids
+        return {(m, s): ids[m][v] for m, row in self._images(0)
+                for s, v in zip(self.src._ids[m], row)}
 
     def token_table(self):
-        return {(m, t): self.apply_token(m, t)
-                for m in range(1, self.src.dim + 1)
-                for t in self.src.token_ids(m)}
+        ids = self.dst._tok_ids
+        return {(m, t): ids[m][v] for m, row in self._images(1)
+                for t, v in zip(self.src._tok_ids[m], row)}
 
     def equals(self, other):
         return (self.src.same_as(other.src) and self.dst.same_as(other.dst)
-                and self.simplex_table() == other.simplex_table()
-                and self.token_table() == other.token_table())
+                and list(self._images(0)) == list(other._images(0))
+                and list(self._images(1)) == list(other._images(1)))
 
     def compose(self, other):
-        """self after other."""
-        simp = {(m, s): self.apply_simplex(m, other.apply_simplex(m, s))
-                for m in range(other.src.dim + 1)
-                for s in other.src.nondegenerate_ids(m)}
-        tok = {}
-        for m in range(1, other.src.dim + 1):
-            wit = other.src._zeta_wit[m]
-            for i, t in enumerate(other.src._tok_ids[m]):
-                if wit[i] is None:
-                    tok[(m, t)] = self.apply_token(m, other.apply_token(m, t))
-        return TDeltaMap(other.src, self.dst, simp, tok)
+        """self after other; other's target must carry self's source ids."""
+        A, mid, B = other.src, other.dst, self.src
+        if mid is not B and (mid._ids != B._ids or
+                             mid._tok_ids != B._tok_ids):
+            raise InvalidInput(f"cannot compose through {mid.name!r} and "
+                               f"{B.name!r}: their ids differ")
+        stored = ({}, {})
+        for k, wits, ids, out_ids in ((0, A._deg_wit, A._ids, self.dst._ids),
+                                      (1, A._zeta_wit, A._tok_ids,
+                                       self.dst._tok_ids)):
+            for m in range(k, A.dim + 1):
+                first, then = other._tables[k][m], self._tables[k][m]
+                for j, w in enumerate(wits[m]):
+                    v = then[first[j]] if w is None and first[j] >= 0 else -1
+                    if v >= 0:
+                        stored[k][(m, ids[m][j])] = out_ids[m][v]
+                    elif w is None:
+                        raise InvalidInput(
+                            f"composite undefined on {ids[m][j]!r}")
+        return TDeltaMap(A, self.dst, *stored)
 
     def is_mono(self):
-        for m in range(self.src.dim + 1):
-            imgs = [self.apply_simplex(m, s) for s in self.src.simplex_ids(m)]
-            if len(set(imgs)) != len(imgs):
-                return False
-        for m in range(1, self.src.dim + 1):
-            imgs = [self.apply_token(m, t) for t in self.src.token_ids(m)]
-            if len(set(imgs)) != len(imgs):
-                return False
-        return True
+        return all(len(set(row)) == len(row)
+                   for k in (0, 1) for _, row in self._images(k))
 
     def is_valid(self):
         """Full commutation check against both structures."""
         A, X = self.src, self.dst
-        try:
-            for m in range(1, A.dim + 1):
-                for s in A.simplex_ids(m):
-                    for i in range(m + 1):
-                        if self.apply_simplex(m - 1, A.face_of(m, i, s)) != \
-                                X.face_of(m, i, self.apply_simplex(m, s)):
-                            return False
-            for m in range(A.dim):
-                for s in A.simplex_ids(m):
-                    for i in range(m + 1):
-                        if self.apply_simplex(m + 1, A.degeneracy_of(m, i, s)) != \
-                                X.degeneracy_of(m, i, self.apply_simplex(m, s)):
-                            return False
-                        if self.apply_token(m + 1, A.zeta_of(m, i, s)) != \
-                                X.zeta_of(m, i, self.apply_simplex(m, s)):
-                            return False
-            for m in range(1, A.dim + 1):
-                for t in A.token_ids(m):
-                    if self.apply_simplex(m, A.under_of(m, t)) != \
-                            X.under_of(m, self.apply_token(m, t)):
-                        return False
-        except (KeyError, InvalidInput):
+        if A.dim > X.dim:
             return False
-        return True
+        try:
+            simg, timg = [dict(self._images(k)) for k in (0, 1)]
+        except InvalidInput:
+            return False
+        checks = [(simg[m - 1], A._face[m][i], X._face[m][i], simg[m])
+                  for m in range(1, A.dim + 1) for i in range(m + 1)]
+        checks += [(img[m + 1], a[m][i], x[m][i], simg[m])
+                   for m in range(A.dim) for i in range(m + 1)
+                   for img, a, x in ((simg, A._deg, X._deg),
+                                     (timg, A._zeta, X._zeta))]
+        checks += [(simg[m], A._tok_under[m], X._tok_under[m], timg[m])
+                   for m in range(1, A.dim + 1)]
+        # lhs[a[j]] == x[img[j]] for every j: the square commutes at j
+        return all(
+            (not a or min(a) >= 0) and
+            [lhs[k] for k in a] == [x[k] for k in img]
+            for lhs, a, x, img in checks)
 
     def to_json_dict(self):
         return {

@@ -370,15 +370,15 @@ def invertible_2cells(C):
     return out
 
 
-def adjoint_equivalence_completions(C, f):
+def adjoint_equivalence_completions(C, f, inv=None):
     """All (g, eta, eps) completing f to an adjoint equivalence.
 
     Exhaustive over the finite tables; ordered lexicographically in
-    (g, eta, eps) ids.
+    (g, eta, eps) ids.  ``inv`` is ``invertible_2cells(C)`` if known.
     """
     cell = C.one_cells[f]
     x, y = cell.src, cell.tgt
-    inv = invertible_2cells(C)
+    inv = invertible_2cells(C) if inv is None else inv
     id_f = C.identity2_of(f)
     out = []
     for g in C.hom(y, x):
@@ -415,9 +415,9 @@ def one_isomorphisms(C):
     return out
 
 
-def transpose_completion(C, ae):
+def transpose_completion(C, ae, inv=None):
     """The completion of g induced by (f, g, eta, eps): (g, f, eps^-1, eta^-1)."""
-    inv = invertible_2cells(C)
+    inv = invertible_2cells(C) if inv is None else inv
     return AdjointEquivalence(ae.g, ae.f, inv[ae.eps], inv[ae.eta])
 
 

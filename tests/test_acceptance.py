@@ -140,7 +140,7 @@ def test_criterion_04_fibrancy_negatives():
 
 
 def _factorization_summaries():
-    return {name: fz.verify_factorization(CATALOG[name], 5)
+    return {name: fz.verify_factorization(CATALOG[name], 5)[-1]
             for name in FACTORIZATION_NAMES}
 
 

@@ -2,6 +2,7 @@ import pytest
 
 from complicial import categorify as cg
 from complicial import nerves, tdelta, twocat
+from complicial.twocat import InvalidInput
 from complicial.categorify import (EvaluationRefused, Pasting, PastingFactor,
                                    TwoPolygraph, Word, categorify,
                                    counit_assignment, evaluate_free,
@@ -166,6 +167,14 @@ def test_section_check_inverted_oriental(catalog):
     for x in C.objects:
         for y in C.objects:
             assert section_check(C, x, y, 4, assignment).ok
+
+
+def test_section_check_rejects_assignment_of_other_dimension(catalog):
+    C = catalog["iso"]
+    assignment = counit_assignment(C, 4)
+    with pytest.raises(InvalidInput, match="dimension 4, not 3"):
+        section_check(C, "x", "y", 3, assignment)
+    assert section_check(C, "x", "y", 4, assignment).ok
 
 
 def test_polygraph_json(catalog):

@@ -85,6 +85,21 @@ def test_factorize_trace(tmp_path):
     assert summary["final_equals_natural_nerve"]
 
 
+def test_factorize_writes_no_trace_when_the_replay_fails(tmp_path,
+                                                         monkeypatch):
+    from complicial import factorization
+
+    def fail(P3, info):
+        raise factorization.StageError("injected P4 failure")
+    monkeypatch.setattr(factorization, "stage_p4_and_retract", fail)
+    cat = tmp_path / "C.json"
+    run(["examples", "--name", "chain-1", "--out", str(cat)])
+    trace = tmp_path / "trace"
+    assert run(["factorize", "--input", str(cat), "--dim", "4",
+                "--trace", str(trace)]) == cli.EXIT_MATH
+    assert list(trace.iterdir()) == []
+
+
 def test_counit_check(tmp_path):
     cat = tmp_path / "C.json"
     run(["examples", "--name", "z2", "--out", str(cat)])
@@ -167,3 +182,33 @@ def test_witness_in_report_replays(tmp_path):
     f = tdelta.map_from_json_dict(ext.A, X, entry["witness"])
     assert f.is_valid()
     assert lifting.find_lift(lifting.LiftingProblem(ext, f)) is None
+
+
+def test_replay_builds_each_nerve_once(tmp_path, monkeypatch):
+    from collections import Counter
+
+    from complicial import factorization, nerves
+
+    calls = Counter()
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    count(nerves, "nerve_with_info")
+    for stage in ("stage_p1", "stage_p2", "stage_p3", "stage_p4_and_retract"):
+        count(factorization, stage)
+    cat = tmp_path / "C.json"
+    assert run(["examples", "--name", "sigma-iso", "--out", str(cat)]) == 0
+    assert run(["factorize", "--input", str(cat), "--dim", "4",
+                "--trace", str(tmp_path / "T")]) == 0
+    assert calls == {"nerve_with_info": 2, "stage_p1": 1, "stage_p2": 1,
+                     "stage_p3": 1, "stage_p4_and_retract": 1}
+    calls.clear()
+    assert run(["counit-check", "--cat", str(cat), "--dim", "4",
+                "--report", str(tmp_path / "K.json")]) == 0
+    assert calls == {"nerve_with_info": 1}

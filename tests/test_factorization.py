@@ -9,17 +9,21 @@ def catalog():
     return twocat.standard_examples()
 
 
+def _rs(C, N=4):
+    return nerves.nerve_with_info(C, N, "rs")
+
+
 def test_stage_p1_empty_family_for_rigid_category(catalog):
     C = catalog["chain-2"]
-    P1, to_p1, rep = fz.stage_p1(C, 4)
+    P1, to_p1, rep = fz.stage_p1(*_rs(C))
     assert rep.gluings == 0
     assert P1.same_as(nerves.rs_nerve(C, 4))
 
 
 def test_stage_p1_sigma_iso_token_diff(catalog):
     C = catalog["sigma-iso"]
-    X, info = nerves.nerve_with_info(C, 4, "rs")
-    P1, to_p1, rep = fz.stage_p1(C, 4)
+    X, info = _rs(C)
+    P1, to_p1, rep = fz.stage_p1(X, info)
     assert rep.gluings == 2
     multi = [s for s in P1.simplex_ids(2) if len(P1.tokens_over(2, s)) > 1
              and not P1.is_degenerate(2, s)]
@@ -34,7 +38,7 @@ def test_stage_p1_sigma_iso_token_diff(catalog):
 
 def test_stage_p2_collapse_and_retract(catalog):
     C = catalog["sigma-iso"]
-    P1, to_p1, _ = fz.stage_p1(C, 4)
+    P1, to_p1, _ = fz.stage_p1(*_rs(C))
     P2, x_to_p2, r, s, rep = fz.stage_p2(P1, to_p1)
     assert P2.is_stratified()
     assert s.is_valid() and r.is_valid()
@@ -43,51 +47,55 @@ def test_stage_p2_collapse_and_retract(catalog):
 
 def test_stage_p3_marks_all_invertible_triangles(catalog):
     C = catalog["inv-oriental-2"]
-    P1, to_p1, _ = fz.stage_p1(C, 4)
+    X, info = _rs(C)
+    P1, to_p1, _ = fz.stage_p1(X, info)
     P2, x_to_p2, _, _, _ = fz.stage_p2(P1, to_p1)
-    P3, _, rep = fz.stage_p3(P2, C, 4)
-    fz._check_p3_characterization(P3, C, 4)
+    P3, _, rep = fz.stage_p3(P2, info)
+    fz._check_p3_characterization(P3, info)
     assert rep.gluings == 3
 
 
 def test_stage_p3_no_gluings_for_one_category(catalog):
     C = catalog["chain-1"]
-    P1, to_p1, _ = fz.stage_p1(C, 4)
+    X, info = _rs(C)
+    P1, to_p1, _ = fz.stage_p1(X, info)
     P2, x_to_p2, _, _, _ = fz.stage_p2(P1, to_p1)
-    P3, _, rep = fz.stage_p3(P2, C, 4)
+    P3, _, rep = fz.stage_p3(P2, info)
     assert rep.gluings == 0
-    fz._check_p3_characterization(P3, C, 4)
+    fz._check_p3_characterization(P3, info)
 
 
 def test_stage_p4_identity_completions_only(catalog):
     C = catalog["chain-1"]
-    P1, to_p1, _ = fz.stage_p1(C, 4)
+    X, info = _rs(C)
+    P1, to_p1, _ = fz.stage_p1(X, info)
     P2, x_to_p2, _, _, _ = fz.stage_p2(P1, to_p1)
-    P3, _, _ = fz.stage_p3(P2, C, 4)
-    Q, p3_to_q, P4, p3_to_p4, q, s, rep = fz.stage_p4_and_retract(P3, C, 4)
+    P3, _, _ = fz.stage_p3(P2, info)
+    Q, p3_to_q, P4, p3_to_p4, q, s, rep = fz.stage_p4_and_retract(P3, info)
     assert rep.gluings == 2  # the two identity completions
     assert Q.same_as(nerves.natural_nerve(C, 4))
 
 
 def test_stage_p4_discrete_iso_each_edge_once(catalog):
     C = catalog["iso"]
-    P1, to_p1, _ = fz.stage_p1(C, 4)
+    X, info = _rs(C)
+    P1, to_p1, _ = fz.stage_p1(X, info)
     P2, x_to_p2, _, _, _ = fz.stage_p2(P1, to_p1)
-    P3, _, _ = fz.stage_p3(P2, C, 4)
-    Q, *_ = fz.stage_p4_and_retract(P3, C, 4)
+    P3, _, _ = fz.stage_p3(P2, info)
+    Q, *_ = fz.stage_p4_and_retract(P3, info)
     for e in Q.simplex_ids(1):
         assert len(Q.tokens_over(1, e)) == 1
 
 
 @pytest.mark.parametrize("name", ["chain-0", "sigma-iso", "inv-oriental-2"])
 def test_verify_factorization(name, catalog):
-    report = fz.verify_factorization(catalog[name], 5)
+    *_, report = fz.verify_factorization(catalog[name], 5)
     assert report["final_equals_natural_nerve"]
     assert report["composite_equals_rs_to_natural"]
 
 
 def test_factorization_deterministic(catalog):
     import json
-    a = fz.verify_factorization(catalog["sigma-iso"], 4)
-    b = fz.verify_factorization(catalog["sigma-iso"], 4)
+    a = fz.verify_factorization(catalog["sigma-iso"], 4)[-1]
+    b = fz.verify_factorization(catalog["sigma-iso"], 4)[-1]
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)

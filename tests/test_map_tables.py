@@ -1,0 +1,263 @@
+"""TDeltaMap's index-table operations against the former string-level code.
+
+The functions prefixed ``ref_`` are the id-walking implementations that
+``TDeltaMap`` used before its checks moved onto per-level index tables.  They
+are kept here as the oracle: on every stage map of the factorization replay,
+and on maps with one wrong simplex image, one wrong token image or one
+missing token image, the table code must give the same answers and the same
+composites.
+"""
+
+import pytest
+
+from complicial import factorization as fz
+from complicial import nerves, tdelta, twocat
+from complicial.twocat import InvalidInput
+
+
+def ref_apply_simplex(f, m, sid):
+    got = f.simplex_map.get((m, sid))
+    if got is not None:
+        return got
+    wit = f.src._deg_wit[m][f.src._idx[m][sid]]
+    if wit is None:
+        raise InvalidInput(f"map undefined on non-degenerate {sid!r}")
+    i, pre = wit
+    below = ref_apply_simplex(f, m - 1, f.src._ids[m - 1][pre])
+    return f.dst.degeneracy_of(m - 1, i, below)
+
+
+def ref_apply_token(f, m, tid):
+    got = f.token_map.get((m, tid))
+    if got is not None:
+        return got
+    wit = f.src._zeta_wit[m][f.src._tok_idx[m][tid]]
+    if wit is None:
+        raise InvalidInput(f"map undefined on free token {tid!r}")
+    i, x = wit
+    below = ref_apply_simplex(f, m - 1, f.src._ids[m - 1][x])
+    return f.dst.zeta_of(m - 1, i, below)
+
+
+def ref_simplex_table(f):
+    return {(m, s): ref_apply_simplex(f, m, s)
+            for m in range(f.src.dim + 1) for s in f.src.simplex_ids(m)}
+
+
+def ref_token_table(f):
+    return {(m, t): ref_apply_token(f, m, t)
+            for m in range(1, f.src.dim + 1) for t in f.src.token_ids(m)}
+
+
+def ref_equals(f, g):
+    return (f.src.same_as(g.src) and f.dst.same_as(g.dst)
+            and ref_simplex_table(f) == ref_simplex_table(g)
+            and ref_token_table(f) == ref_token_table(g))
+
+
+def ref_compose(f, g):
+    """f after g, as a TDeltaMap."""
+    simp = {(m, s): ref_apply_simplex(f, m, ref_apply_simplex(g, m, s))
+            for m in range(g.src.dim + 1) for s in g.src.nondegenerate_ids(m)}
+    tok = {}
+    for m in range(1, g.src.dim + 1):
+        wit = g.src._zeta_wit[m]
+        for i, t in enumerate(g.src._tok_ids[m]):
+            if wit[i] is None:
+                tok[(m, t)] = ref_apply_token(f, m, ref_apply_token(g, m, t))
+    return tdelta.TDeltaMap(g.src, f.dst, simp, tok)
+
+
+def ref_is_mono(f):
+    for m in range(f.src.dim + 1):
+        imgs = [ref_apply_simplex(f, m, s) for s in f.src.simplex_ids(m)]
+        if len(set(imgs)) != len(imgs):
+            return False
+    for m in range(1, f.src.dim + 1):
+        imgs = [ref_apply_token(f, m, t) for t in f.src.token_ids(m)]
+        if len(set(imgs)) != len(imgs):
+            return False
+    return True
+
+
+def ref_is_valid(f):
+    A, X = f.src, f.dst
+    try:
+        for m in range(1, A.dim + 1):
+            for s in A.simplex_ids(m):
+                for i in range(m + 1):
+                    if ref_apply_simplex(f, m - 1, A.face_of(m, i, s)) != \
+                            X.face_of(m, i, ref_apply_simplex(f, m, s)):
+                        return False
+        for m in range(A.dim):
+            for s in A.simplex_ids(m):
+                for i in range(m + 1):
+                    if ref_apply_simplex(f, m + 1, A.degeneracy_of(m, i, s)) != \
+                            X.degeneracy_of(m, i, ref_apply_simplex(f, m, s)):
+                        return False
+                    if ref_apply_token(f, m + 1, A.zeta_of(m, i, s)) != \
+                            X.zeta_of(m, i, ref_apply_simplex(f, m, s)):
+                        return False
+        for m in range(1, A.dim + 1):
+            for t in A.token_ids(m):
+                if ref_apply_simplex(f, m, A.under_of(m, t)) != \
+                        X.under_of(m, ref_apply_token(f, m, t)):
+                    return False
+    except (KeyError, InvalidInput):
+        return False
+    return True
+
+
+def _outcome(fn, *args):
+    """The value of fn(*args), or the exception type it raises."""
+    try:
+        return fn(*args)
+    except (InvalidInput, KeyError) as exc:
+        return type(exc)
+
+
+def _stage_maps(C, N=4):
+    """Every map the replay builds, named, plus the composable pairs."""
+    X, info = nerves.nerve_with_info(C, N, "rs")
+    P1, x_to_p1, _ = fz.stage_p1(X, info)
+    P2, x_to_p2, r, s2, _ = fz.stage_p2(P1, x_to_p1)
+    P3, p2_to_p3, _ = fz.stage_p3(P2, info)
+    Q, p3_to_q, P4, p3_to_p4, q, s4, _ = fz.stage_p4_and_retract(P3, info)
+    canonical = nerves.rs_to_natural(X, nerves.natural_nerve(C, N))
+    maps = {"x_to_p1": x_to_p1, "x_to_p2": x_to_p2, "r": r, "s2": s2,
+            "p2_to_p3": p2_to_p3, "p3_to_p4": p3_to_p4, "p3_to_q": p3_to_q,
+            "q": q, "s4": s4, "rs_to_natural": canonical,
+            "id_P2": tdelta.identity_map(P2), "id_Q": tdelta.identity_map(Q)}
+    pairs = [("r", "x_to_p1"), ("r", "s2"), ("s2", "x_to_p2"),
+             ("p2_to_p3", "x_to_p2"), ("q", "p3_to_p4"), ("q", "s4"),
+             ("s4", "p3_to_q"), ("p3_to_q", "p2_to_p3")]
+    return maps, pairs
+
+
+NAMES = ["sigma-iso", "inv-oriental-2", "iso"]
+
+
+@pytest.fixture(scope="module", params=NAMES)
+def replay(request):
+    return _stage_maps(twocat.standard_examples()[request.param])
+
+
+def _assert_agree(f):
+    assert f.is_valid() == ref_is_valid(f)
+    assert _outcome(tdelta.TDeltaMap.is_mono, f) == _outcome(ref_is_mono, f)
+    assert _outcome(tdelta.TDeltaMap.simplex_table, f) == \
+        _outcome(ref_simplex_table, f)
+    assert _outcome(tdelta.TDeltaMap.token_table, f) == \
+        _outcome(ref_token_table, f)
+
+
+def test_stage_maps_agree_with_string_oracle(replay):
+    maps, pairs = replay
+    for name, f in maps.items():
+        assert f.is_valid(), name
+        _assert_agree(f)
+    for g_name, f_name in pairs:
+        g, f = maps[g_name], maps[f_name]
+        new, ref = g.compose(f), ref_compose(g, f)
+        assert (new.simplex_map, new.token_map) == \
+            (ref.simplex_map, ref.token_map), (g_name, f_name)
+        assert new.equals(ref) and ref_equals(new, ref)
+        _assert_agree(new)
+    for a, b in [("r", "r"), ("q", "q"), ("x_to_p2", "x_to_p1"),
+                 ("p3_to_q", "p3_to_p4"), ("id_P2", "s2")]:
+        assert maps[a].equals(maps[b]) == ref_equals(maps[a], maps[b])
+    assert maps["r"].compose(maps["s2"]).equals(maps["id_P2"])
+
+
+def _wrong_face_image(f):
+    """f with one non-degenerate edge sent to an edge of another target."""
+    X = f.dst
+    for (m, sid), img in sorted(f.simplex_map.items()):
+        if m != 1:
+            continue
+        for other in X.simplex_ids(1):
+            if X.face_of(1, 0, other) != X.face_of(1, 0, img):
+                simp = dict(f.simplex_map)
+                simp[(1, sid)] = other
+                return tdelta.TDeltaMap(f.src, X, simp, f.token_map), sid
+    raise AssertionError("no edge with a different target")
+
+
+def _missing_token_image(f):
+    """f with the stored image of one free token dropped."""
+    key = max(f.token_map)
+    tok = {k: v for k, v in f.token_map.items() if k != key}
+    return tdelta.TDeltaMap(f.src, f.dst, f.simplex_map, tok), key
+
+
+@pytest.mark.parametrize("name", ["x_to_p1", "p2_to_p3", "s4"])
+def test_wrong_face_image_agrees_with_string_oracle(replay, name):
+    maps, _ = replay
+    f = maps[name]
+    bad, sid = _wrong_face_image(f)
+    assert not bad.is_valid() and not ref_is_valid(bad)
+    _assert_agree(bad)
+    assert bad.apply_simplex(1, sid) == ref_apply_simplex(bad, 1, sid)
+    assert not bad.equals(f) and not ref_equals(bad, f)
+    for g in maps.values():
+        if g.src is f.dst:
+            new, ref = g.compose(bad), ref_compose(g, bad)
+            assert (new.simplex_map, new.token_map) == \
+                (ref.simplex_map, ref.token_map)
+            _assert_agree(new)
+
+
+def _wrong_token_image(f):
+    """f with one free token sent to a token over another simplex."""
+    X = f.dst
+    for (m, tid), img in sorted(f.token_map.items()):
+        for other in X.token_ids(m):
+            if X.under_of(m, other) != X.under_of(m, img):
+                tok = dict(f.token_map)
+                tok[(m, tid)] = other
+                return tdelta.TDeltaMap(f.src, X, f.simplex_map, tok)
+    raise AssertionError("no token over another simplex")
+
+
+@pytest.mark.parametrize("name", ["x_to_p1", "s2", "q"])
+def test_wrong_token_image_agrees_with_string_oracle(replay, name):
+    maps, _ = replay
+    f = maps[name]
+    if not f.token_map:
+        pytest.skip(f"{name} stores no token images here")
+    bad = _wrong_token_image(f)
+    assert not bad.is_valid() and not ref_is_valid(bad)
+    _assert_agree(bad)
+    assert not bad.equals(f) and not ref_equals(bad, f)
+
+
+@pytest.mark.parametrize("name", ["x_to_p1", "s2", "q"])
+def test_missing_token_image_agrees_with_string_oracle(replay, name):
+    maps, _ = replay
+    f = maps[name]
+    if not f.token_map:
+        pytest.skip(f"{name} stores no token images here")
+    bad, (m, t) = _missing_token_image(f)
+    assert not bad.is_valid() and not ref_is_valid(bad)
+    _assert_agree(bad)
+    with pytest.raises(InvalidInput):
+        bad.apply_token(m, t)
+    with pytest.raises(InvalidInput):
+        ref_apply_token(bad, m, t)
+    with pytest.raises(InvalidInput):
+        bad.equals(f)
+    with pytest.raises(InvalidInput):
+        ref_equals(bad, f)
+    for g in maps.values():
+        if g.src is f.dst:
+            with pytest.raises(InvalidInput):
+                g.compose(bad)
+            with pytest.raises(InvalidInput):
+                ref_compose(g, bad)
+
+
+def test_compose_rejects_mismatched_ids():
+    f = tdelta.identity_map(tdelta.delta(1))
+    g = tdelta.identity_map(tdelta.delta(2))
+    with pytest.raises(InvalidInput):
+        g.compose(f)

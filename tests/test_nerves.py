@@ -108,8 +108,12 @@ def test_natural_marking_multiplicity_z2(catalog):
     assert not X.is_stratified()
 
 
+def _rs_to_natural(C, N):
+    return rs_to_natural(rs_nerve(C, N), natural_nerve(C, N))
+
+
 def test_rs_to_natural_point_is_iso(catalog):
-    f = rs_to_natural(catalog["chain-0"], 4)
+    f = _rs_to_natural(catalog["chain-0"], 4)
     assert f.is_valid() and f.is_mono()
     for m in range(1, 5):
         assert len(f.src.token_ids(m)) == len(f.dst.token_ids(m))
@@ -117,13 +121,13 @@ def test_rs_to_natural_point_is_iso(catalog):
 
 def test_rs_to_natural_structure(catalog):
     for name in ("chain-1", "inv-oriental-2", "z2", "sigma-iso"):
-        f = rs_to_natural(catalog[name], 4)
+        f = _rs_to_natural(catalog[name], 4)
         assert f.is_valid(), name
         assert f.is_mono(), name
 
 
 def test_rs_to_natural_token_diff_inverted_oriental(catalog):
-    f = rs_to_natural(catalog["inv-oriental-2"], 4)
+    f = _rs_to_natural(catalog["inv-oriental-2"], 4)
     rs, nat = f.src, f.dst
     image = {f.apply_token(2, t) for t in rs.token_ids(2)}
     added = [t for t in nat.token_ids(2) if t not in image]
@@ -138,8 +142,8 @@ def test_nerve_functoriality_naturality_square(catalog):
     rs_map = nerve_map(F, C, D, 4, "rs")
     nat_map = nerve_map(F, C, D, 4, "natural")
     assert rs_map.is_valid() and nat_map.is_valid()
-    left = nat_map.compose(rs_to_natural(C, 4))
-    right = rs_to_natural(D, 4).compose(rs_map)
+    left = nat_map.compose(_rs_to_natural(C, 4))
+    right = _rs_to_natural(D, 4).compose(rs_map)
     assert left.simplex_table() == right.simplex_table()
     assert left.token_table() == right.token_table()
 
@@ -153,3 +157,13 @@ def test_natural_stratified_iff_unique_completions(catalog):
     for name in ("chain-1", "iso", "sigma-iso", "oriental-2"):
         assert natural_nerve(catalog[name], 3).is_stratified(), name
     assert not natural_nerve(catalog["z2"], 3).is_stratified()
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
+def test_rs_nerves_have_no_free_level1_tokens(catalog, N):
+    # every level-1 rs mark is the comarking of a vertex, so rs_to_natural
+    # is the plain inclusion
+    for name, C in sorted(catalog.items()):
+        rs = rs_nerve(C, N)
+        assert all(w is not None for w in rs._zeta_wit[1]), name
+        assert rs_to_natural(rs, natural_nerve(C, N)).is_valid(), name
