@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import nerves
+from . import nerves, twocat
 from .twocat import FiniteTwoCategory, InvalidInput, OneCell, TwoCell
 
 
@@ -558,7 +558,7 @@ def counit_assignment(C, N=4):
         raise InvalidInput("counit check needs dimension at least 3")
     X, info = nerves.nerve_with_info(C, N, "natural")
     P = categorify(X)
-    inv = info.inv2
+    inv = twocat.invertible_2cells(C)
     by_token = {}
     for f, aes in info.completions.items():
         for ae in aes:
@@ -613,9 +613,9 @@ def section_check(C, x, y, N=4, assignment=None):
     if assignment is None:
         assignment = counit_assignment(C, N)
     X, info = assignment.nerve, assignment.info
-    if info.dim != N:
-        raise InvalidInput(f"counit assignment built at dimension {info.dim}, "
-                           f"not {N}")
+    if info.C is not C or info.dim != N:
+        raise InvalidInput(f"counit assignment built for {info.C.name} at "
+                           f"N = {info.dim}, not for {C.name} at N = {N}")
     on_one, on_two = assignment.on_one, assignment.on_two
     mismatches = []
     idx = C.identity_of(x)

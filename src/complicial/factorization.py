@@ -105,9 +105,9 @@ class StageReport:
     notes: dict = field(default_factory=dict)
 
 
-def _invertible_nonidentity(info):
-    return {a: b for a, b in info.inv2.items()
-            if not info.C.two_cells[a].identity}
+def _invertible_nonidentity(C):
+    inv = twocat.invertible_2cells(C)
+    return {a: b for a, b in inv.items() if not C.two_cells[a].identity}
 
 
 def stage_p1(X, info):
@@ -118,7 +118,7 @@ def stage_p1(X, info):
     C = info.C
     if info.dim < 4:
         raise twocat.InvalidInput("stage P1 needs dimension at least 4")
-    inv = _invertible_nonidentity(info)
+    inv = _invertible_nonidentity(C)
     pad = 4
     A = tdelta.join(tdelta.delta(0, dim=pad), tdelta.delta3_eq(dim=pad),
                     out_dim=pad, name="Delta[0]*Delta[3]_eq")
@@ -228,7 +228,7 @@ def stage_p3(P2, info):
     map P2 -> P3, report).
     """
     C = info.C
-    inv = _invertible_nonidentity(info)
+    inv = _invertible_nonidentity(C)
     A = tdelta.delta_k_prime(2, 3, dim=3)
     B = tdelta.delta_k_dprime(2, 3, dim=3)
     incl = inclusion_map(A, B)
@@ -266,9 +266,9 @@ def stage_p4_and_retract(P3, info):
     P4, map P3 -> P4, quotient P4 -> Q, section Q -> P4, report).  Q carries
     the natural-nerve token labels.
     """
-    C, inv = info.C, info.inv2
+    C, inv = info.C, twocat.invertible_2cells(info.C)
     completions = [ae for f in sorted(C.one_cells)
-                   for ae in twocat.adjoint_equivalence_completions(C, f, inv)]
+                   for ae in twocat.adjoint_equivalence_completions(C, f)]
     A = tdelta.delta3_eq(3)
     B = tdelta.delta3_sharp(3)
     incl = inclusion_map(A, B)
@@ -307,7 +307,7 @@ def stage_p4_and_retract(P3, info):
         cls[(1, t)] = completion_token(idc, ae0)
     known = set(completions)
     for idx, ae in enumerate(completions):
-        transpose = twocat.transpose_completion(C, ae, inv)
+        transpose = twocat.transpose_completion(C, ae)
         if transpose not in known:
             raise StageError(f"transpose of {ae} is not a completion")
         bmap = b_maps[idx]
@@ -364,7 +364,7 @@ def stage_p4_and_retract(P3, info):
 
 
 def _check_p2_characterization(P2, info):
-    C, inv = info.C, info.inv2
+    C, inv = info.C, twocat.invertible_2cells(info.C)
     for sid, (u, v, alpha) in info.two_data.items():
         n = len(P2.tokens_over(2, sid))
         invertible = alpha in inv
@@ -377,9 +377,10 @@ def _check_p2_characterization(P2, info):
 
 
 def _check_p3_characterization(P3, info):
+    inv = twocat.invertible_2cells(info.C)
     for sid, (u, v, alpha) in info.two_data.items():
         n = len(P3.tokens_over(2, sid))
-        expected = 1 if alpha in info.inv2 else 0
+        expected = 1 if alpha in inv else 0
         if n != expected:
             raise StageError(
                 f"P3 marking off at {sid}: got {n}, expected {expected}")

@@ -32,7 +32,6 @@ class NerveInfo:
     two_data: dict = field(default_factory=dict)   # sid -> (u, v, alpha)
     two_index: dict = field(default_factory=dict)  # (u, v, alpha) -> sid
     completions: dict = field(default_factory=dict)
-    inv2: dict = field(default_factory=dict)   # invertible_2cells(C)
 
     def witness(self, sid):
         return self.two_data[sid][2]
@@ -180,11 +179,10 @@ def _assemble(C, N, levels, faces, degs, info, marking):
     tokens = {}
     zeta = {}
 
-    inv2 = info.inv2 = twocat.invertible_2cells(C)
     if marking == "natural":
-        info.completions = {
-            f: twocat.adjoint_equivalence_completions(C, f, inv2)
-            for f in sorted(C.one_cells)}
+        info.completions = {f: twocat.adjoint_equivalence_completions(C, f)
+                            for f in sorted(C.one_cells)}
+    inv2 = twocat.invertible_2cells(C) if marking in ("rs", "natural") else {}
 
     def marked_plain(m, sid):
         if (m, sid) in degen:

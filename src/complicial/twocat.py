@@ -64,6 +64,7 @@ class FiniteTwoCategory:
         self.vcomp = dict(vcomp)
         self.whisker_l = dict(whisker_l)
         self.whisker_r = dict(whisker_r)
+        self._completions = {}  # 1-cell -> its completions, filled on demand
         if len(self.one_cells) != len(list(one_cells)):
             raise InvalidInput("duplicate 1-cell ids")
         if len(self.two_cells) != len(list(two_cells)):
@@ -144,6 +145,19 @@ class FiniteTwoCategory:
 
     def two_cells_between(self, a, b):
         return list(self._two_between.get((a, b), []))
+
+    @cached_property
+    def _inverse2(self):
+        """2-cell -> its vertical inverse, for the invertible ones."""
+        out = {}
+        for a in sorted(self.two_cells):
+            sa, ta = self.two_cells[a].src, self.two_cells[a].tgt
+            for b in self.two_cells_between(ta, sa):
+                if self.vert(b, a) == self.identity2_of(sa) and \
+                        self.vert(a, b) == self.identity2_of(ta):
+                    out[a] = b
+                    break
+        return out
 
     def compose_word(self, x, cells):
         """Composite of 1-cells listed in application order, id_x if empty."""
@@ -359,26 +373,20 @@ def validate(C):
 
 def invertible_2cells(C):
     """Map each 2-cell to its vertical inverse where one exists."""
-    out = {}
-    for a in sorted(C.two_cells):
-        sa, ta = C.two_cells[a].src, C.two_cells[a].tgt
-        for b in C.two_cells_between(ta, sa):
-            if C.vert(b, a) == C.identity2_of(sa) and \
-                    C.vert(a, b) == C.identity2_of(ta):
-                out[a] = b
-                break
-    return out
+    return dict(C._inverse2)
 
 
-def adjoint_equivalence_completions(C, f, inv=None):
+def adjoint_equivalence_completions(C, f):
     """All (g, eta, eps) completing f to an adjoint equivalence.
 
     Exhaustive over the finite tables; ordered lexicographically in
-    (g, eta, eps) ids.  ``inv`` is ``invertible_2cells(C)`` if known.
+    (g, eta, eps) ids.  The search runs once per 1-cell of C.
     """
+    if f in C._completions:
+        return list(C._completions[f])
     cell = C.one_cells[f]
     x, y = cell.src, cell.tgt
-    inv = invertible_2cells(C) if inv is None else inv
+    inv = C._inverse2
     id_f = C.identity2_of(f)
     out = []
     for g in C.hom(y, x):
@@ -396,7 +404,8 @@ def adjoint_equivalence_completions(C, f, inv=None):
                 if C.vert(C.wl(g, eps), C.wr(eta, g)) != id_g:
                     continue
                 out.append(AdjointEquivalence(f, g, eta, eps))
-    return sorted(out)
+    C._completions[f] = sorted(out)
+    return list(C._completions[f])
 
 
 def is_equivalence(C, f):
@@ -415,10 +424,10 @@ def one_isomorphisms(C):
     return out
 
 
-def transpose_completion(C, ae, inv=None):
+def transpose_completion(C, ae):
     """The completion of g induced by (f, g, eta, eps): (g, f, eps^-1, eta^-1)."""
-    inv = invertible_2cells(C) if inv is None else inv
-    return AdjointEquivalence(ae.g, ae.f, inv[ae.eps], inv[ae.eta])
+    return AdjointEquivalence(ae.g, ae.f, C._inverse2[ae.eps],
+                              C._inverse2[ae.eta])
 
 
 # -- 2-functor enumeration ----------------------------------------------------

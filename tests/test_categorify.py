@@ -172,9 +172,16 @@ def test_section_check_inverted_oriental(catalog):
 def test_section_check_rejects_assignment_of_other_dimension(catalog):
     C = catalog["iso"]
     assignment = counit_assignment(C, 4)
-    with pytest.raises(InvalidInput, match="dimension 4, not 3"):
+    with pytest.raises(InvalidInput, match="for I at N = 4, not for I at N = 3"):
         section_check(C, "x", "y", 3, assignment)
     assert section_check(C, "x", "y", 4, assignment).ok
+
+
+def test_section_check_rejects_assignment_of_other_category(catalog):
+    assignment = counit_assignment(catalog["iso"], 4)
+    with pytest.raises(InvalidInput, match="for I at N = 4, not for "
+                                           "Sigma parallel at N = 4"):
+        section_check(catalog["sigma-parallel"], "x", "y", 4, assignment)
 
 
 def test_polygraph_json(catalog):

@@ -172,6 +172,18 @@ def test_completions_iso_forced(catalog):
     assert is_equivalence(C, "f")
 
 
+def test_cached_tables_are_handed_out_as_copies():
+    C = standard_examples()["z2"]
+    inv = invertible_2cells(C)
+    comps = adjoint_equivalence_completions(C, "e")
+    inv.clear()
+    comps.clear()
+    assert invertible_2cells(C) == {"sg": "sg", "u": "u"}
+    assert adjoint_equivalence_completions(C, "e") == [
+        AdjointEquivalence("e", "e", "sg", "sg"),
+        AdjointEquivalence("e", "e", "u", "u")]
+
+
 def test_completion_invariants(catalog):
     """Triangle identities re-asserted by direct table lookup."""
     for name in ("iso", "z2", "inv-oriental-2", "sigma-iso"):
