@@ -5,8 +5,9 @@ Subcommands: ``examples``, ``nerve``, ``check-fibrant``, ``factorize``,
 one-line human summary on stdout.  Exit status: 0 on success (a fibrancy
 failure is still a successful check, recorded in the report), 1 on a
 mathematical verification failure, 2 on budget exhaustion, 3 on input
-errors.  The environment variable ``COMPLICIAL_BUDGET`` overrides the
-default search budget; ``--budget`` overrides both.
+errors, usage errors included.  The environment variable
+``COMPLICIAL_BUDGET`` overrides the default search budget; ``--budget``
+overrides both; either must be a positive integer.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ def cmd_examples(args):
     if args.list or not args.name:
         for name in sorted(catalog):
             print(name)
-        print("free-adjoint-equivalence  (effective; not serializable)")
         return EXIT_OK
     if args.name not in catalog:
         raise InvalidInput(f"unknown example {args.name!r}")
@@ -91,7 +91,7 @@ def cmd_nerve(args):
 def cmd_check_fibrant(args):
     X = _load_tdelta(args.input)
     report = lifting.is_precomplicial(X, n=args.n, N=args.dim,
-                                      budget=args.budget, jobs=args.jobs)
+                                      budget=args.budget)
     doc = report.to_json_dict()
     doc["input"] = os.path.basename(args.input)
     if args.report:
@@ -176,7 +176,6 @@ def build_parser():
     cf.add_argument("--n", type=int, default=2)
     cf.add_argument("--dim", type=int, default=5)
     cf.add_argument("--report")
-    cf.add_argument("--jobs", type=int, default=1)
     cf.add_argument("--budget", type=int, default=None)
     cf.set_defaults(func=cmd_check_fibrant)
 
@@ -202,7 +201,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed the help or the usage error
+        return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:
         return args.func(args)
     except InvalidInput as exc:

@@ -16,7 +16,6 @@ never conflated with a definitive "no lift".
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import tdelta
@@ -447,17 +446,15 @@ def rs_fibrancy_prediction(C):
     }
 
 
-def is_precomplicial(X, n=2, N=None, budget=None, jobs=1):
+def is_precomplicial(X, n=2, N=None, budget=None):
     """Right-lifting report of X against the anodyne library."""
     N = X.dim if N is None else N
+    if n < 0:
+        raise InvalidInput(f"triviality index n = {n} must be >= 0")
+    if N < 0:
+        raise InvalidInput(f"dimension bound N = {N} must be >= 0")
     if N > X.dim:
         raise InvalidInput("dimension bound exceeds the truncation of X")
-    library = anodyne_library(n, N)
-    if jobs and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(check_extension, X, ext, budget)
-                       for ext in library]
-            results = [fut.result() for fut in futures]
-    else:
-        results = [check_extension(X, ext, budget) for ext in library]
+    budget = get_budget(budget)
+    results = [check_extension(X, ext, budget) for ext in anodyne_library(n, N)]
     return FibrancyReport(n, N, results)

@@ -29,10 +29,21 @@ DEFAULT_BUDGET = 50_000_000
 
 
 def get_budget(budget=None):
-    if budget is not None:
-        return budget
-    env = os.environ.get("COMPLICIAL_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    """The given budget, else ``COMPLICIAL_BUDGET``, else the default."""
+    if budget is None:
+        env = os.environ.get("COMPLICIAL_BUDGET")
+        if not env:
+            return DEFAULT_BUDGET
+        try:
+            budget = int(env)
+        except ValueError:
+            raise InvalidInput(f"COMPLICIAL_BUDGET={env!r} is not an "
+                               "integer") from None
+        if budget < 1:
+            raise InvalidInput(f"COMPLICIAL_BUDGET={env!r} must be >= 1")
+    elif budget < 1:
+        raise InvalidInput(f"search budget {budget} must be >= 1")
+    return budget
 
 
 class BudgetExceeded(RuntimeError):
@@ -423,14 +434,6 @@ class TruncatedTDeltaSet:
         return cls(dim, simplices, faces, degs, tokens, zeta, name=name)
 
 
-def validate(X):
-    return X.validate()
-
-
-def is_stratified(X):
-    return X.is_stratified()
-
-
 # -- maps of tDelta-sets --------------------------------------------------------
 
 class TDeltaMap:
@@ -575,13 +578,7 @@ def map_from_json_dict(src, dst, doc):
 
 
 def identity_map(X):
-    simp = {(m, s): s for m in range(X.dim + 1) for s in X.nondegenerate_ids(m)}
-    tok = {}
-    for m in range(1, X.dim + 1):
-        wit = X._zeta_wit[m]
-        tok.update({(m, t): t for i, t in enumerate(X._tok_ids[m])
-                    if wit[i] is None})
-    return TDeltaMap(X, X, simp, tok)
+    return inclusion_map(X, X)
 
 
 def inclusion_map(A, X):
@@ -927,24 +924,6 @@ def delta3_sharp(dim=3):
     return delta(3, dim, marked=_nondegenerate(3, dim), name="Delta[3]#")
 
 
-def standard(name, **params):
-    """Dispatcher for the named standard shapes."""
-    table = {
-        "Delta": delta, "Delta_t": delta_t, "Boundary": boundary,
-        "Horn": horn, "Delta_k": delta_k, "Delta_k_prime": delta_k_prime,
-        "Delta_k_dprime": delta_k_dprime, "Delta3_eq": delta3_eq,
-        "Delta3_sharp": delta3_sharp,
-    }
-    if name not in table:
-        raise InvalidInput(f"unknown standard shape {name!r}")
-    limit = params.get("dim")
-    if limit is not None and limit > 8:
-        raise InvalidInput("standard shapes capped at dimension 8")
-    if params.get("m", 0) > 8:
-        raise InvalidInput("standard shapes capped at m = 8")
-    return table[name](**params)
-
-
 # -- join ------------------------------------------------------------------------
 
 def join(A, B, out_dim=None, name=None):
@@ -1082,20 +1061,6 @@ def coproduct(parts, name=""):
                               name=name)
 
 
-def coproduct_injection(parts, k, P):
-    """The k-th injection into coproduct(parts)."""
-    part = parts[k]
-    tag = lambda s: f"{k}:{s}"
-    simp = {(m, s): tag(s) for m in range(part.dim + 1)
-            for s in part.nondegenerate_ids(m)}
-    tok = {}
-    for m in range(1, part.dim + 1):
-        wit = part._zeta_wit[m]
-        tok.update({(m, t): tag(t) for i, t in enumerate(part._tok_ids[m])
-                    if wit[i] is None})
-    return TDeltaMap(part, P, simp, tok)
-
-
 def pushout(f, i, prefix="B.", name=""):
     """Pushout of f: A -> X along a monomorphism i: A -> B.
 
@@ -1157,10 +1122,7 @@ def pushout(f, i, prefix="B.", name=""):
             tokens[m].append((new_tid(m, t), new_sid(m, B.under_of(m, t))))
 
     P = TruncatedTDeltaSet(dim, simplices, faces, degs, tokens, zeta, name=name)
-    x_to_p = TDeltaMap(X, P,
-                       {(m, s): s for m in range(X.dim + 1)
-                        for s in X.nondegenerate_ids(m)},
-                       _free_token_identity(X))
+    x_to_p = inclusion_map(X, P)
     b_simp = {(m, b): new_sid(m, b) for m in range(B.dim + 1)
               for b in B.nondegenerate_ids(m)}
     b_tok = {}
@@ -1170,15 +1132,6 @@ def pushout(f, i, prefix="B.", name=""):
                       for k, t in enumerate(B._tok_ids[m]) if wit[k] is None})
     b_to_p = TDeltaMap(B, P, b_simp, b_tok)
     return P, x_to_p, b_to_p
-
-
-def _free_token_identity(X):
-    out = {}
-    for m in range(1, X.dim + 1):
-        wit = X._zeta_wit[m]
-        out.update({(m, t): t for k, t in enumerate(X._tok_ids[m])
-                    if wit[k] is None})
-    return out
 
 
 def pushout_family(X, gluings, prefix="g", name=""):

@@ -2,7 +2,8 @@
 
 Cells live in explicit finite tables.  Composition of 1-cells, vertical
 composition of 2-cells and the two whiskerings are stored; horizontal
-composition is derived through the interchange law.
+composition is determined by them through the interchange law, which
+``validate`` checks.
 
 Whiskering conventions (fixed once, used everywhere):
 
@@ -115,12 +116,6 @@ class FiniteTwoCategory:
     def wr(self, alpha, c):
         """alpha * c, whiskering on the right 1-cell side."""
         return self.whisker_r[(alpha, c)]
-
-    def hcomp(self, beta, alpha):
-        """Horizontal composite, derived: (d*alpha).(beta*a)."""
-        a = self.two_cells[alpha].src
-        d = self.two_cells[beta].tgt
-        return self.vert(self.wl(d, alpha), self.wr(beta, a))
 
     @cached_property
     def _hom(self):
@@ -363,10 +358,6 @@ class FiniteTwoCategory:
         except (KeyError, TypeError) as exc:
             raise InvalidInput(f"bad 2-category document: {exc}") from exc
         return cls(objects, one, comp1, two, vcomp, wl, wr, name=name)
-
-
-def validate(C):
-    return C.validate()
 
 
 # -- derived cell searches ---------------------------------------------------
@@ -782,82 +773,6 @@ def z2_two_cell_group():
     return FiniteTwoCategory(("*",), one, comp1, two, vcomp, wl, wr, name="Z2")
 
 
-class EffectiveTwoCategory:
-    """Interface for 2-categories given by decision procedures, not tables."""
-
-    def object_list(self):
-        raise NotImplementedError
-
-    def one_cells_upto(self, max_len):
-        raise NotImplementedError
-
-    def compose(self, w2, w1):
-        raise NotImplementedError
-
-    def unique_two_cell(self, a, b):
-        raise NotImplementedError
-
-
-class FreeAdjointEquivalence(EffectiveTwoCategory):
-    """The free adjoint equivalence on f: x -> y, g: y -> x.
-
-    1-cells are the alternating words in f and g, in normal form as plain
-    strings read in application order ("fg" means g after f).  Between any
-    two parallel words there is exactly one 2-cell: the hom-categories are
-    contractible groupoids, which is what makes the decision procedure a
-    constant.
-    """
-
-    name = "E"
-    objects = ("x", "y")
-
-    def object_list(self):
-        return list(self.objects)
-
-    def is_word(self, w):
-        """Normal forms: anchored pairs (src, word) with alternating word."""
-        o, a = w
-        if o not in self.objects or any(ch not in "fg" for ch in a):
-            return False
-        if a and (o == "x") != (a[0] == "f"):
-            return False
-        return all(p != q for p, q in zip(a, a[1:]))
-
-    def src(self, w):
-        return w[0]
-
-    def tgt(self, w):
-        o, a = w
-        if not a:
-            return o
-        return "y" if a[-1] == "f" else "x"
-
-    def one_cells_upto(self, max_len, src=None, tgt=None):
-        out = [("x", ""), ("y", "")]
-        for n in range(1, max_len + 1):
-            for first in "fg":
-                a = "".join("fg"[(i + (first == "g")) % 2] for i in range(n))
-                out.append((("x" if first == "f" else "y"), a))
-        if src is not None:
-            out = [w for w in out if self.src(w) == src and self.tgt(w) == tgt]
-        return sorted(out)
-
-    def compose(self, w2, w1):
-        """w2 after w1, by concatenation of alternating words."""
-        if self.tgt(w1) != self.src(w2):
-            raise InvalidInput("words not composable")
-        word = (w1[0], w1[1] + w2[1])
-        if not self.is_word(word):
-            raise InvalidInput("concatenation is not alternating")
-        return word
-
-    def unique_two_cell(self, w1, w2):
-        """Total decision procedure; hom-categories are contractible groupoids."""
-        if not (self.is_word(w1) and self.is_word(w2)):
-            raise InvalidInput("not a normal form")
-        return self.src(w1) == self.src(w2) and self.tgt(w1) == self.tgt(w2)
-
-
 def standard_examples():
     """The bundled catalog, keyed by short names."""
     cat = {}
@@ -875,7 +790,3 @@ def standard_examples():
     cat["inv-oriental-2"] = inverted_oriental2()
     cat["z2"] = z2_two_cell_group()
     return cat
-
-
-def free_adjoint_equivalence():
-    return FreeAdjointEquivalence()

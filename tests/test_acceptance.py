@@ -74,18 +74,18 @@ def test_criterion_02_nerve_oracle():
             "nerve simplex counts equal brute-force 2-functor counts", elapsed)
 
 
-def _fibrancy_reports(jobs):
+def _fibrancy_reports():
     docs = {}
     for name in FIBRANCY_NAMES:
         X = nerves.natural_nerve(CATALOG[name], 5)
-        report = lifting.is_precomplicial(X, 2, 5, jobs=jobs)
+        report = lifting.is_precomplicial(X, 2, 5)
         docs[name] = report.to_json_dict()
     return docs
 
 
 def test_criterion_03_fibrancy_positives():
     t0 = time.time()
-    docs = _fibrancy_reports(jobs=1)
+    docs = _fibrancy_reports()
     ok = all(doc["passed"] for doc in docs.values())
     ok = ok and all(len(doc["extensions"]) == 44 for doc in docs.values())
     elapsed = time.time() - t0
@@ -231,15 +231,15 @@ def test_criterion_09_marking_multiplicity():
 
 def test_criterion_10_determinism():
     t0 = time.time()
-    a = json.dumps(_fibrancy_reports(jobs=1), sort_keys=True)
-    b = json.dumps(_fibrancy_reports(jobs=3), sort_keys=True)
+    a = json.dumps(_fibrancy_reports(), sort_keys=True)
+    b = json.dumps(_fibrancy_reports(), sort_keys=True)
     ok = a == b
     fa = json.dumps(_factorization_summaries(), sort_keys=True)
     fb = json.dumps(_factorization_summaries(), sort_keys=True)
     ok = ok and fa == fb
     elapsed = time.time() - t0
     _report(10, ok, "fibrancy and factorization reports are byte-identical "
-            "across runs and parallelism degrees", elapsed)
+            "across repeated runs", elapsed)
 
 
 if __name__ == "__main__":

@@ -65,10 +65,9 @@ def test_reports_byte_identical_across_jobs(tmp_path):
     run(["nerve", "--input", str(cat), "--marking", "natural", "--dim", "4",
          "--out", str(nerve)])
     r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    assert run(["check-fibrant", "--input", str(nerve), "--dim", "4",
-                "--jobs", "1", "--report", str(r1)]) == 0
-    assert run(["check-fibrant", "--input", str(nerve), "--dim", "4",
-                "--jobs", "4", "--report", str(r2)]) == 0
+    for r in (r1, r2):
+        assert run(["check-fibrant", "--input", str(nerve), "--dim", "4",
+                    "--report", str(r)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
 
 
@@ -152,6 +151,56 @@ def test_budget_exit_code(tmp_path, capsys):
     assert run(["check-fibrant", "--input", str(nerve), "--dim", "4",
                 "--budget", "2"]) == cli.EXIT_BUDGET
     assert "horn(k=0,m=2): 3 domain nodes" in capsys.readouterr().err
+
+
+@pytest.fixture
+def chain1_nerve(tmp_path):
+    cat = tmp_path / "C.json"
+    run(["examples", "--name", "chain-1", "--out", str(cat)])
+    nerve = tmp_path / "X.json"
+    run(["nerve", "--input", str(cat), "--marking", "natural", "--dim", "4",
+         "--out", str(nerve)])
+    return str(nerve)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["check-fibrant", "--input", "X.json", "--jobs", "2"], "--jobs"),
+    (["check-fibrant", "--input", "X.json", "--budget", "many"], "--budget"),
+    (["nerve", "--input", "C.json", "--dim", "notint", "--out", "X.json"],
+     "--dim"),
+    (["nerve", "--input", "C.json"], "--out"),
+    (["no-such-command"], "no-such-command"),
+])
+def test_usage_errors_exit_input(argv, named, capsys):
+    assert run(argv) == cli.EXIT_INPUT
+    assert named in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    assert run(["check-fibrant", "--help"]) == cli.EXIT_OK
+    assert "--budget" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5", "2.5"])
+def test_bad_budget_environment_exits_input(value, chain1_nerve, monkeypatch,
+                                            capsys):
+    monkeypatch.setenv("COMPLICIAL_BUDGET", value)
+    assert run(["check-fibrant", "--input", chain1_nerve,
+                "--dim", "4"]) == cli.EXIT_INPUT
+    assert "COMPLICIAL_BUDGET" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, named", [
+    (["--dim", "-2"], "dimension bound N = -2"),
+    (["--n", "-5"], "triviality index n = -5"),
+    (["--dim", "4", "--budget", "0"], "budget 0 must be >= 1"),
+    (["--dim", "4", "--budget", "-1"], "budget -1 must be >= 1"),
+])
+def test_check_fibrant_out_of_range_exits_input(extra, named, chain1_nerve,
+                                                capsys):
+    assert run(["check-fibrant", "--input", chain1_nerve,
+                *extra]) == cli.EXIT_INPUT
+    assert named in capsys.readouterr().err
 
 
 def test_console_entry_point():

@@ -10,7 +10,7 @@ from complicial.tdelta import (BudgetExceeded, TruncatedTDeltaSet, boundary,
                                delta_k, delta_k_dprime, delta_k_prime, delta_t,
                                find_isomorphism, horn, identify_markings,
                                identity_map, inclusion_map, join, maps,
-                               pushout, standard)
+                               pushout)
 
 
 SHAPES = [delta(0), delta(2), delta_t(2), boundary(2), boundary(3),
@@ -52,15 +52,6 @@ def test_delta3_eq_marked_set():
 def test_boundary_of_point_is_empty():
     B = boundary(0)
     assert B.simplex_ids(0) == []
-
-
-def test_standard_dispatcher():
-    assert standard("Delta", m=2).same_as(delta(2))
-    assert standard("Horn", k=1, m=2).same_as(horn(1, 2))
-    with pytest.raises(twocat.InvalidInput):
-        standard("Nope")
-    with pytest.raises(twocat.InvalidInput):
-        standard("Delta", m=9)
 
 
 @given(st.integers(min_value=1, max_value=4), st.data())

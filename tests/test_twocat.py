@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 from complicial import twocat
 from complicial.twocat import (AdjointEquivalence, FiniteTwoCategory,
                                adjoint_equivalence_completions,
-                               free_adjoint_equivalence, invertible_2cells,
-                               is_equivalence, oriental2, standard_examples,
-                               suspension, two_functors)
+                               invertible_2cells, is_equivalence, oriental2,
+                               standard_examples, suspension, two_functors)
 
 
 @pytest.fixture(scope="module")
@@ -229,7 +228,7 @@ def test_suspension_off_diagonal_empty(catalog):
     assert S.hom("x", "x") == ["ix"]
 
 
-# -- the inverted oriental and the effective free adjoint equivalence ------------
+# -- the inverted oriental -------------------------------------------------------
 
 def test_inverted_oriental_hom(catalog):
     C = catalog["inv-oriental-2"]
@@ -238,27 +237,6 @@ def test_inverted_oriental_hom(catalog):
     assert C.two_cells_between("f012", "f02") == ["b012>02"]
     inv = invertible_2cells(C)
     assert inv["a02>012"] == "b012>02"
-
-
-def test_free_adjoint_equivalence_words():
-    E = free_adjoint_equivalence()
-    xx = E.one_cells_upto(6, "x", "x")
-    assert ("x", "") in xx
-    assert ("x", "fg") in xx and ("x", "fgfg") in xx
-    assert all(E.is_word(w) for w in xx)
-    w = E.compose(("y", "g"), ("x", "f"))
-    assert w == ("x", "fg")
-    with pytest.raises(twocat.InvalidInput):
-        E.compose(("x", "f"), ("x", "f"))
-
-
-def test_free_adjoint_equivalence_contractible_homs():
-    E = free_adjoint_equivalence()
-    words = E.one_cells_upto(5)
-    for w1 in words:
-        for w2 in words:
-            expected = E.src(w1) == E.src(w2) and E.tgt(w1) == E.tgt(w2)
-            assert E.unique_two_cell(w1, w2) is expected
 
 
 # -- 2-functor enumeration -------------------------------------------------------
