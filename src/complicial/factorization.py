@@ -25,33 +25,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import nerves, tdelta, twocat
+from . import lifting, nerves, tdelta, twocat
+from .lifting import saturation, thinness
 from .nerves import completion_token
-from .tdelta import TDeltaMap, TruncatedTDeltaSet, inclusion_map
+from .tdelta import TDeltaMap, inclusion_map
 from .twocat import AdjointEquivalence
 
 
 class StageError(Exception):
     """A stage assertion failed; the replay does not match the construction."""
-
-
-def _subset_of_join_id(sid):
-    """Vertex subset of a non-degenerate simplex of Delta[0] * Delta[3]."""
-    left, right = sid.split("*")
-    verts = [int(c) for c in left]
-    verts += [int(c) + 1 for c in right]
-    return tuple(verts)
-
-
-def _face_at_subset(X, top_level, top_sid, subset):
-    """Iterated face of a simplex at the given vertex subset."""
-    sid = top_sid
-    lvl = top_level
-    for v in range(top_level, -1, -1):
-        if v not in subset:
-            sid = X.face_of(lvl, v, sid)
-            lvl -= 1
-    return sid
 
 
 def _simplex_from_faces(X, m, face_sids):
@@ -64,36 +46,22 @@ def _simplex_from_faces(X, m, face_sids):
     return X._ids[m][hits[0]]
 
 
-def _map_from_top(A, X, top_level, top_sid, marked_only_token=True):
-    """The map A -> X sending the top generator onto the given simplex.
+def _gluings(X, ext, tops, stage):
+    """(A -> X, A -> B) sending the top simplex of ext.A onto each of tops.
 
-    A must have simplex-shaped underlying set with digit ids (or join ids
-    for the degenerate-join shapes); every free token goes to the unique
-    token over its image, which must exist.
+    The maps come from the compiled lift plan of the extension, which also
+    checks that every marked simplex of A lands on a marked simplex.
     """
-    simp = {}
-    for lvl in range(A.dim + 1):
-        for sid in A.nondegenerate_ids(lvl):
-            subset = _subset_of_join_id(sid) if "*" in sid \
-                else tuple(int(c) for c in sid)
-            simp[(lvl, sid)] = _face_at_subset(X, top_level, top_sid, subset)
-    tok = {}
-    for lvl in range(1, A.dim + 1):
-        zwit = A._zeta_wit[lvl]
-        for idx, w in enumerate(zwit):
-            if w is not None:
-                continue
-            t = A._tok_ids[lvl][idx]
-            under = A._ids[lvl][A._tok_under[lvl][idx]]
-            image = simp[(lvl, under)] if (lvl, under) in simp else None
-            if image is None:
-                raise StageError(f"marked simplex {under} not resolved")
-            cands = X.tokens_over(lvl, image)
-            if not cands:
-                raise StageError(
-                    f"image simplex {image} of marked {under} is unmarked")
-            tok[(lvl, t)] = cands[0]
-    return TDeltaMap(A, X, simp, tok)
+    plan = lifting._compile_plan(ext)
+    incl = ext.inclusion
+    out = []
+    for top in tops:
+        x = (X._idx[plan.m][top],)
+        if not lifting._plan_marks_ok(X, plan, x, plan.m, plan.domain_marks):
+            raise StageError(f"{stage}: a marked simplex of {ext.A.name} "
+                             f"lands on an unmarked one at {top}")
+        out.append((lifting._part_to_map(X, ext, plan, x), incl))
+    return out
 
 
 @dataclass
@@ -119,13 +87,7 @@ def stage_p1(X, info):
     if info.dim < 4:
         raise twocat.InvalidInput("stage P1 needs dimension at least 4")
     inv = _invertible_nonidentity(C)
-    pad = 4
-    A = tdelta.join(tdelta.delta(0, dim=pad), tdelta.delta3_eq(dim=pad),
-                    out_dim=pad, name="Delta[0]*Delta[3]_eq")
-    B = tdelta.join(tdelta.delta(0, dim=pad), tdelta.delta3_sharp(dim=pad),
-                    out_dim=pad, name="Delta[0]*Delta[3]#")
-    incl = inclusion_map(A, B)
-    gluings = []
+    tops = []
     for alpha in sorted(inv):
         beta = inv[alpha]
         f = C.two_cells[alpha].src
@@ -157,8 +119,8 @@ def stage_p1(X, info):
                 tri_vs = tuple(v for idx, v in enumerate(vs) if idx != d)
                 faces.append(tri[tri_vs])
             tets[drop] = _simplex_from_faces(X, 3, faces)
-        top = _simplex_from_faces(X, 4, [tets[d] for d in range(5)])
-        gluings.append((_map_from_top(A, X, 4, top), incl))
+        tops.append(_simplex_from_faces(X, 4, [tets[d] for d in range(5)]))
+    gluings = _gluings(X, saturation(0), tops, "P1")
     P1, x_to_p1, _ = tdelta.pushout_family(X, gluings, prefix="p1.",
                                            name=f"P1({C.name})")
     _assert_same_underlying(X, P1)
@@ -172,24 +134,21 @@ def _assert_same_underlying(X, Y):
         raise StageError("stage changed the underlying simplicial set")
 
 
-def _section_of_collapse(P, Q, to_q, prefer):
-    """Section of an identify_markings collapse, choosing preferred members."""
-    simp = {(m, s): s for m in range(Q.dim + 1)
-            for s in Q.nondegenerate_ids(m)}
+def _section_of_collapse(P, Q, to_q, base):
+    """Section of a token collapse P -> Q: each token of Q goes back to the
+    least member of its class that is a token of the earlier stage base,
+    else to the least member.  Q has the simplices of P."""
     classes = {}
     for m in range(1, P.dim + 1):
         for t in P.token_ids(m):
             classes.setdefault((m, to_q.apply_token(m, t)), []).append(t)
+    keep = {m: set(base.token_ids(m)) for m in range(1, base.dim + 1)}
+    gens = inclusion_map(Q, P)  # the simplices; free tokens are chosen here
     tok = {}
-    for m in range(1, Q.dim + 1):
-        zwit = Q._zeta_wit[m]
-        for idx, w in enumerate(zwit):
-            if w is not None:
-                continue
-            q = Q._tok_ids[m][idx]
-            members = sorted(classes[(m, q)])
-            tok[(m, q)] = prefer(m, members)
-    return TDeltaMap(Q, P, simp, tok)
+    for m, q in gens.token_map:
+        members = sorted(classes[(m, q)])
+        tok[(m, q)] = next((t for t in members if t in keep[m]), members[0])
+    return TDeltaMap(Q, P, gens.simplex_map, tok)
 
 
 def stage_p2(P1, x_to_p1):
@@ -200,16 +159,7 @@ def stage_p2(P1, x_to_p1):
     """
     X = x_to_p1.src
     P2, r = tdelta.identify_markings(P1, name=P1.name.replace("P1", "P2"))
-    _assert_same_underlying(P1, P2)
-    x_tokens = {m: set(X.token_ids(m)) for m in range(1, X.dim + 1)}
-
-    def prefer(m, members):
-        for t in members:
-            if t in x_tokens[m]:
-                return t
-        return members[0]
-
-    s = _section_of_collapse(P1, P2, r, prefer)
+    s = _section_of_collapse(P1, P2, r, X)
     x_to_p2 = r.compose(x_to_p1)
     if not s.is_valid():
         raise StageError("section of the marking collapse is not a map")
@@ -229,12 +179,8 @@ def stage_p3(P2, info):
     """
     C = info.C
     inv = _invertible_nonidentity(C)
-    A = tdelta.delta_k_prime(2, 3, dim=3)
-    B = tdelta.delta_k_dprime(2, 3, dim=3)
-    incl = inclusion_map(A, B)
-    gluings = []
+    tops = []
     for alpha in sorted(inv):
-        f = C.two_cells[alpha].src
         tgt = C.two_cells[alpha].tgt
         for (g2, g1), res in sorted(C.comp1.items()):
             if res != tgt or C.one_cells[g2].identity:
@@ -249,8 +195,8 @@ def stage_p3(P2, info):
                 t0 = info.triangle(g2, idz, id2(g2))
             except KeyError:
                 raise StageError(f"P3 skeleton fails for {alpha},{g1},{g2}")
-            top = _simplex_from_faces(P2, 3, [t0, t1, t2, t3])
-            gluings.append((_map_from_top(A, P2, 3, top), incl))
+            tops.append(_simplex_from_faces(P2, 3, [t0, t1, t2, t3]))
+    gluings = _gluings(P2, thinness(2, 3), tops, "P3")
     P3, p2_to_p3, _ = tdelta.pushout_family(P2, gluings, prefix="p3.",
                                             name=P2.name.replace("P2", "P3"))
     _assert_same_underlying(P2, P3)
@@ -269,10 +215,7 @@ def stage_p4_and_retract(P3, info):
     C, inv = info.C, twocat.invertible_2cells(info.C)
     completions = [ae for f in sorted(C.one_cells)
                    for ae in twocat.adjoint_equivalence_completions(C, f)]
-    A = tdelta.delta3_eq(3)
-    B = tdelta.delta3_sharp(3)
-    incl = inclusion_map(A, B)
-    gluings = []
+    tops = []
     for ae in completions:
         f, g, eta, eps = ae.f, ae.g, ae.eta, ae.eps
         x = C.one_cells[f].src
@@ -285,8 +228,8 @@ def stage_p4_and_retract(P3, info):
             t0 = info.triangle(g, f, inv[eps])
         except KeyError:
             raise StageError(f"P4 skeleton fails for {ae}")
-        top = _simplex_from_faces(P3, 3, [t0, t1, t2, t3])
-        gluings.append((_map_from_top(A, P3, 3, top), incl))
+        tops.append(_simplex_from_faces(P3, 3, [t0, t1, t2, t3]))
+    gluings = _gluings(P3, saturation(-1), tops, "P4")
     P4, p3_to_p4, b_maps = tdelta.pushout_family(
         P3, gluings, prefix="p4.", name=P3.name.replace("P3", "P4"))
     _assert_same_underlying(P3, P4)
@@ -296,21 +239,18 @@ def stage_p4_and_retract(P3, info):
     for m in range(2, P4.dim + 1):
         for t in P4.token_ids(m):
             cls[(m, t)] = f"t|{P4.under_of(m, t)}"
-    idmap = {x: C.identity_of(x) for x in C.objects}
     for t in P3.token_ids(1):
         idc = P3.under_of(1, t)
-        x = C.one_cells[idc].src
-        if idc != idmap[x]:
+        if not C.one_cells[idc].identity:
             raise StageError("P3 marks a non-identity 1-simplex")
         ae0 = AdjointEquivalence(idc, idc, C.identity2_of(idc),
                                  C.identity2_of(idc))
         cls[(1, t)] = completion_token(idc, ae0)
     known = set(completions)
-    for idx, ae in enumerate(completions):
+    for ae, bmap in zip(completions, b_maps):
         transpose = twocat.transpose_completion(C, ae)
         if transpose not in known:
             raise StageError(f"transpose of {ae} is not a completion")
-        bmap = b_maps[idx]
         for edge, owner, key in (("01", ae.f, ae), ("23", ae.f, ae),
                                  ("03", ae.f, ae), ("12", ae.g, transpose)):
             t = bmap.apply_token(1, f"t|{edge}")
@@ -318,38 +258,9 @@ def stage_p4_and_retract(P3, info):
                 raise StageError("conflicting completion classes")
             cls[(1, t)] = completion_token(owner, key)
 
-    levels = {m: list(P4.simplex_ids(m)) for m in range(P4.dim + 1)}
-    faces, degs, zeta = {}, {}, {}
-    for m in range(1, P4.dim + 1):
-        for s in P4.simplex_ids(m):
-            for i in range(m + 1):
-                faces[(m, i, s)] = P4.face_of(m, i, s)
-    for m in range(P4.dim):
-        for s in P4.simplex_ids(m):
-            for i in range(m + 1):
-                degs[(m, i, s)] = P4.degeneracy_of(m, i, s)
-                zeta[(m, i, s)] = cls[(m + 1, P4.zeta_of(m, i, s))]
-    tokens = {m: sorted({(cls[(m, t)], P4.under_of(m, t))
-                         for t in P4.token_ids(m)})
-              for m in range(1, P4.dim + 1)}
-    Q = TruncatedTDeltaSet(P4.dim, levels, faces, degs, tokens, zeta,
-                           name=P4.name.replace("P4", "Q"))
-    q = TDeltaMap(P4, Q,
-                  {(m, s): s for m in range(P4.dim + 1)
-                   for s in P4.nondegenerate_ids(m)},
-                  {(m, t): cls[(m, t)]
-                   for m in range(1, P4.dim + 1)
-                   for k, t in enumerate(P4._tok_ids[m])
-                   if P4._zeta_wit[m][k] is None})
-    p3_tokens = {m: set(P3.token_ids(m)) for m in range(1, P3.dim + 1)}
-
-    def prefer(m, members):
-        for t in members:
-            if t in p3_tokens[m]:
-                return t
-        return members[0]
-
-    s = _section_of_collapse(P4, Q, q, prefer)
+    Q, q = tdelta.identify_markings(P4, name=P4.name.replace("P4", "Q"),
+                                    labels=cls)
+    s = _section_of_collapse(P4, Q, q, P3)
     p3_to_q = q.compose(p3_to_p4)
     if not (q.is_valid() and s.is_valid()):
         raise StageError("quotient or section is not a map")
@@ -363,27 +274,20 @@ def stage_p4_and_retract(P3, info):
     return Q, p3_to_q, P4, p3_to_p4, q, s, report
 
 
-def _check_p2_characterization(P2, info):
-    C, inv = info.C, twocat.invertible_2cells(info.C)
+def _check_characterization(P, info, stage, expected):
+    """Raise unless each triangle of P carries expected(v, alpha) tokens,
+    where v is its 0th edge and alpha its 2-cell."""
     for sid, (u, v, alpha) in info.two_data.items():
-        n = len(P2.tokens_over(2, sid))
-        invertible = alpha in inv
-        identity = C.two_cells[alpha].identity
-        degenerate0 = C.one_cells[v].identity
-        expected = 1 if (identity or (invertible and degenerate0)) else 0
-        if n != expected:
+        n, want = len(P.tokens_over(2, sid)), expected(v, alpha)
+        if n != want:
             raise StageError(
-                f"P2 marking off at {sid}: got {n}, expected {expected}")
+                f"{stage} marking off at {sid}: got {n}, expected {want}")
 
 
 def _check_p3_characterization(P3, info):
+    """P3 marks every invertible triangle once and nothing else."""
     inv = twocat.invertible_2cells(info.C)
-    for sid, (u, v, alpha) in info.two_data.items():
-        n = len(P3.tokens_over(2, sid))
-        expected = 1 if alpha in inv else 0
-        if n != expected:
-            raise StageError(
-                f"P3 marking off at {sid}: got {n}, expected {expected}")
+    _check_characterization(P3, info, "P3", lambda v, alpha: int(alpha in inv))
 
 
 def verify_factorization(C, N=5):
@@ -396,7 +300,10 @@ def verify_factorization(C, N=5):
     P1, x_to_p1, rep1 = stage_p1(X, info)
     P2, x_to_p2, r12, s21, rep2 = stage_p2(P1, x_to_p1)
     P3, p2_to_p3, rep3 = stage_p3(P2, info)
-    _check_p2_characterization(P2, info)
+    inv = twocat.invertible_2cells(C)
+    _check_characterization(P2, info, "P2", lambda v, alpha: int(
+        C.two_cells[alpha].identity or
+        (alpha in inv and C.one_cells[v].identity)))
     _check_p3_characterization(P3, info)
     Q, p3_to_q, P4, p3_to_p4, q, s, rep4 = stage_p4_and_retract(P3, info)
     for stage_map in (x_to_p1, x_to_p2, p2_to_p3, p3_to_p4, p3_to_q):

@@ -46,6 +46,27 @@ class LiftingProblem:
     along: TDeltaMap  # A -> X
 
 
+def thinness(k, m):
+    """Delta^k[m]' -> Delta^k[m]''."""
+    return AnodyneExtension("thinness", (("k", k), ("m", m)),
+                            tdelta.delta_k_prime(k, m, dim=m),
+                            tdelta.delta_k_dprime(k, m, dim=m))
+
+
+def saturation(l):
+    """Delta[l]*Delta[3]_eq -> Delta[l]*Delta[3]#; l = -1 means no join factor."""
+    if l == -1:
+        A, B = tdelta.delta3_eq(3), tdelta.delta3_sharp(3)
+    else:
+        pad = l + 4
+        base = tdelta.delta(l, dim=pad)
+        A = tdelta.join(base, tdelta.delta3_eq(dim=pad), out_dim=pad,
+                        name=f"Delta[{l}]*Delta[3]_eq")
+        B = tdelta.join(base, tdelta.delta3_sharp(dim=pad), out_dim=pad,
+                        name=f"Delta[{l}]*Delta[3]#")
+    return AnodyneExtension("saturation", (("l", l),), A, B)
+
+
 def anodyne_library(n=2, N=5):
     """All elementary anodyne extensions up to dimension N, canonical order."""
     if N > 6:
@@ -56,27 +77,12 @@ def anodyne_library(n=2, N=5):
             out.append(AnodyneExtension(
                 "horn", (("k", k), ("m", m)),
                 tdelta.horn(k, m, dim=m), tdelta.delta_k(k, m, dim=m)))
-    for m in range(2, N + 1):
-        for k in range(m + 1):
-            out.append(AnodyneExtension(
-                "thinness", (("k", k), ("m", m)),
-                tdelta.delta_k_prime(k, m, dim=m),
-                tdelta.delta_k_dprime(k, m, dim=m)))
+    out += [thinness(k, m) for m in range(2, N + 1) for k in range(m + 1)]
     for l in range(n + 1, N + 1):
         out.append(AnodyneExtension(
             "triviality", (("l", l),),
             tdelta.delta(l, dim=l), tdelta.delta_t(l, dim=l)))
-    for l in range(-1, N - 3):
-        if l == -1:
-            A, B = tdelta.delta3_eq(3), tdelta.delta3_sharp(3)
-        else:
-            pad = l + 4
-            base = tdelta.delta(l, dim=pad)
-            A = tdelta.join(base, tdelta.delta3_eq(dim=pad), out_dim=pad,
-                            name=f"Delta[{l}]*Delta[3]_eq")
-            B = tdelta.join(base, tdelta.delta3_sharp(dim=pad), out_dim=pad,
-                            name=f"Delta[{l}]*Delta[3]#")
-        out.append(AnodyneExtension("saturation", (("l", l),), A, B))
+    out += [saturation(l) for l in range(-1, N - 3)]
     return out
 
 
@@ -225,18 +231,18 @@ def _compile_plan(ext):
     if ext.family == "horn":
         m, k = params["m"], params["k"]
         slots = [j for j in range(m + 1) if j != k]
-        tops = []
-        for j in slots:
-            sid = "".join(str(v) for v in range(m + 1) if v != j)
-            tops.append((m - 1, A._idx[m - 1][sid]))
+        top = B._idx[m][B.nondegenerate_ids(m)[0]]
+
+        def in_horn(lvl, face):  # a face of B's top, as a simplex of A
+            return A._idx[lvl][B._ids[lvl][face]]
+
+        tops = [(m - 1, in_horn(m - 1, B._face[m][j][top])) for j in slots]
         chains = _nondeg_chains(A, tops)
         fk_faces = None
         if m >= 2:
-            vs = [v for v in range(m + 1) if v != k]
-            fk_faces = []
-            for i in range(m):
-                sid = "".join(map(str, vs[:i] + vs[i + 1:]))
-                fk_faces.append(chains[(m - 2, A._idx[m - 2][sid])])
+            fk = B._face[m][k][top]
+            fk_faces = [chains[(m - 2, in_horn(m - 2, B._face[m - 1][i][fk]))]
+                        for i in range(m)]
     else:
         m, k, slots, fk_faces = A.dim, None, [None], None
         nd_top = A.nondegenerate_ids(m)

@@ -1137,57 +1137,73 @@ def pushout(f, i, prefix="B.", name=""):
 def pushout_family(X, gluings, prefix="g", name=""):
     """Simultaneous pushout of a finite family of (f_k: A_k -> X, i_k: A_k -> B_k).
 
-    Equivalent to one pushout along the coproducts; new ids carry the family
-    index so the result is reproducible.
+    One pushout of the copairing of the f_k along the coproduct of the i_k.
+    The coproducts tag ids with the family index, so an element of B_k
+    outside the image of i_k enters P as ``{prefix}{k}:{id}``.  Returns
+    (P, X -> P, [B_k -> P]).
     """
-    P = X
-    x_to_p = identity_map(X)
+    if not gluings:
+        return X, identity_map(X), []
+    A = coproduct([f.src for f, _ in gluings])
+    B = coproduct([i.dst for _, i in gluings])
+    f = _on_summands([f for f, _ in gluings], A, X, tag_values=False)
+    i = _on_summands([i for _, i in gluings], A, B, tag_values=True)
+    P, x_to_p, b_to_p = pushout(f, i, prefix=prefix, name=name)
     b_maps = []
-    for k, (fk, ik) in enumerate(gluings):
-        lifted = x_to_p.compose(fk)
-        P, step, bk = pushout(lifted, ik, prefix=f"{prefix}{k}:", name=name)
-        x_to_p = step.compose(x_to_p)
-        b_maps = [step.compose(b) for b in b_maps]
-        b_maps.append(bk)
+    for k, (_, ik) in enumerate(gluings):
+        gens = inclusion_map(ik.dst, ik.dst)
+        b_maps.append(TDeltaMap(ik.dst, P, *(
+            {(m, x): apply(m, f"{k}:{x}") for m, x in stored}
+            for apply, stored in ((b_to_p.apply_simplex, gens.simplex_map),
+                                  (b_to_p.apply_token, gens.token_map)))))
     return P, x_to_p, b_maps
 
 
-def identify_markings(X, name=None):
-    """Collapse multiple tokens over one simplex; relabel by least member.
+def _on_summands(maps, src, dst, tag_values):
+    """The map out of the coproduct src that is maps[k] on its k-th summand;
+    with tag_values, into the k-th summand of the coproduct dst."""
+    stored = ({}, {})
+    for k, f in enumerate(maps):
+        for out, part in zip(stored, (f.simplex_map, f.token_map)):
+            out.update({(m, f"{k}:{x}"): f"{k}:{v}" if tag_values else v
+                        for (m, x), v in part.items()})
+    return TDeltaMap(src, dst, *stored)
 
-    Returns (Q, X -> Q); Q is stratified and the operation is idempotent.
+
+def identify_markings(X, name=None, labels=None):
+    """Collapse the tokens of X into classes, one token per class.
+
+    ``labels`` maps each (level, token) to the id of its class, and the
+    tokens of a class must lie over one simplex.  By default all tokens
+    over one simplex form one class, labelled by its least member; then Q
+    is stratified and the operation is idempotent.  Q adopts the simplices,
+    faces and degeneracies of X.  Returns (Q, X -> Q).
     """
-    rep = {}
-    tokens = {}
+    if labels is None:
+        labels = {}
+        for m in range(1, X.dim + 1):
+            least = {}
+            for t, u in zip(X._tok_ids[m], X._tok_under[m]):
+                least[u] = min(least.get(u, t), t)
+            labels.update({(m, t): least[u]
+                           for t, u in zip(X._tok_ids[m], X._tok_under[m])})
+    tok_ids, tok_under, cls = [None], [None], [None]
     for m in range(1, X.dim + 1):
-        lvl = {}
-        for t in X.token_ids(m):
-            u = X.under_of(m, t)
-            if u not in lvl or t < lvl[u]:
-                lvl[u] = t
-        for t in X.token_ids(m):
-            rep[(m, t)] = lvl[X.under_of(m, t)]
-        tokens[m] = sorted((t, u) for u, t in lvl.items())
-    simplices = {m: list(X.simplex_ids(m)) for m in range(X.dim + 1)}
-    faces, degs, zeta = {}, {}, {}
-    for m in range(1, X.dim + 1):
-        for s in X.simplex_ids(m):
-            for i in range(m + 1):
-                faces[(m, i, s)] = X.face_of(m, i, s)
-    for m in range(X.dim):
-        for s in X.simplex_ids(m):
-            for i in range(m + 1):
-                degs[(m, i, s)] = X.degeneracy_of(m, i, s)
-                zeta[(m, i, s)] = rep[(m + 1, X.zeta_of(m, i, s))]
-    Q = TruncatedTDeltaSet(X.dim, simplices, faces, degs, tokens, zeta,
-                           name=name or f"{X.name}/~")
-    q_tok = {}
-    for m in range(1, X.dim + 1):
-        wit = X._zeta_wit[m]
-        q_tok.update({(m, t): rep[(m, t)]
-                      for k, t in enumerate(X._tok_ids[m]) if wit[k] is None})
-    to_q = TDeltaMap(X, Q,
-                     {(m, s): s for m in range(X.dim + 1)
-                      for s in X.nondegenerate_ids(m)},
-                     q_tok)
+        under = {}
+        for t, u in zip(X._tok_ids[m], X._tok_under[m]):
+            if under.setdefault(labels[(m, t)], u) != u:
+                raise InvalidInput(f"token class {labels[(m, t)]!r} lies "
+                                   "over more than one simplex")
+        tok_ids.append(sorted(under))
+        tok_under.append([under[q] for q in tok_ids[m]])
+        rank = {q: j for j, q in enumerate(tok_ids[m])}
+        cls.append([rank[labels[(m, t)]] for t in X._tok_ids[m]])
+    zeta = [[[cls[m + 1][t] if t >= 0 else -1 for t in row]
+             for row in X._zeta[m]] for m in range(X.dim)] + [None]
+    Q = TruncatedTDeltaSet.__new__(TruncatedTDeltaSet)
+    Q._install_ids(X.dim, X._ids, tok_ids, name or f"{X.name}/~")
+    Q._install_tables(X._face, X._deg, tok_under, zeta)
+    gens = inclusion_map(X, Q)  # the simplices; free tokens go to their class
+    to_q = TDeltaMap(X, Q, gens.simplex_map,
+                     {key: labels[key] for key in gens.token_map})
     return Q, to_q

@@ -9,8 +9,6 @@ import json
 import sys
 import time
 
-import pytest
-
 from complicial import categorify as cg
 from complicial import factorization as fz
 from complicial import lifting, nerves, tdelta, twocat

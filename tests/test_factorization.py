@@ -1,7 +1,7 @@
 import pytest
 
 from complicial import factorization as fz
-from complicial import nerves, tdelta, twocat
+from complicial import lifting, nerves, tdelta, twocat
 
 
 @pytest.fixture(scope="module")
@@ -99,3 +99,25 @@ def test_factorization_deterministic(catalog):
     a = fz.verify_factorization(catalog["sigma-iso"], 4)[-1]
     b = fz.verify_factorization(catalog["sigma-iso"], 4)[-1]
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_every_stage_gluing_map_is_valid(catalog, monkeypatch):
+    seen = []
+    real = tdelta.pushout_family
+
+    def spy(X, gluings, **kwargs):
+        seen.extend(gluings)
+        return real(X, gluings, **kwargs)
+
+    monkeypatch.setattr(tdelta, "pushout_family", spy)
+    *_, report = fz.verify_factorization(catalog["inv-oriental-2"], 5)
+    assert len(seen) == sum(s["gluings"] for s in report["stages"]) > 0
+    for f, i in seen:
+        assert f.is_valid() and i.is_valid() and i.is_mono()
+
+
+def test_gluing_onto_an_unmarked_simplex_raises(catalog):
+    X = nerves.duskin_nerve(catalog["chain-3"], 3)  # marks nothing but
+    top, = X.nondegenerate_ids(3)                   # the degenerate simplices
+    with pytest.raises(fz.StageError, match=f"P4: .* at {top}"):
+        fz._gluings(X, lifting.saturation(-1), [top], "P4")

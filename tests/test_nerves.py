@@ -1,8 +1,6 @@
-import itertools
-
 import pytest
 
-from complicial import nerves, tdelta, twocat
+from complicial import twocat
 from complicial.nerves import (duskin_nerve, natural_nerve, nerve_map,
                                nerve_with_info, rs_fully_faithful_check,
                                rs_nerve, rs_to_natural)

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from complicial import tdelta, twocat, nerves
+from complicial import factorization, nerves, tdelta, twocat
 from complicial.tdelta import (BudgetExceeded, TruncatedTDeltaSet, boundary,
                                coproduct, delta, delta3_eq, delta3_sharp,
                                delta_k, delta_k_dprime, delta_k_prime, delta_t,
                                find_isomorphism, horn, identify_markings,
                                identity_map, inclusion_map, join, maps,
-                               pushout)
+                               pushout, pushout_family)
 
 
 SHAPES = [delta(0), delta(2), delta_t(2), boundary(2), boundary(3),
@@ -208,6 +208,72 @@ def test_pushout_universal_property_small():
         throughs = [w for w in maps(P, T)
                     if w.compose(xp).equals(u) and w.compose(bp).equals(v)]
         assert len(throughs) == 1
+
+
+def fold_of_pushouts(X, gluings, prefix, name=""):
+    """The oracle of pushout_family: one pushout per gluing, each glued
+    onto the result of the one before."""
+    P, x_to_p, b_maps = X, identity_map(X), []
+    for k, (fk, ik) in enumerate(gluings):
+        P, step, bk = pushout(x_to_p.compose(fk), ik, prefix=f"{prefix}{k}:",
+                              name=name)
+        x_to_p = step.compose(x_to_p)
+        b_maps = [step.compose(b) for b in b_maps] + [bk]
+    return P, x_to_p, b_maps
+
+
+def _p4_gluings_of_sigma_iso(monkeypatch):
+    seen = []
+    real = tdelta.pushout_family
+
+    def spy(X, gluings, prefix="g", name=""):
+        if prefix == "p4.":
+            seen.append((X, gluings))
+        return real(X, gluings, prefix=prefix, name=name)
+
+    monkeypatch.setattr(tdelta, "pushout_family", spy)
+    factorization.verify_factorization(
+        twocat.standard_examples()["sigma-iso"], 4)
+    (X, gluings), = seen
+    return X, gluings
+
+
+def _horn_fillings_of_chain_2():
+    X = nerves.rs_nerve(twocat.standard_examples()["chain-2"], 3)
+    A, B = horn(1, 2, dim=3), delta_k(1, 2, dim=3)
+    return X, [(f, inclusion_map(A, B)) for f in maps(A, X)[:3]]
+
+
+@pytest.mark.parametrize("family", ["p4-sigma-iso", "horn-fillings", "empty"])
+def test_pushout_family_agrees_with_fold_of_pushouts(family, monkeypatch):
+    if family == "p4-sigma-iso":
+        X, gluings = _p4_gluings_of_sigma_iso(monkeypatch)
+    elif family == "horn-fillings":
+        X, gluings = _horn_fillings_of_chain_2()
+    else:
+        X, gluings = delta_t(2), []
+    P, x_to_p, b_maps = pushout_family(X, gluings, prefix="g.", name="P")
+    Pr, x_to_pr, b_maps_r = fold_of_pushouts(X, gluings, "g.", name="P")
+    assert P.same_as(Pr) and P.name == Pr.name
+    assert x_to_p.equals(x_to_pr)
+    assert len(b_maps) == len(b_maps_r) == len(gluings)
+    assert all(b.equals(br) for b, br in zip(b_maps, b_maps_r))
+    assert P.validate() == []
+    added = [len(P.simplex_ids(m)) - len(X.simplex_ids(m))
+             for m in range(X.dim + 1)]
+    if family == "p4-sigma-iso":
+        assert not any(added) and P.counts() != X.counts()
+    elif family == "horn-fillings":
+        assert any(added)
+    else:
+        assert P is X
+
+
+def test_identify_markings_rejects_a_class_over_two_simplices():
+    X = delta_t(2)
+    labels = {(m, t): "t|one" for m in range(1, 3) for t in X.token_ids(m)}
+    with pytest.raises(twocat.InvalidInput, match="more than one simplex"):
+        identify_markings(X, labels=labels)
 
 
 def test_identify_markings_idempotent():
