@@ -1151,11 +1151,12 @@ def pushout_family(X, gluings, prefix="g", name=""):
     P, x_to_p, b_to_p = pushout(f, i, prefix=prefix, name=name)
     b_maps = []
     for k, (_, ik) in enumerate(gluings):
-        gens = inclusion_map(ik.dst, ik.dst)
-        b_maps.append(TDeltaMap(ik.dst, P, *(
-            {(m, x): apply(m, f"{k}:{x}") for m, x in stored}
-            for apply, stored in ((b_to_p.apply_simplex, gens.simplex_map),
-                                  (b_to_p.apply_token, gens.token_map)))))
+        gens = inclusion_map(ik.dst, ik.dst)  # B_k -> P: b_to_p on summand k
+        simp = {(m, x): b_to_p.apply_simplex(m, f"{k}:{x}")
+                for m, x in gens.simplex_map}
+        tok = {(m, x): b_to_p.apply_token(m, f"{k}:{x}")
+               for m, x in gens.token_map}
+        b_maps.append(TDeltaMap(ik.dst, P, simp, tok))
     return P, x_to_p, b_maps
 
 
