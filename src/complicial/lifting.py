@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import tdelta
 from .tdelta import (BudgetExceeded, TDeltaMap, get_budget, inclusion_map,
-                     _iter_maps, _to_map)
+                     _images_along, _iter_maps, _to_map)
 from .twocat import InvalidInput
 
 
@@ -69,8 +69,9 @@ def saturation(l):
 
 def anodyne_library(n=2, N=5):
     """All elementary anodyne extensions up to dimension N, canonical order."""
-    if N > 6:
-        raise InvalidInput("anodyne library capped at dimension 6")
+    if N > tdelta.MAX_DIM:
+        raise InvalidInput(f"anodyne library capped at dimension "
+                           f"{tdelta.MAX_DIM}")
     out = []
     for m in range(1, N + 1):
         for k in range(m + 1):
@@ -86,22 +87,6 @@ def anodyne_library(n=2, N=5):
     return out
 
 
-def _seed_from(f, i):
-    """Index-level seed arrays on i's codomain from a map f on its domain."""
-    A, X, B = f.src, f.dst, i.dst
-    seed_simp = [[-1] * len(B._ids[m]) for m in range(B.dim + 1)]
-    for m in range(A.dim + 1):
-        for s in A.simplex_ids(m):
-            b = B._idx[m][i.apply_simplex(m, s)]
-            seed_simp[m][b] = X._idx[m][f.apply_simplex(m, s)]
-    seed_tok = [None] + [[-1] * len(B._tok_ids[m]) for m in range(1, B.dim + 1)]
-    for m in range(1, A.dim + 1):
-        for t in A.token_ids(m):
-            b = B._tok_idx[m][i.apply_token(m, t)]
-            seed_tok[m][b] = X._tok_idx[m][f.apply_token(m, t)]
-    return seed_simp, seed_tok
-
-
 def find_lift(problem, budget=None, reverse=False):
     """A lift B -> X extending the problem's map along its inclusion.
 
@@ -113,7 +98,7 @@ def find_lift(problem, budget=None, reverse=False):
     ext = problem.extension
     f = problem.along
     X = f.dst
-    seed_simp, seed_tok = _seed_from(f, ext.inclusion)
+    seed_simp, seed_tok = _images_along(f, ext.inclusion)
     for simg, timg in _iter_maps(ext.B, X, budget, seed_simp=seed_simp,
                                  seed_tok=seed_tok, reverse=reverse):
         return _to_map(ext.B, X, simg, timg)

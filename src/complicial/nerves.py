@@ -46,8 +46,8 @@ def completion_token(f, ae):
 
 def _duskin_levels(C, N):
     """Simplex levels, faces and degeneracies of the nerve, plus info."""
-    if N > 6:
-        raise InvalidInput("nerve dimension capped at 6")
+    if N > tdelta.MAX_DIM:
+        raise InvalidInput(f"nerve dimension capped at {tdelta.MAX_DIM}")
     info = NerveInfo(C, N)
     levels = {0: sorted(C.objects)}
     faces = {}

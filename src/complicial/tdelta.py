@@ -26,6 +26,7 @@ from .twocat import InvalidInput
 
 
 DEFAULT_BUDGET = 50_000_000
+MAX_DIM = 6  # the largest dimension of a nerve, library or loaded document
 
 
 def get_budget(budget=None):
@@ -66,20 +67,45 @@ def _check(row, targets, what, sources):
         raise InvalidInput(f"unknown {what} of {sources[j]!r}")
 
 
+def _level_order(level):
+    """(order, place) for one level of ids: its indices in the string order
+    of the ids, and the new index of each old one; None if already sorted."""
+    order = sorted(range(len(level)), key=level.__getitem__)
+    if order == list(range(len(level))):
+        return None
+    place = [0] * len(order)
+    for new, old in enumerate(order):
+        place[old] = new
+    return order, place
+
+
+def _reorder(row, src, dst):
+    """``row``, indexed by the elements of one level and naming elements of
+    another, once both levels are sorted; ``src`` and ``dst`` are their
+    ``_level_order``.  Negative entries stay as they are."""
+    if src is not None:
+        row = [row[j] for j in src[0]]
+    if dst is not None:
+        place = dst[1]
+        row = [place[v] if v >= 0 else v for v in row]
+    return row
+
+
 class TruncatedTDeltaSet:
     def __init__(self, dim, simplices, faces, degeneracies, tokens, zeta,
                  name=""):
-        """Compile id-keyed dicts into the tables that ``_install_ids`` and
-        ``_install_tables`` check and adopt."""
+        """Compile id-keyed dicts into the index rows that ``_install``
+        sorts, checks and adopts."""
         try:
-            ids = [sorted(simplices.get(m, ())) for m in range(dim + 1)]
-            pairs = [None] + [sorted(tokens.get(m, ()))
+            ids = [list(simplices.get(m, ())) for m in range(dim + 1)]
+            pairs = [None] + [list(tokens.get(m, ()))
                               for m in range(1, dim + 1)]
             tok_ids = [None] + [[t for t, _ in p] for p in pairs[1:]]
-            self._install_ids(dim, ids, tok_ids, name)
-            # the installed indexes, plus None (an undefined operator) -> -1
-            idx = [{None: -1} | d for d in self._idx]
-            tok_idx = [None] + [{None: -1} | d for d in self._tok_idx[1:]]
+            # each level's index, plus None (an undefined operator) -> -1
+            idx = [{None: -1} | _index(ids[m], "simplex", m)
+                   for m in range(dim + 1)]
+            tok_idx = [None] + [{None: -1} | _index(tok_ids[m], "token", m)
+                                for m in range(1, dim + 1)]
             face = [None] + [
                 [[idx[m - 1].get(faces.get((m, i, s)), -2) for s in ids[m]]
                  for i in range(m + 1)] for m in range(1, dim + 1)]
@@ -93,30 +119,42 @@ class TruncatedTDeltaSet:
                       for m in range(dim)] + [None]
         except TypeError as exc:
             raise InvalidInput(f"unusable simplex or token id: {exc}") from exc
-        self._install_tables(face, deg, tok_under, zeta_t)
+        self._install(dim, ids, face, deg, tok_ids, tok_under, zeta_t, name)
 
-    def _install_ids(self, dim, ids, tok_ids, name):
-        """Adopt the sorted ids of every level; they must be unique strings."""
+    def _install(self, dim, ids, face, deg, tok_ids, tok_under, zeta, name):
+        """Put every level in the string order of its ids, remap the index
+        rows to match, check them and adopt them.
+
+        Ids must be unique strings, in any order.  A row entry is the index
+        of an element of the right level, or -1 where the operator is
+        undefined (``validate`` reports those); anything else names an
+        unknown element.
+        """
         if dim < 0:
             raise InvalidInput("dimension bound must be >= 0")
+        s_ord = [_level_order(level) for level in ids]
+        t_ord = [None] + [_level_order(tok_ids[m]) for m in range(1, dim + 1)]
         self.dim = dim
         self.name = name
-        self._ids = ids
+        self._ids = ids = [_reorder(ids[m], s_ord[m], None)
+                           for m in range(dim + 1)]
+        self._tok_ids = tok_ids = [None] + [
+            _reorder(tok_ids[m], t_ord[m], None) for m in range(1, dim + 1)]
         self._idx = [_index(ids[m], "simplex", m) for m in range(dim + 1)]
-        self._tok_ids = tok_ids
         self._tok_idx = [None] + [_index(tok_ids[m], "token", m)
                                   for m in range(1, dim + 1)]
-
-    def _install_tables(self, face, deg, tok_under, zeta):
-        """Adopt the index tables after checking them.
-
-        An entry is the index of an element of the right level, or -1 where
-        the operator is undefined (``validate`` reports those); anything
-        else names an unknown element.
-        """
-        ids, tok_ids, dim = self._ids, self._tok_ids, self.dim
-        self._face, self._deg = face, deg
-        self._tok_under, self._zeta = tok_under, zeta
+        self._face = face = [None] + [
+            [_reorder(row, s_ord[m], s_ord[m - 1]) for row in face[m]]
+            for m in range(1, dim + 1)]
+        self._deg = deg = [
+            [_reorder(row, s_ord[m], s_ord[m + 1]) for row in deg[m]]
+            for m in range(dim)] + [None]
+        self._zeta = zeta = [
+            [_reorder(row, s_ord[m], t_ord[m + 1]) for row in zeta[m]]
+            for m in range(dim)] + [None]
+        self._tok_under = tok_under = [None] + [
+            _reorder(tok_under[m], t_ord[m], s_ord[m])
+            for m in range(1, dim + 1)]
         for m in range(dim + 1):
             for i in range(m + 1):
                 if m:
@@ -142,20 +180,8 @@ class TruncatedTDeltaSet:
             raise InvalidInput(f"face d_{i} undefined on {sid!r}")
         return self._ids[m - 1][j]
 
-    def degeneracy_of(self, m, i, sid):
-        j = self._deg[m][i][self._idx[m][sid]]
-        if j < 0:
-            raise InvalidInput(f"degeneracy s_{i} undefined on {sid!r}")
-        return self._ids[m + 1][j]
-
     def under_of(self, m, tid):
         return self._ids[m][self._tok_under[m][self._tok_idx[m][tid]]]
-
-    def zeta_of(self, m, i, sid):
-        j = self._zeta[m][i][self._idx[m][sid]]
-        if j < 0:
-            raise InvalidInput(f"zeta_{i} undefined on {sid!r}")
-        return self._tok_ids[m + 1][j]
 
     def tokens_over(self, m, sid):
         return [self._tok_ids[m][t]
@@ -421,17 +447,44 @@ class TruncatedTDeltaSet:
 
     @classmethod
     def from_json_dict(cls, doc, name=""):
+        """Load a document; InvalidInput on anything the tables would drop.
+
+        ``dim`` is checked before anything is allocated.
+        """
         try:
-            dim = int(doc["dim"])
+            dim = doc["dim"]
+            if type(dim) is not int or not 0 <= dim <= MAX_DIM:
+                raise InvalidInput(f"tDelta-set dim {dim!r} is not an integer"
+                                   f" in 0..{MAX_DIM}")
+            if len(doc["simplices"]) > dim + 1 or len(doc["tokens"]) > dim:
+                raise InvalidInput(f"more simplex or token levels than dim "
+                                   f"{dim} has")
             simplices = {m: list(v) for m, v in enumerate(doc["simplices"])}
-            faces = {(m, i, s): y for m, i, s, y in doc["faces"]}
-            degs = {(m, i, s): y for m, i, s, y in doc["degeneracies"]}
+            known = [set(simplices.get(m, ())) for m in range(dim + 1)]
+            faces, degs, zeta = (
+                _rows(doc[key], key, known, lo, hi) for key, lo, hi in
+                (("faces", 1, dim), ("degeneracies", 0, dim - 1),
+                 ("zeta", 0, dim - 1)))
             tokens = {m + 1: [(d["id"], d["under"]) for d in lvl]
                       for m, lvl in enumerate(doc["tokens"])}
-            zeta = {(m, i, s): t for m, i, s, t in doc["zeta"]}
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"bad tDelta-set document: {exc}") from exc
         return cls(dim, simplices, faces, degs, tokens, zeta, name=name)
+
+
+def _rows(entries, key, known, lo, hi):
+    """{(m, i, s): value} of the [m, i, s, value] entries of a document;
+    InvalidInput on an entry the tables would drop."""
+    out = {}
+    for m, i, s, v in entries:
+        if not (lo <= m <= hi and 0 <= i <= m and s in known[m]) or \
+                (m, i, s) in out:
+            raise InvalidInput(
+                f"{key} entry {[m, i, s, v]!r} would be dropped: it needs a "
+                f"level in {lo}..{hi}, an index in 0..level, a simplex of "
+                f"that level, and no repeat")
+        out[(m, i, s)] = v
+    return out
 
 
 # -- maps of tDelta-sets --------------------------------------------------------
@@ -792,6 +845,29 @@ def _seq_id(seq):
     return "".join(map(str, seq))
 
 
+def _from_tables(dim, ids, face, deg, tok_ids, tok_under, zeta, name=""):
+    """The tDelta-set on these ids and index rows, in any order per level;
+    see ``TruncatedTDeltaSet._install``."""
+    X = TruncatedTDeltaSet.__new__(TruncatedTDeltaSet)
+    X._install(dim, ids, face, deg, tok_ids, tok_under, zeta, name)
+    return X
+
+
+def _minimal_tokens(dim, ids, deg, marked):
+    """(tok_ids, tok_under, zeta) of a stratified object: one token
+    ``t|{id}`` over each degenerate simplex and over each index in
+    ``marked[m]``, and zeta the token of each degeneracy."""
+    tok_ids, tok_under, tok_of = [None], [None], [None]
+    for m in range(1, dim + 1):
+        under = sorted(set().union(*deg[m - 1], marked[m]))
+        tok_of.append({j: t for t, j in enumerate(under)})
+        tok_ids.append([f"t|{ids[m][j]}" for j in under])
+        tok_under.append(under)
+    zeta = [[[tok_of[m + 1][j] for j in row] for row in deg[m]]
+            for m in range(dim)] + [None]
+    return tok_ids, tok_under, zeta
+
+
 def _build_simplicial(dim, level_seqs, marked, name):
     """Stratified object on monotone vertex sequences with minimal markings.
 
@@ -799,32 +875,18 @@ def _build_simplicial(dim, level_seqs, marked, name):
     faces and degeneracies); ``marked`` is a set of non-degenerate vertex
     tuples to mark on top of the degenerate ones.  The tables come straight
     from the ranks of vertex tuples within their level; each simplex's
-    string id is derived once, and only fixes the order of its level.
+    string id is derived once.
     """
-    ids, seqs, rank = [], [], []
-    for level in level_seqs:
-        pairs = sorted((_seq_id(s), s) for s in level)
-        ids.append([sid for sid, _ in pairs])
-        seqs.append([s for _, s in pairs])
-        rank.append({s: j for j, (_, s) in enumerate(pairs)})
-    face = [None] + [[[rank[m - 1][s[:i] + s[i + 1:]] for s in seqs[m]]
+    rank = [{s: j for j, s in enumerate(level)} for level in level_seqs]
+    face = [None] + [[[rank[m - 1][s[:i] + s[i + 1:]] for s in level_seqs[m]]
                       for i in range(m + 1)] for m in range(1, dim + 1)]
-    deg = [[[rank[m + 1][s[:i + 1] + s[i:]] for s in seqs[m]]
+    deg = [[[rank[m + 1][s[:i + 1] + s[i:]] for s in level_seqs[m]]
             for i in range(m + 1)] for m in range(dim)] + [None]
-    tok_ids, tok_under, tok_of = [None], [None], [None]
-    for m in range(1, dim + 1):
-        here = rank[m]
-        under = sorted(set().union(*deg[m - 1],
-                                   (here[s] for s in marked if s in here)))
-        tok_of.append({j: t for t, j in enumerate(under)})
-        tok_ids.append([f"t|{ids[m][j]}" for j in under])
-        tok_under.append(under)
-    zeta = [[[tok_of[m + 1][j] for j in row] for row in deg[m]]
-            for m in range(dim)] + [None]
-    X = TruncatedTDeltaSet.__new__(TruncatedTDeltaSet)
-    X._install_ids(dim, ids, tok_ids, name)
-    X._install_tables(face, deg, tok_under, zeta)
-    return X
+    ids = [[_seq_id(s) for s in level] for level in level_seqs]
+    marks = [None] + [{rank[m][s] for s in marked if s in rank[m]}
+                      for m in range(1, dim + 1)]
+    return _from_tables(dim, ids, face, deg,
+                        *_minimal_tokens(dim, ids, deg, marks), name=name)
 
 
 def _monotone(m, k):
@@ -940,132 +1002,109 @@ def join(A, B, out_dim=None, name=None):
         raise InvalidInput("join factors must be padded to the output "
                            "truncation")
 
-    la = lambda a: f"{a}*"
-    rb = lambda b: f"*{b}"
-    jn = lambda a, b: f"{a}*{b}"
+    # a simplex a*b of level m is keyed (p, a, b): a of level p in A and b
+    # of level q = m - 1 - p in B, by index; the side of level -1 is empty
+    # (index -1), so (m, a, -1) is a* and (-1, -1, b) is *b
+    def sides(p, X):
+        return range(len(X._ids[p])) if p >= 0 else (-1,)
 
-    simplices = {}
-    faces = {}
-    degs = {}
-    marked = set()
+    def face_key(m, i, p, a, b):
+        q = m - 1 - p
+        if i <= p:
+            return (p - 1, A._face[p][i][a], b) if p else (-1, -1, b)
+        return (p, a, B._face[q][i - p - 1][b]) if q else (p, a, -1)
 
-    def a_marked(m, a):
-        return bool(A.tokens_over(m, a))
+    def deg_key(m, i, p, a, b):
+        if i <= p:
+            return p + 1, A._deg[p][i][a], b
+        return p, a, B._deg[m - 1 - p][i - p - 1][b]
 
-    def b_marked(m, b):
-        return bool(B.tokens_over(m, b))
+    def marked(m, p, a, b):
+        q = m - 1 - p
+        return ((p < 0 or A._deg_wit[p][a] is None) and
+                (q < 0 or B._deg_wit[q][b] is None) and
+                (p > 0 and a in a_marks[p] or q > 0 and b in b_marks[q]))
 
-    for m in range(out_dim + 1):
-        lvl = [la(a) for a in A.simplex_ids(m)]
-        lvl += [rb(b) for b in B.simplex_ids(m)]
-        for p in range(m):
-            q = m - 1 - p
-            lvl += [jn(a, b) for a in A.simplex_ids(p)
-                    for b in B.simplex_ids(q)]
-        simplices[m] = lvl
-
-    for m in range(1, out_dim + 1):
-        for a in A.simplex_ids(m):
-            for i in range(m + 1):
-                faces[(m, i, la(a))] = la(A.face_of(m, i, a))
-            if not A.is_degenerate(m, a) and a_marked(m, a):
-                marked.add((m, la(a)))
-        for b in B.simplex_ids(m):
-            for i in range(m + 1):
-                faces[(m, i, rb(b))] = rb(B.face_of(m, i, b))
-            if not B.is_degenerate(m, b) and b_marked(m, b):
-                marked.add((m, rb(b)))
-        for p in range(m):
-            q = m - 1 - p
-            for a in A.simplex_ids(p):
-                for b in B.simplex_ids(q):
-                    s = jn(a, b)
-                    for i in range(m + 1):
-                        if i <= p:
-                            faces[(m, i, s)] = rb(b) if p == 0 \
-                                else jn(A.face_of(p, i, a), b)
-                        else:
-                            j = i - p - 1
-                            faces[(m, i, s)] = la(a) if q == 0 \
-                                else jn(a, B.face_of(q, j, b))
-                    nd = not (A.is_degenerate(p, a) if p else False) and \
-                        not (B.is_degenerate(q, b) if q else False)
-                    if nd and ((p >= 1 and a_marked(p, a)) or
-                               (q >= 1 and b_marked(q, b))):
-                        marked.add((m, s))
-
-    for m in range(out_dim):
-        for a in A.simplex_ids(m):
-            for i in range(m + 1):
-                degs[(m, i, la(a))] = la(A.degeneracy_of(m, i, a))
-        for b in B.simplex_ids(m):
-            for i in range(m + 1):
-                degs[(m, i, rb(b))] = rb(B.degeneracy_of(m, i, b))
-        for p in range(m):
-            q = m - 1 - p
-            for a in A.simplex_ids(p):
-                for b in B.simplex_ids(q):
-                    s = jn(a, b)
-                    for i in range(m + 1):
-                        if i <= p:
-                            degs[(m, i, s)] = jn(A.degeneracy_of(p, i, a), b)
-                        else:
-                            degs[(m, i, s)] = jn(a, B.degeneracy_of(q, i - p - 1, b))
-
-    return _tokens_from_marks(out_dim, simplices, faces, degs, marked,
-                              name or f"{A.name} * {B.name}")
-
-
-def _tokens_from_marks(dim, simplices, faces, degs, marked, name):
-    """Assemble a stratified object: minimal tokens plus the marked set."""
-    deg_image = {}
-    for (m, i, s), y in degs.items():
-        deg_image.setdefault((m + 1, y), (m, i, s))
-    tokens = {}
-    for m in range(1, dim + 1):
-        lvl = []
-        for s in simplices.get(m, ()):
-            if (m, s) in deg_image or (m, s) in marked:
-                lvl.append((f"t|{s}", s))
-        tokens[m] = lvl
-    zeta = {(m, i, s): f"t|{y}" for (m, i, s), y in degs.items()}
-    return TruncatedTDeltaSet(dim, simplices, faces, degs, tokens, zeta,
-                              name=name)
+    a_marks, b_marks = ([None] + [set(X._tok_under[m])
+                                  for m in range(1, out_dim + 1)]
+                        for X in (A, B))
+    keys = [[(p, a, b) for p in range(-1, m + 1) for a in sides(p, A)
+             for b in sides(m - 1 - p, B)] for m in range(out_dim + 1)]
+    rank = [{k: j for j, k in enumerate(level)} for level in keys]
+    face = [None] + [[[rank[m - 1][face_key(m, i, *k)] for k in keys[m]]
+                      for i in range(m + 1)] for m in range(1, out_dim + 1)]
+    deg = [[[rank[m + 1][deg_key(m, i, *k)] for k in keys[m]]
+            for i in range(m + 1)] for m in range(out_dim)] + [None]
+    ids = [[(A._ids[p][a] if p >= 0 else "") + "*" +
+            (B._ids[m - 1 - p][b] if b >= 0 else "") for p, a, b in level]
+           for m, level in enumerate(keys)]
+    marks = [None] + [{j for j, k in enumerate(keys[m]) if marked(m, *k)}
+                      for m in range(1, out_dim + 1)]
+    return _from_tables(out_dim, ids, face, deg,
+                        *_minimal_tokens(out_dim, ids, deg, marks),
+                        name=name or f"{A.name} * {B.name}")
 
 
 # -- colimit-style operations ----------------------------------------------------
 
 def coproduct(parts, name=""):
-    """Disjoint union, ids prefixed by the part index."""
+    """Disjoint union, ids prefixed by the part index.
+
+    A part of lower dimension than the largest leaves the degeneracies and
+    zeta of its top level undefined.
+    """
     if not parts:
         raise InvalidInput("empty coproduct needs an explicit dimension")
-    dim = max(p.dim for p in parts)
-    simplices = {m: [] for m in range(dim + 1)}
-    faces, degs, zeta = {}, {}, {}
-    tokens = {m: [] for m in range(1, dim + 1)}
-    for idx, P in enumerate(parts):
-        tag = lambda s: f"{idx}:{s}"
+    dim = max(P.dim for P in parts)
+    # full-size tables; _install reads only the levels that exist
+    ids, tok_ids, tok_under = ([[] for _ in range(dim + 1)] for _ in range(3))
+    face, deg, zeta = ([[[] for _ in range(m + 1)] for m in range(dim + 1)]
+                       for _ in range(3))
+    for k, P in enumerate(parts):
+        at, tok_at = ([len(level) for level in x] for x in (ids, tok_ids))
         for m in range(P.dim + 1):
-            simplices[m] += [tag(s) for s in P.simplex_ids(m)]
-            for s in P.simplex_ids(m):
-                for i in range(m + 1):
-                    if m >= 1:
-                        faces[(m, i, tag(s))] = tag(P.face_of(m, i, s))
-                    if m < P.dim:
-                        degs[(m, i, tag(s))] = tag(P.degeneracy_of(m, i, s))
-                        zeta[(m, i, tag(s))] = tag(P.zeta_of(m, i, s))
-        for m in range(1, P.dim + 1):
-            tokens[m] += [(tag(t), tag(P.under_of(m, t)))
-                          for t in P.token_ids(m)]
-    return TruncatedTDeltaSet(dim, simplices, faces, degs, tokens, zeta,
-                              name=name)
+            ids[m] += [f"{k}:{s}" for s in P._ids[m]]
+            if m:
+                tok_ids[m] += [f"{k}:{t}" for t in P._tok_ids[m]]
+                tok_under[m] += _shift(P._tok_under[m], at[m])
+            for i in range(m + 1):
+                if m:
+                    face[m][i] += _shift(P._face[m][i], at[m - 1])
+                if m < P.dim:
+                    deg[m][i] += _shift(P._deg[m][i], at[m + 1])
+                    zeta[m][i] += _shift(P._zeta[m][i], tok_at[m + 1])
+                elif m < dim:
+                    deg[m][i] += [-1] * len(P._ids[m])
+                    zeta[m][i] += [-1] * len(P._ids[m])
+    return _from_tables(dim, ids, face, deg, tok_ids, tok_under, zeta, name)
+
+
+def _shift(row, by):
+    return [v + by if v >= 0 else v for v in row]
+
+
+def _images_along(f, i):
+    """For f: A -> X and i: A -> B, the (simplex, token) rows that give, per
+    level of B, the index in X of f(a) at i(a), and -1 off the image of i."""
+    B = i.dst
+    out = ([], [None])
+    for k, b_ids in ((0, B._ids), (1, B._tok_ids)):
+        out[k].extend([-1] * len(b_ids[m]) for m in range(k, B.dim + 1))
+        for (m, irow), (_, frow) in zip(i._images(k), f._images(k)):
+            for b, x in zip(irow, frow):
+                out[k][m][b] = x
+    return out
 
 
 def pushout(f, i, prefix="B.", name=""):
     """Pushout of f: A -> X along a monomorphism i: A -> B.
 
-    Returns (P, X -> P, B -> P).  X keeps its ids; elements of B outside the
-    image of i enter with the given prefix.
+    Returns (P, X -> P, B -> P).  P keeps X's elements and ids and appends
+    the elements of B outside the image of i, which enter with the given
+    prefix.  A must be presented at B's dimension unless it is empty, and
+    B at X's dimension unless its top level lies in the image of i;
+    otherwise P would repeat degeneracies or lack them, and InvalidInput
+    is raised.
     """
     A, X, B = f.src, f.dst, i.dst
     if not i.is_mono():
@@ -1073,65 +1112,57 @@ def pushout(f, i, prefix="B.", name=""):
     dim = X.dim
     if B.dim > dim:
         raise InvalidInput("pushout target truncation too small")
+    if A.dim < B.dim and any(A._ids):
+        raise InvalidInput(f"pushout: A (dim {A.dim}) is truncated below B "
+                           f"(dim {B.dim}), so P would repeat degeneracies")
+    # where the simplices (k = 0) and tokens (k = 1) of B land in P: f(a) on
+    # the image of i, else the next index after X's; new[k][m] lists the
+    # elements of B that P gains at level m
+    land, new = _images_along(f, i), ([], [None])
+    for k, x_ids in ((0, X._ids), (1, X._tok_ids)):
+        for m in range(k, dim + 1):
+            row = land[k][m] if m <= B.dim else []
+            new[k].append([b for b, x in enumerate(row) if x < 0])
+            for n, b in enumerate(new[k][m], len(x_ids[m])):
+                row[b] = n
+    (s_land, t_land), (s_new, t_new) = land, new
+    if B.dim < dim and s_new[B.dim]:
+        raise InvalidInput(f"pushout: {B._ids[B.dim][s_new[B.dim][0]]!r} of "
+                           f"B's top level {B.dim} would lack degeneracies")
 
-    s_img = {}  # (m, B-id) -> (m, P-id) for the image of i
-    for m in range(A.dim + 1):
-        for s in A.simplex_ids(m):
-            s_img[(m, i.apply_simplex(m, s))] = f.apply_simplex(m, s)
-    t_img = {}
-    for m in range(1, A.dim + 1):
-        for t in A.token_ids(m):
-            t_img[(m, i.apply_token(m, t))] = f.apply_token(m, t)
+    def grow(x_op, b_op, lands, m, up):
+        """X's rows of one operator at level m, with the rows of B's new
+        simplices appended, their values landed through lands[m + up]."""
+        if not s_new[m]:
+            return x_op[m]
+        bad = [b for b in s_new[m] if min(r[b] for r in b_op[m]) < 0]
+        if bad:
+            raise InvalidInput(f"pushout: B leaves an operator undefined on "
+                               f"{B._ids[m][bad[0]]!r}")
+        to = lands[m + up]
+        return [x + [to[r[b]] for b in s_new[m]]
+                for x, r in zip(x_op[m], b_op[m])]
 
-    def new_sid(m, b):
-        return s_img.get((m, b)) or f"{prefix}{b}"
-
-    def new_tid(m, t):
-        return t_img.get((m, t)) or f"{prefix}{t}"
-
-    simplices = {m: list(X.simplex_ids(m)) for m in range(dim + 1)}
-    faces, degs, zeta = {}, {}, {}
-    tokens = {m: [(t, X.under_of(m, t)) for t in X.token_ids(m)]
-              for m in range(1, dim + 1)}
-    for m in range(1, dim + 1):
-        for s in X.simplex_ids(m):
-            for k in range(m + 1):
-                faces[(m, k, s)] = X.face_of(m, k, s)
-    for m in range(dim):
-        for s in X.simplex_ids(m):
-            for k in range(m + 1):
-                degs[(m, k, s)] = X.degeneracy_of(m, k, s)
-                zeta[(m, k, s)] = X.zeta_of(m, k, s)
-
-    for m in range(B.dim + 1):
-        for b in B.simplex_ids(m):
-            if (m, b) in s_img:
-                continue
-            sid = new_sid(m, b)
-            simplices[m].append(sid)
-            for k in range(m + 1):
-                if m >= 1:
-                    faces[(m, k, sid)] = new_sid(m - 1, B.face_of(m, k, b))
-                if m < B.dim:
-                    degs[(m, k, sid)] = new_sid(m + 1, B.degeneracy_of(m, k, b))
-                    zeta[(m, k, sid)] = new_tid(m + 1, B.zeta_of(m, k, b))
-    for m in range(1, B.dim + 1):
-        for t in B.token_ids(m):
-            if (m, t) in t_img:
-                continue
-            tokens[m].append((new_tid(m, t), new_sid(m, B.under_of(m, t))))
-
-    P = TruncatedTDeltaSet(dim, simplices, faces, degs, tokens, zeta, name=name)
-    x_to_p = inclusion_map(X, P)
-    b_simp = {(m, b): new_sid(m, b) for m in range(B.dim + 1)
-              for b in B.nondegenerate_ids(m)}
-    b_tok = {}
-    for m in range(1, B.dim + 1):
-        wit = B._zeta_wit[m]
-        b_tok.update({(m, t): new_tid(m, t)
-                      for k, t in enumerate(B._tok_ids[m]) if wit[k] is None})
-    b_to_p = TDeltaMap(B, P, b_simp, b_tok)
-    return P, x_to_p, b_to_p
+    ids = [X._ids[m] + [prefix + B._ids[m][b] for b in s_new[m]]
+           for m in range(dim + 1)]
+    tok_ids = [None] + [X._tok_ids[m] + [prefix + B._tok_ids[m][t]
+                                         for t in t_new[m]]
+                        for m in range(1, dim + 1)]
+    face = [None] + [grow(X._face, B._face, s_land, m, -1)
+                     for m in range(1, dim + 1)]
+    deg = [grow(X._deg, B._deg, s_land, m, 1) for m in range(dim)] + [None]
+    zeta = [grow(X._zeta, B._zeta, t_land, m, 1) for m in range(dim)] + [None]
+    tok_under = [None] + [X._tok_under[m] + [s_land[m][B._tok_under[m][t]]
+                                             for t in t_new[m]]
+                          for m in range(1, dim + 1)]
+    P = _from_tables(dim, ids, face, deg, tok_ids, tok_under, zeta, name)
+    b_simp = {(m, B._ids[m][b]): ids[m][s_land[m][b]]
+              for m in range(B.dim + 1)
+              for b, w in enumerate(B._deg_wit[m]) if w is None}
+    b_tok = {(m, B._tok_ids[m][t]): tok_ids[m][t_land[m][t]]
+             for m in range(1, B.dim + 1)
+             for t, w in enumerate(B._zeta_wit[m]) if w is None}
+    return P, inclusion_map(X, P), TDeltaMap(B, P, b_simp, b_tok)
 
 
 def pushout_family(X, gluings, prefix="g", name=""):
@@ -1190,20 +1221,19 @@ def identify_markings(X, name=None, labels=None):
                            for t, u in zip(X._tok_ids[m], X._tok_under[m])})
     tok_ids, tok_under, cls = [None], [None], [None]
     for m in range(1, X.dim + 1):
-        under = {}
+        under = {}  # class label -> the simplex under the class
         for t, u in zip(X._tok_ids[m], X._tok_under[m]):
             if under.setdefault(labels[(m, t)], u) != u:
                 raise InvalidInput(f"token class {labels[(m, t)]!r} lies "
                                    "over more than one simplex")
-        tok_ids.append(sorted(under))
-        tok_under.append([under[q] for q in tok_ids[m]])
-        rank = {q: j for j, q in enumerate(tok_ids[m])}
+        tok_ids.append(list(under))
+        tok_under.append(list(under.values()))
+        rank = {q: j for j, q in enumerate(under)}
         cls.append([rank[labels[(m, t)]] for t in X._tok_ids[m]])
     zeta = [[[cls[m + 1][t] if t >= 0 else -1 for t in row]
              for row in X._zeta[m]] for m in range(X.dim)] + [None]
-    Q = TruncatedTDeltaSet.__new__(TruncatedTDeltaSet)
-    Q._install_ids(X.dim, X._ids, tok_ids, name or f"{X.name}/~")
-    Q._install_tables(X._face, X._deg, tok_under, zeta)
+    Q = _from_tables(X.dim, X._ids, X._face, X._deg, tok_ids, tok_under, zeta,
+                     name or f"{X.name}/~")
     gens = inclusion_map(X, Q)  # the simplices; free tokens go to their class
     to_q = TDeltaMap(X, Q, gens.simplex_map,
                      {key: labels[key] for key in gens.token_map})

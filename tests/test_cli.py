@@ -134,6 +134,47 @@ def test_non_string_ids_exit_code(tmp_path, capsys, where):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mutate, named", [
+    (lambda d: d.update(dim=2.5), "dim 2.5 is not an integer in 0..6"),
+    (lambda d: d.update(dim="2"), "dim '2' is not an integer in 0..6"),
+    (lambda d: d.update(dim=True), "dim True is not an integer in 0..6"),
+    (lambda d: d.update(dim=-1), "dim -1 is not an integer in 0..6"),
+    (lambda d: d.update(dim=7), "dim 7 is not an integer in 0..6"),
+    (lambda d: d.update(dim=100000), "dim 100000 is not an integer in 0..6"),
+    (lambda d: d["simplices"].append([]), "more simplex or token levels"),
+    (lambda d: d["tokens"].append([]), "more simplex or token levels"),
+    (lambda d: d["faces"].append([5, 0, "012", "01"]),
+     "faces entry [5, 0, '012', '01'] would be dropped: it needs a level in "
+     "1..2"),
+    (lambda d: d["faces"].append([0, 0, "0", "0"]),
+     "faces entry [0, 0, '0', '0'] would be dropped"),
+    (lambda d: d["degeneracies"].append([2, 0, "012", "0012"]),
+     "degeneracies entry [2, 0, '012', '0012'] would be dropped: it needs a "
+     "level in 0..1"),
+    (lambda d: d["zeta"].append([-1, 0, "0", "t|00"]),
+     "zeta entry [-1, 0, '0', 't|00'] would be dropped"),
+    (lambda d: d["faces"].append([1, 2, "01", "0"]),
+     "faces entry [1, 2, '01', '0'] would be dropped"),
+    (lambda d: d["degeneracies"].append([1, 0, "ab", "0"]),
+     "degeneracies entry [1, 0, 'ab', '0'] would be dropped"),
+    (lambda d: d["zeta"].append(list(d["zeta"][0])),
+     "zeta entry [0, 0, '0', 't|00'] would be dropped"),
+], ids=["dim-float", "dim-str", "dim-bool", "dim-negative", "dim-7",
+        "dim-huge", "extra-simplex-level", "extra-token-level",
+        "face-level-5", "face-level-0", "degeneracy-level-2", "zeta-level--1",
+        "face-index-2", "unknown-simplex", "repeated-zeta"])
+def test_tdelta_loader_rejects_what_it_would_drop(mutate, named, tmp_path,
+                                                  capsys):
+    from complicial import tdelta
+    doc = tdelta.delta_t(2).to_json_dict()
+    mutate(doc)
+    bad = tmp_path / "X.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["check-fibrant", "--input", str(bad),
+                "--dim", "2"]) == cli.EXIT_INPUT
+    assert named in capsys.readouterr().err
+
+
 def test_counit_check_needs_dim_3(tmp_path, capsys):
     cat = tmp_path / "C.json"
     run(["examples", "--name", "iso", "--out", str(cat)])

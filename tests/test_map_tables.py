@@ -15,6 +15,22 @@ from complicial import nerves, tdelta, twocat
 from complicial.twocat import InvalidInput
 
 
+def degeneracy_of(X, m, i, sid):
+    """The id of s_i(sid), read off X's tables."""
+    j = X._deg[m][i][X._idx[m][sid]]
+    if j < 0:
+        raise InvalidInput(f"degeneracy s_{i} undefined on {sid!r}")
+    return X._ids[m + 1][j]
+
+
+def zeta_of(X, m, i, sid):
+    """The id of zeta_i(sid), read off X's tables."""
+    j = X._zeta[m][i][X._idx[m][sid]]
+    if j < 0:
+        raise InvalidInput(f"zeta_{i} undefined on {sid!r}")
+    return X._tok_ids[m + 1][j]
+
+
 def ref_apply_simplex(f, m, sid):
     got = f.simplex_map.get((m, sid))
     if got is not None:
@@ -24,7 +40,7 @@ def ref_apply_simplex(f, m, sid):
         raise InvalidInput(f"map undefined on non-degenerate {sid!r}")
     i, pre = wit
     below = ref_apply_simplex(f, m - 1, f.src._ids[m - 1][pre])
-    return f.dst.degeneracy_of(m - 1, i, below)
+    return degeneracy_of(f.dst, m - 1, i, below)
 
 
 def ref_apply_token(f, m, tid):
@@ -36,7 +52,7 @@ def ref_apply_token(f, m, tid):
         raise InvalidInput(f"map undefined on free token {tid!r}")
     i, x = wit
     below = ref_apply_simplex(f, m - 1, f.src._ids[m - 1][x])
-    return f.dst.zeta_of(m - 1, i, below)
+    return zeta_of(f.dst, m - 1, i, below)
 
 
 def ref_simplex_table(f):
@@ -92,11 +108,11 @@ def ref_is_valid(f):
         for m in range(A.dim):
             for s in A.simplex_ids(m):
                 for i in range(m + 1):
-                    if ref_apply_simplex(f, m + 1, A.degeneracy_of(m, i, s)) != \
-                            X.degeneracy_of(m, i, ref_apply_simplex(f, m, s)):
+                    if ref_apply_simplex(f, m + 1, degeneracy_of(A, m, i, s)) \
+                            != degeneracy_of(X, m, i, ref_apply_simplex(f, m, s)):
                         return False
-                    if ref_apply_token(f, m + 1, A.zeta_of(m, i, s)) != \
-                            X.zeta_of(m, i, ref_apply_simplex(f, m, s)):
+                    if ref_apply_token(f, m + 1, zeta_of(A, m, i, s)) != \
+                            zeta_of(X, m, i, ref_apply_simplex(f, m, s)):
                         return False
         for m in range(1, A.dim + 1):
             for t in A.token_ids(m):

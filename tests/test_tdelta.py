@@ -193,7 +193,7 @@ def test_pushout_of_empty_is_coproduct():
 
 def test_pushout_universal_property_small():
     """Every cocone factors uniquely through the pushout."""
-    A = delta(0)
+    A = delta(0, dim=1)
     X = delta(1, dim=1)
     B = delta(1, dim=1)
     f = [m for m in maps(A, X)][0]          # vertex 0 of X
@@ -203,11 +203,47 @@ def test_pushout_universal_property_small():
     cocones = [(u, v) for u in maps(X, T) for v in maps(B, T)
                if u.compose(f).simplex_table() == v.compose(i).simplex_table()
                and u.compose(f).token_table() == v.compose(i).token_table()]
-    assert cocones
+    assert len(cocones) == 14
     for u, v in cocones:
         throughs = [w for w in maps(P, T)
                     if w.compose(xp).equals(u) and w.compose(bp).equals(v)]
         assert len(throughs) == 1
+
+
+def test_pushout_rejects_new_top_simplices_of_a_lower_b():
+    """B of lower dimension than X may add only tokens at its top level: a
+    new simplex there would have no degeneracies in P ("s_0 missing on
+    B.01")."""
+    A, B, X = delta(0, dim=1), delta(1), delta(0, dim=2)
+    f, = maps(A, X)
+    i = next(m for m in maps(A, B) if m.apply_simplex(0, "0") == "0")
+    with pytest.raises(twocat.InvalidInput, match="'01' of B's top level 1"):
+        pushout(f, i)
+
+
+def test_pushout_rejects_a_truncated_below_b():
+    """A of lower dimension than B: the degeneracies of A's simplices in B
+    would enter P again, as a non-degenerate loop B.00."""
+    A, B = delta(0), delta(1, dim=1)
+    f = maps(A, B)[0]
+    i = next(m for m in maps(A, B) if m.apply_simplex(0, "0") == "0")
+    with pytest.raises(twocat.InvalidInput,
+                       match=r"A \(dim 0\) is truncated below B \(dim 1\)"):
+        pushout(f, i)
+
+
+def test_pushout_family_rejects_a_lower_part_that_adds_top_simplices():
+    """In the coproduct of the B_k, a part of lower dimension leaves the
+    degeneracies of its top level undefined; a simplex it adds there would
+    have none in P."""
+    X = delta(0, dim=2)
+    A1, B1 = delta(0, dim=1), delta(1, dim=1)
+    i1 = next(m for m in maps(A1, B1) if m.apply_simplex(0, "0") == "0")
+    A2 = delta(0, dim=2)
+    gluings = [(maps(A1, X)[0], i1), (maps(A2, X)[0], identity_map(A2))]
+    with pytest.raises(twocat.InvalidInput,
+                       match="B leaves an operator undefined on '0:01'"):
+        pushout_family(X, gluings)
 
 
 def fold_of_pushouts(X, gluings, prefix, name=""):
