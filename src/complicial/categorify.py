@@ -42,9 +42,6 @@ class Word:
     tgt: str
     gens: tuple = ()
 
-    def is_identity(self):
-        return not self.gens
-
 
 @dataclass(frozen=True, order=True)
 class PastingFactor:

@@ -190,6 +190,13 @@ class FiniteTwoCategory:
             ids = [c.id for c in tc.values() if c.identity and c.src == f]
             if len(ids) != 1:
                 add(f"1-cell {f}: expected one identity 2-cell, got {ids}")
+        for key, table, kinds in (("comp1", self.comp1, (oc, oc, oc)),
+                                  ("vcomp", self.vcomp, (tc, tc, tc)),
+                                  ("whisker_l", self.whisker_l, (oc, tc, tc)),
+                                  ("whisker_r", self.whisker_r, (tc, oc, tc))):
+            for (p, q), r in sorted(table.items()):
+                if not all(c in k for c, k in zip((p, q, r), kinds)):
+                    add(f"{key}[{p},{q}] = {r}: unknown cell")
         if errs:
             return errs  # tables below assume well-typed cells
 
@@ -201,9 +208,7 @@ class FiniteTwoCategory:
             for p in sorted(set(self.comp1) - comp_pairs):
                 add(f"comp1 defined on non-composable pair {p}")
         for (g, f), r in sorted(self.comp1.items()):
-            if r not in oc:
-                add(f"comp1[{g},{f}] = {r}: unknown cell")
-            elif (oc[r].src, oc[r].tgt) != (oc[f].src, oc[g].tgt):
+            if (oc[r].src, oc[r].tgt) != (oc[f].src, oc[g].tgt):
                 add(f"comp1[{g},{f}] = {r}: wrong endpoints")
         if errs:
             return errs
@@ -230,9 +235,7 @@ class FiniteTwoCategory:
             for p in sorted(set(self.vcomp) - vpairs):
                 add(f"vcomp defined on non-composable pair {p}")
         for (b, a), r in sorted(self.vcomp.items()):
-            if r not in tc:
-                add(f"vcomp[{b},{a}] = {r}: unknown cell")
-            elif (tc[r].src, tc[r].tgt) != (tc[a].src, tc[b].tgt):
+            if (tc[r].src, tc[r].tgt) != (tc[a].src, tc[b].tgt):
                 add(f"vcomp[{b},{a}] = {r}: wrong boundary")
         lpairs = {(c, a) for c in oc for a in tc
                   if self.tgt_obj(a) == oc[c].src}
@@ -345,19 +348,55 @@ class FiniteTwoCategory:
 
     @classmethod
     def from_json_dict(cls, doc, name=""):
+        """Load a document; InvalidInput unless every object, cell id,
+        boundary and result is a string, every ``identity`` a JSON bool and
+        every row of ``vcomp``/``whisker_l``/``whisker_r`` a triple."""
         try:
-            objects = list(doc["objects"])
-            one = [OneCell(d["id"], d["src"], d["tgt"], bool(d.get("identity", False)))
-                   for d in doc["one_cells"]]
-            two = [TwoCell(d["id"], d["src"], d["tgt"], bool(d.get("identity", False)))
-                   for d in doc["two_cells"]]
-            comp1 = {(d["g"], d["f"]): d["result"] for d in doc["comp1"]}
-            vcomp = {(b, a): r for b, a, r in doc["vcomp"]}
-            wl = {(c, a): r for c, a, r in doc["whisker_l"]}
-            wr = {(a, c): r for a, c, r in doc["whisker_r"]}
+            objects = [_string(x, "object") for x in _list(doc, "objects")]
+            one = [OneCell(*_cell(d, "1-cell")) for d in _list(doc, "one_cells")]
+            two = [TwoCell(*_cell(d, "2-cell")) for d in _list(doc, "two_cells")]
+            comp1 = {}
+            for d in _list(doc, "comp1"):
+                g, f, r = (_string(d[k], f"comp1 {k}")
+                           for k in ("g", "f", "result"))
+                comp1[(g, f)] = r
+            vcomp, wl, wr = ({(b, a): r for b, a, r in _triples(doc, key)}
+                             for key in ("vcomp", "whisker_l", "whisker_r"))
         except (KeyError, TypeError) as exc:
             raise InvalidInput(f"bad 2-category document: {exc}") from exc
         return cls(objects, one, comp1, two, vcomp, wl, wr, name=name)
+
+
+def _string(v, what):
+    if type(v) is not str:
+        raise InvalidInput(f"{what} {v!r} is not a string")
+    return v
+
+
+def _list(doc, key):
+    v = doc[key]
+    if type(v) is not list:
+        raise InvalidInput(f"2-category {key} {v!r} is not a list")
+    return v
+
+
+def _cell(d, what):
+    """(id, src, tgt, identity) of a cell entry; ``identity`` defaults to
+    false."""
+    if type(d) is not dict:
+        raise InvalidInput(f"{what} {d!r} is not an object")
+    identity = d.get("identity", False)
+    if type(identity) is not bool:
+        raise InvalidInput(f"{what} identity {identity!r} is not a bool")
+    return (*(_string(d[k], f"{what} {k}") for k in ("id", "src", "tgt")),
+            identity)
+
+
+def _triples(doc, key):
+    for row in _list(doc, key):
+        if type(row) is not list or len(row) != 3:
+            raise InvalidInput(f"{key} row {row!r} is not a triple")
+        yield tuple(_string(v, f"{key} entry") for v in row)
 
 
 # -- derived cell searches ---------------------------------------------------
@@ -466,9 +505,6 @@ def two_functors(C, D):
         v.sort()
 
     results = []
-
-    def one_image(m1, f):
-        return m1.get(f)
 
     def extend_two(mo, m1):
         m2 = {C.identity2_of(f): D.identity2_of(m1[f]) for f in C.one_cells}

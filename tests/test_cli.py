@@ -1,8 +1,12 @@
+import copy
+import functools
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from complicial import cli
 
@@ -173,6 +177,122 @@ def test_tdelta_loader_rejects_what_it_would_drop(mutate, named, tmp_path,
     assert run(["check-fibrant", "--input", str(bad),
                 "--dim", "2"]) == cli.EXIT_INPUT
     assert named in capsys.readouterr().err
+
+
+def _set(path, value):
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, named", [
+    (_set(("vcomp", 0), ["i2_f", "i2_f"]),
+     "vcomp row ['i2_f', 'i2_f'] is not a triple"),
+    (lambda d: d["whisker_l"][0].append("f"),
+     "whisker_l row ['f', 'i2_g', 'i2_iy', 'f'] is not a triple"),
+    (_set(("objects", 0), 0), "object 0 is not a string"),
+    (_set(("one_cells", 0, "id"), ["f"]), "1-cell id ['f'] is not a string"),
+    (_set(("whisker_l", 0, 2), "nope"),
+     "whisker_l[f,i2_g] = nope: unknown cell"),
+    (_set(("one_cells", 2, "identity"), "no"),
+     "1-cell identity 'no' is not a bool"),
+], ids=["vcomp-pair", "whisker-quadruple", "int-object", "list-cell-id",
+        "unknown-whisker-result", "string-identity"])
+def test_two_category_loader_rejects_bad_documents(mutate, named, tmp_path,
+                                                   capsys):
+    from complicial import twocat
+    doc = twocat.standard_examples()["iso"].to_json_dict()
+    mutate(doc)
+    bad = tmp_path / "C.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["nerve", "--input", str(bad), "--dim", "3",
+                "--out", str(tmp_path / "X.json")]) == cli.EXIT_INPUT
+    assert named in capsys.readouterr().err
+
+
+MUTANT_SOURCES = ["chain-1", "iso", "z2", "sigma-iso", "inv-oriental-2"]
+
+OTHER_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 7),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=3),
+    st.just([]), st.just({}), st.just(["x"]))
+
+
+@functools.cache
+def _source_docs(kind):
+    from complicial import nerves, twocat
+    catalog = twocat.standard_examples()
+    if kind == "two-category":
+        return [catalog[n].to_json_dict() for n in MUTANT_SOURCES]
+    return [nerves.nerve_with_info(catalog[n], 3, marking)[0].to_json_dict()
+            for n in MUTANT_SOURCES for marking in ("rs", "natural")]
+
+
+def _paths(node, path=()):
+    yield path, node
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def mutated(draw, kind):
+    """A source document with one to three keys deleted, values retyped or
+    lists truncated, anywhere in it."""
+    doc = copy.deepcopy(draw(st.sampled_from(_source_docs(kind))))
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["delete", "retype", "truncate"]))
+        places = list(_paths(doc))
+        if op == "delete":
+            places = places[1:]  # the root has no key to delete
+        elif op == "truncate":
+            places = [(p, n) for p, n in places if isinstance(n, list)]
+        if not places:
+            continue
+        path, node = draw(st.sampled_from(places))
+        if op == "retype":
+            value = draw(OTHER_VALUES.filter(
+                lambda v, node=node: type(v) is not type(node)))
+        elif op == "truncate":
+            value = node[:draw(st.integers(0, max(len(node) - 1, 0)))]
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if op == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def mutant_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutants")
+
+
+@settings(max_examples=80, deadline=None)
+@given(doc=mutated("two-category"))
+def test_mutated_two_category_documents_exit_with_a_code(doc, mutant_dir):
+    path = mutant_dir / "C.json"
+    path.write_text(json.dumps(doc))
+    assert run(["nerve", "--input", str(path), "--dim", "3",
+                "--out", str(mutant_dir / "X.json")]) in range(4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=mutated("nerve"))
+def test_mutated_nerve_documents_exit_with_a_code(doc, mutant_dir):
+    path = mutant_dir / "X.json"
+    path.write_text(json.dumps(doc))
+    assert run(["check-fibrant", "--input", str(path), "--dim", "3"]) \
+        in range(4)
 
 
 def test_counit_check_needs_dim_3(tmp_path, capsys):
