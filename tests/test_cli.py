@@ -123,6 +123,18 @@ def test_invalid_input_exit_code(tmp_path):
                 str(tmp_path / "o.json")]) == cli.EXIT_INPUT
 
 
+@pytest.mark.parametrize("dim, named", [
+    ("-1", "dimension bound must be >= 0"),
+    ("7", "nerve dimension capped at 6"),
+])
+def test_nerve_dimension_out_of_range(dim, named, tmp_path, capsys):
+    cat = tmp_path / "C.json"
+    run(["examples", "--name", "iso", "--out", str(cat)])
+    assert run(["nerve", "--input", str(cat), "--dim", dim,
+                "--out", str(tmp_path / "X.json")]) == cli.EXIT_INPUT
+    assert named in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("where", ["simplex", "token"])
 def test_non_string_ids_exit_code(tmp_path, capsys, where):
     from complicial import tdelta

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import pathlib
+
 import pytest
 
 from complicial import twocat
@@ -9,6 +13,29 @@ from complicial.nerves import (duskin_nerve, natural_nerve, nerve_map,
 @pytest.fixture(scope="module")
 def catalog():
     return twocat.standard_examples()
+
+
+NERVE_DIGESTS = json.loads(
+    (pathlib.Path(__file__).parent / "nerve_digests.json").read_text())
+
+
+def nerve_digest(C, N, marking):
+    """SHA-256 of the nerve document, its name and its 2-simplex data."""
+    X, info = nerve_with_info(C, N, marking)
+    h = hashlib.sha256()
+    h.update(json.dumps(X.to_json_dict(), sort_keys=True).encode())
+    h.update(json.dumps([X.name, list(info.two_data.items())]).encode())
+    return h.hexdigest()
+
+
+def test_nerves_are_pinned(catalog):
+    """Ids, order, markings and witness data of every catalog nerve, in
+    every marking, at dims 3 and 5."""
+    assert len(NERVE_DIGESTS) == len(catalog) * 3 * 2
+    got = {key: nerve_digest(catalog[key.split("/")[0]],
+                             int(key.split("/")[2]), key.split("/")[1])
+           for key in NERVE_DIGESTS}
+    assert got == NERVE_DIGESTS
 
 
 def test_nerve_of_point(catalog):
