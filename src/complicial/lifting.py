@@ -330,30 +330,35 @@ def _iter_domain_parts(X, plan, budget, reverse=False):
         prefixes.append(d)
     values = []
 
-    def rec(p):
-        nonlocal steps
-        if p == len(slots):
-            if _plan_marks_ok(X, plan, values, level, plan.domain_marks):
-                yield tuple(values)
-            return
+    def candidates(p):
         if p == 0:
-            cand = range(size)
+            cand = list(range(size))
         else:
-            j = slots[p]
-            key = tuple(X._face[level][j - 1][values[q]] for q in range(p))
-            cand = prefixes[p - 1].get(key, ())
-        cand = list(cand)
+            face = X._face[level][slots[p] - 1]
+            cand = list(prefixes[p - 1].get(tuple(face[v] for v in values),
+                                            ()))
         if reverse:
             cand.reverse()
-        for y in cand:
-            steps += 1
-            if steps > budget:
-                raise BudgetExceeded(f"{steps} domain nodes")
-            values.append(y)
-            yield from rec(p + 1)
-            values.pop()
+        return iter(cand)
 
-    yield from rec(0)
+    stack = [candidates(0)]  # depth first: one iterator per filled slot + 1
+    while stack:
+        y = next(stack[-1], None)
+        if y is None:
+            stack.pop()
+            if values:
+                values.pop()
+            continue
+        steps += 1
+        if steps > budget:
+            raise BudgetExceeded(f"{steps} domain nodes")
+        values.append(y)
+        if len(values) < len(slots):
+            stack.append(candidates(len(values)))
+            continue
+        if _plan_marks_ok(X, plan, values, level, plan.domain_marks):
+            yield tuple(values)
+        values.pop()
 
 
 def _part_to_map(X, ext, plan, values):

@@ -44,22 +44,27 @@ def completion_token(f, ae):
     return f"t|{f}|{ae.g}|{ae.eta}|{ae.eps}"
 
 
-def _duskin_levels(C, N):
-    """Simplex levels, faces and degeneracies of the nerve, plus info."""
-    if N > tdelta.MAX_DIM:
-        raise InvalidInput(f"nerve dimension capped at {tdelta.MAX_DIM}")
-    info = NerveInfo(C, N)
-    levels = {0: sorted(C.objects)}
-    faces = {}
-    degs = {}
+def _in_id_order(prefix, items):
+    """(ids, items): the k-th item is named prefix + str(k), and both lists
+    are in the string order of those ids (``"W2.10"`` before ``"W2.2"``)."""
+    order = sorted(range(len(items)), key=str)
+    return [prefix + str(k) for k in order], [items[k] for k in order]
+
+
+def _levels(C, N, info):
+    """(ids, faces, deg) of the nerve's levels 0..N, each level in the
+    string order of its ids: faces[m] holds one tuple (d_0 y, ..., d_m y)
+    of level-(m-1) indices per m-simplex y, deg[m][i] the index rows of
+    s_i.  Fills ``info.two_data`` and ``info.two_index``."""
+    ids = [list(C.objects)]
+    faces, deg = [None], []
     if N >= 1:
-        levels[1] = sorted(C.one_cells)
-        for f in levels[1]:
-            cell = C.one_cells[f]
-            faces[(1, 0, f)] = cell.tgt
-            faces[(1, 1, f)] = cell.src
-        for x in levels[0]:
-            degs[(0, 0, x)] = C.identity_of(x)
+        ids.append(sorted(C.one_cells))
+        at0 = {x: j for j, x in enumerate(ids[0])}
+        at1 = {f: j for j, f in enumerate(ids[1])}
+        cells = [C.one_cells[f] for f in ids[1]]
+        faces.append([(at0[c.tgt], at0[c.src]) for c in cells])
+        deg.append([[at1[C.identity_of(x)] for x in ids[0]]])
     if N >= 2:
         triples = []
         for u, ucell in C.one_cells.items():
@@ -71,168 +76,108 @@ def _duskin_levels(C, N):
                     for alpha in C.two_cells_between(w, vu):
                         triples.append((u, v, alpha))
         triples.sort()
-        levels[2] = []
-        for k, (u, v, alpha) in enumerate(triples):
-            sid = f"W2.{k}"
-            levels[2].append(sid)
-            info.two_data[sid] = (u, v, alpha)
-            info.two_index[(u, v, alpha)] = sid
-            faces[(2, 0, sid)] = v
-            faces[(2, 1, sid)] = C.two_cells[alpha].src
-            faces[(2, 2, sid)] = u
-        for f in levels[1]:
-            cell = C.one_cells[f]
-            i2 = C.identity2_of(f)
-            degs[(1, 0, f)] = info.two_index[(C.identity_of(cell.src), f, i2)]
-            degs[(1, 1, f)] = info.two_index[(f, C.identity_of(cell.tgt), i2)]
-    if N >= 3:
-        by_uv = {}
-        for sid, (u, v, alpha) in info.two_data.items():
-            by_uv.setdefault((u, v), []).append(sid)
-        for lst in by_uv.values():
-            lst.sort()
-        quads = []
-        for y3 in levels[2]:
-            a01, a12, a012 = info.two_data[y3]
-            a02 = C.two_cells[a012].src
-            for y0 in levels[2]:
-                b_u, a23, a123 = info.two_data[y0]
-                if b_u != a12:
-                    continue
-                a13 = C.two_cells[a123].src
-                lhs_whisk = C.wr(a123, a01)
-                rhs_whisk = C.wl(a23, a012)
-                for y2 in by_uv.get((a01, a13), ()):
-                    a013 = info.two_data[y2][2]
-                    a03 = C.two_cells[a013].src
-                    lhs = C.vert(lhs_whisk, a013)
-                    for y1 in by_uv.get((a02, a23), ()):
-                        a023 = info.two_data[y1][2]
-                        if C.two_cells[a023].src != a03:
-                            continue
-                        if lhs == C.vert(rhs_whisk, a023):
-                            quads.append((y0, y1, y2, y3))
-        quads.sort()
-        _install_tuple_level(3, quads, levels, faces, degs)
-    for m in range(4, N + 1):
-        prev = levels[m - 1]
-        prefix = {}
-        for sid in prev:
-            key = ()
-            for i in range(m + 1):
-                prefix.setdefault((i, key), []).append(sid)
-                if i < m:
-                    key = key + (faces[(m - 1, i, sid)],)
-        tuples = []
-
-        def extend(partial):
-            j = len(partial)
-            if j == m + 1:
-                tuples.append(tuple(partial))
-                return
-            key = tuple(faces[(m - 1, j - 1, y)] for y in partial)
-            for cand in prefix.get((j, key), ()):
-                partial.append(cand)
-                extend(partial)
-                partial.pop()
-
-        for y0 in prev:
-            extend([y0])
-        tuples.sort()
-        _install_tuple_level(m, tuples, levels, faces, degs)
-    return levels, faces, degs, info
+        info.two_data = {f"W2.{k}": t for k, t in enumerate(triples)}
+        info.two_index = {t: sid for sid, t in info.two_data.items()}
+        level, two = _in_id_order("W2.", triples)
+        at2 = {t: j for j, t in enumerate(two)}
+        ids.append(level)
+        faces.append([(at1[v], at1[C.two_cells[alpha].src], at1[u])
+                      for u, v, alpha in two])
+        deg.append([[at2[(C.identity_of(c.src), f, C.identity2_of(f))]
+                     for f, c in zip(ids[1], cells)],
+                    [at2[(f, C.identity_of(c.tgt), C.identity2_of(f))]
+                     for f, c in zip(ids[1], cells)]])
+    for m in range(3, N + 1):
+        tuples = _compatible_tuples(m, faces[m - 1])
+        if m == 3:
+            tuples = [t for t in tuples
+                      if _pastings_agree(C, [two[y] for y in t])]
+        _add_tuple_level(m, tuples, ids, faces, deg)
+    return ids, faces, deg
 
 
-def _install_tuple_level(m, tuples, levels, faces, degs):
-    index = {}
-    levels[m] = []
-    for k, tup in enumerate(tuples):
-        sid = f"W{m}.{k}"
-        levels[m].append(sid)
-        index[tup] = sid
-        for i in range(m + 1):
-            faces[(m, i, sid)] = tup[i]
-    for z in levels[m - 1]:
-        for i in range(m):
-            parts = []
-            for j in range(m + 1):
-                if j < i:
-                    parts.append(degs[(m - 2, i - 1, faces[(m - 1, j, z)])])
-                elif j in (i, i + 1):
-                    parts.append(z)
-                else:
-                    parts.append(degs[(m - 2, i, faces[(m - 1, j - 1, z)])])
-            degs[(m - 1, i, z)] = index[tuple(parts)]
+def _pastings_agree(C, faces):
+    """Whether the faces d_0..d_3 of a compatible 3-simplex, as (u, v,
+    alpha) triples, paste to one 2-cell both ways."""
+    (_, a23, a123), (_, _, a023), (a01, _, a013), (_, _, a012) = faces
+    return C.vert(C.wr(a123, a01), a013) == C.vert(C.wl(a23, a012), a023)
 
 
-def _degenerate_sids(levels, degs, N):
-    out = set()
-    for m in range(N):
-        for s in levels[m]:
-            for i in range(m + 1):
-                out.add((m + 1, degs[(m, i, s)]))
+def _compatible_tuples(m, below):
+    """The tuples (y_0, ..., y_m) of (m-1)-simplices with d_i y_j = d_{j-1}
+    y_i for all i < j, in lexicographic order; ``below`` holds the face
+    tuple of each (m-1)-simplex."""
+    fits = [None] + [{} for _ in range(m)]  # fits[j]: d_0..d_{j-1} -> [y]
+    for y, f in enumerate(below):
+        for j in range(1, m + 1):
+            fits[j].setdefault(f[:j], []).append(y)
+    out = []
+    stack = [(y,) for y in reversed(range(len(below)))]
+    while stack:  # depth first, smallest candidate on top
+        t = stack.pop()
+        if len(t) > m:
+            out.append(t)
+            continue
+        key = tuple(below[y][len(t) - 1] for y in t)
+        stack.extend(t + (c,) for c in reversed(fits[len(t)].get(key, ())))
     return out
 
 
-def _assemble(C, N, levels, faces, degs, info, marking):
-    degen = _degenerate_sids(levels, degs, N)
-    tokens = {}
-    zeta = {}
-
-    if marking == "natural":
-        info.completions = {f: twocat.adjoint_equivalence_completions(C, f)
-                            for f in sorted(C.one_cells)}
-    inv2 = twocat.invertible_2cells(C) if marking in ("rs", "natural") else {}
-
-    def marked_plain(m, sid):
-        if (m, sid) in degen:
-            return True
-        if marking == "street":
-            return False
-        if m == 1:
-            return False  # non-degenerate 1-simplices handled separately
-        if m == 2:
-            alpha = info.witness(sid)
-            if marking == "rs":
-                return C.two_cells[alpha].identity
-            return alpha in inv2
-        return True  # m >= 3 fully marked in both rs and natural
-
-    for m in range(1, N + 1):
-        lvl = []
-        if m == 1 and marking == "natural":
-            for f in levels[1]:
-                for ae in info.completions[f]:
-                    lvl.append((completion_token(f, ae), f))
-        else:
-            for sid in levels.get(m, ()):
-                if marked_plain(m, sid):
-                    lvl.append((f"t|{sid}", sid))
-        tokens[m] = lvl
-
-    for m in range(N):
-        for s in levels[m]:
-            for i in range(m + 1):
-                target = degs[(m, i, s)]
-                if m == 0 and marking == "natural":
-                    idc = C.identity_of(s)
-                    ae = twocat.AdjointEquivalence(
-                        idc, idc, C.identity2_of(idc), C.identity2_of(idc))
-                    zeta[(0, 0, s)] = completion_token(idc, ae)
-                else:
-                    zeta[(m, i, s)] = f"t|{target}"
-
-    name = {"street": "N_street", "rs": "N_rs", "natural": "N_nat"}[marking]
-    X = TruncatedTDeltaSet(N, levels, faces, degs, tokens, zeta,
-                           name=f"{name}({C.name or '?'},{N})")
-    return X
+def _add_tuple_level(m, tuples, ids, faces, deg):
+    """Append level m, whose simplices are the sorted face tuples, and the
+    degeneracies of level m-1 into it."""
+    level, tuples = _in_id_order(f"W{m}.", tuples)
+    at = {t: j for j, t in enumerate(tuples)}
+    s = deg[m - 2]
+    ids.append(level)
+    faces.append(tuples)
+    deg.append([[at[tuple(s[i - 1][y[j]] if j < i else z if j <= i + 1
+                          else s[i][y[j - 1]] for j in range(m + 1))]
+                 for z, y in enumerate(faces[m - 1])] for i in range(m)])
 
 
 def nerve_with_info(C, N=5, marking="street"):
     if marking not in ("street", "rs", "natural"):
         raise InvalidInput(f"unknown marking {marking!r}")
-    levels, faces, degs, info = _duskin_levels(C, N)
-    return _assemble(C, N, levels, faces, degs, info, marking), info
+    if N > tdelta.MAX_DIM:
+        raise InvalidInput(f"nerve dimension capped at {tdelta.MAX_DIM}")
+    if N < 0:
+        raise InvalidInput("dimension bound must be >= 0")
+    info = NerveInfo(C, N)
+    ids, faces, deg = _levels(C, N, info)
+    # the marked non-degenerate simplices; _minimal_tokens adds the others
+    marked = [None] + [set() for _ in range(N)]
+    if marking != "street":
+        for m in range(2, N + 1):
+            marked[m] = set(range(len(ids[m])))
+        if N >= 2:  # triangles witnessed by identities, or by invertibles
+            thin = {a for a, c in C.two_cells.items() if c.identity} \
+                if marking == "rs" else twocat.invertible_2cells(C)
+            marked[2] = {j for j, sid in enumerate(ids[2])
+                         if info.witness(sid) in thin}
+    tok_ids, tok_under, zeta = tdelta._minimal_tokens(N, ids, deg, marked)
+    if marking == "natural":
+        # level 1 carries one token per adjoint-equivalence completion
+        info.completions = {f: twocat.adjoint_equivalence_completions(C, f)
+                            for f in sorted(C.one_cells)}
+        if N >= 1:
+            pairs = [(completion_token(f, ae), j) for j, f in enumerate(ids[1])
+                     for ae in info.completions[f]]
+            tok_ids[1] = [t for t, _ in pairs]
+            tok_under[1] = [j for _, j in pairs]
+            at = {t: k for k, t in enumerate(tok_ids[1])}
+            zeta[0] = [[]]
+            for x in ids[0]:
+                f = C.identity_of(x)
+                i2 = C.identity2_of(f)
+                ae = twocat.AdjointEquivalence(f, f, i2, i2)
+                zeta[0][0].append(at.get(completion_token(f, ae), -2))
+    face = [None] + [[[t[i] for t in faces[m]] for i in range(m + 1)]
+                     for m in range(1, N + 1)]
+    name = {"street": "N_street", "rs": "N_rs", "natural": "N_nat"}[marking]
+    X = TruncatedTDeltaSet(N, ids, face, deg + [None], tok_ids, tok_under,
+                           zeta, name=f"{name}({C.name or '?'},{N})")
+    return X, info
 
 
 def duskin_nerve(C, N=5):
@@ -259,22 +204,19 @@ def nerve_map(F, C, D, N=5, marking="rs"):
     """The map of nerves induced by a 2-functor F: C -> D."""
     XC, infoC = nerve_with_info(C, N, marking)
     XD, infoD = nerve_with_info(D, N, marking)
-    img = {(0, x): F.ob(x) for x in XC.simplex_ids(0)}
-    img.update({(1, f): F.one(f) for f in XC.simplex_ids(1)})
+    # img[m]: the index in XD of the image of each m-simplex of XC
+    img = [[XD._idx[0][F.ob(x)] for x in XC._ids[0]]]
+    if N >= 1:
+        img.append([XD._idx[1][F.one(f)] for f in XC._ids[1]])
     if N >= 2:
-        for sid in XC.simplex_ids(2):
-            u, v, alpha = infoC.two_data[sid]
-            img[(2, sid)] = infoD.triangle(F.one(u), F.one(v), F.two(alpha))
-    for m in range(3, N + 1):
-        index = {}
-        for sid in XD.simplex_ids(m):
-            index[tuple(XD.face_of(m, i, sid) for i in range(m + 1))] = sid
-        for sid in XC.simplex_ids(m):
-            key = tuple(img[(m - 1, XC.face_of(m, i, sid))]
-                        for i in range(m + 1))
-            img[(m, sid)] = index[key]
-    simp = {(m, s): img[(m, s)] for m in range(N + 1)
-            for s in XC.nondegenerate_ids(m)}
+        img.append([XD._idx[2][infoD.triangle(F.one(u), F.one(v), F.two(a))]
+                    for u, v, a in map(infoC.two_data.get, XC._ids[2])])
+    for m in range(3, N + 1):  # an m-simplex is the tuple of its faces
+        rows, below = XC._face[m], img[m - 1]
+        img.append([XD._by_boundary[m][tuple(below[r[j]] for r in rows)][0]
+                    for j in range(len(XC._ids[m]))])
+    simp = {(m, s): XD._ids[m][img[m][j]] for m in range(N + 1)
+            for j, s in enumerate(XC._ids[m]) if XC._deg_wit[m][j] is None}
     by_token = {completion_token(f, ae): (f, ae)
                 for f, aes in infoC.completions.items() for ae in aes}
     tok = {}
@@ -289,8 +231,8 @@ def nerve_map(F, C, D, N=5, marking="rs"):
                                                    F.two(ae.eta), F.two(ae.eps))
                 tok[(m, t)] = completion_token(F.one(f), img_ae)
             else:
-                sid = XC.under_of(m, t)
-                tok[(m, t)] = f"t|{img[(m, sid)]}"
+                y = img[m][XC._tok_under[m][k]]
+                tok[(m, t)] = f"t|{XD._ids[m][y]}"
     return TDeltaMap(XC, XD, simp, tok)
 
 

@@ -12,8 +12,9 @@ presheaf relations are
 on top of the usual simplicial identities.  Tokens over one simplex need not
 be unique; stratified means every ``u`` is injective.
 
-Ids are strings; internally every level is compiled to integer arrays so the
-enumeration kernels stay cheap.  Values are immutable after construction.
+Ids are strings; every construction hands the constructor integer index
+rows, which the enumeration kernels read directly.  Values are immutable
+after construction.
 """
 
 from __future__ import annotations
@@ -92,43 +93,20 @@ def _reorder(row, src, dst):
 
 
 class TruncatedTDeltaSet:
-    def __init__(self, dim, simplices, faces, degeneracies, tokens, zeta,
+    def __init__(self, dim, ids, face, deg, tok_ids, tok_under, zeta,
                  name=""):
-        """Compile id-keyed dicts into the index rows that ``_install``
-        sorts, checks and adopts."""
-        try:
-            ids = [list(simplices.get(m, ())) for m in range(dim + 1)]
-            pairs = [None] + [list(tokens.get(m, ()))
-                              for m in range(1, dim + 1)]
-            tok_ids = [None] + [[t for t, _ in p] for p in pairs[1:]]
-            # each level's index, plus None (an undefined operator) -> -1
-            idx = [{None: -1} | _index(ids[m], "simplex", m)
-                   for m in range(dim + 1)]
-            tok_idx = [None] + [{None: -1} | _index(tok_ids[m], "token", m)
-                                for m in range(1, dim + 1)]
-            face = [None] + [
-                [[idx[m - 1].get(faces.get((m, i, s)), -2) for s in ids[m]]
-                 for i in range(m + 1)] for m in range(1, dim + 1)]
-            deg = [[[idx[m + 1].get(degeneracies.get((m, i, s)), -2)
-                     for s in ids[m]] for i in range(m + 1)]
-                   for m in range(dim)] + [None]
-            tok_under = [None] + [[idx[m].get(u, -2) for _, u in pairs[m]]
-                                  for m in range(1, dim + 1)]
-            zeta_t = [[[tok_idx[m + 1].get(zeta.get((m, i, s)), -2)
-                        for s in ids[m]] for i in range(m + 1)]
-                      for m in range(dim)] + [None]
-        except TypeError as exc:
-            raise InvalidInput(f"unusable simplex or token id: {exc}") from exc
-        self._install(dim, ids, face, deg, tok_ids, tok_under, zeta_t, name)
+        """The tDelta-set on these ids and index rows: every level is put
+        in the string order of its ids, the rows are remapped to match,
+        checked and adopted.
 
-    def _install(self, dim, ids, face, deg, tok_ids, tok_under, zeta, name):
-        """Put every level in the string order of its ids, remap the index
-        rows to match, check them and adopt them.
-
-        Ids must be unique strings, in any order.  A row entry is the index
-        of an element of the right level, or -1 where the operator is
-        undefined (``validate`` reports those); anything else names an
-        unknown element.
+        ``ids[m]`` and ``tok_ids[m]`` list unique string ids in any order;
+        ``face[m][i]``, ``deg[m][i]`` and ``zeta[m][i]`` give per simplex of
+        level m the index of its image, and ``tok_under[m]`` per token the
+        index of its simplex.  Slots that do not exist (``face[0]``,
+        ``deg[dim]``, ``zeta[dim]``, ``tok_ids[0]``, ``tok_under[0]``) are
+        ignored.  A row entry is the index of an element of the right level,
+        or -1 where the operator is undefined (``validate`` reports those);
+        anything else names an unknown element.
         """
         if dim < 0:
             raise InvalidInput("dimension bound must be >= 0")
@@ -459,32 +437,41 @@ class TruncatedTDeltaSet:
             if len(doc["simplices"]) > dim + 1 or len(doc["tokens"]) > dim:
                 raise InvalidInput(f"more simplex or token levels than dim "
                                    f"{dim} has")
-            simplices = {m: list(v) for m, v in enumerate(doc["simplices"])}
-            known = [set(simplices.get(m, ())) for m in range(dim + 1)]
-            faces, degs, zeta = (
-                _rows(doc[key], key, known, lo, hi) for key, lo, hi in
-                (("faces", 1, dim), ("degeneracies", 0, dim - 1),
-                 ("zeta", 0, dim - 1)))
-            tokens = {m + 1: [(d["id"], d["under"]) for d in lvl]
-                      for m, lvl in enumerate(doc["tokens"])}
+            ids = [list(level) for level in doc["simplices"]]
+            ids += [[] for _ in range(len(ids), dim + 1)]
+            idx = [_index(ids[m], "simplex", m) for m in range(dim + 1)]
+            pairs = [None] + [[(d["id"], d["under"]) for d in level]
+                              for level in doc["tokens"]]
+            pairs += [[] for _ in range(len(pairs), dim + 1)]
+            tok_ids = [None] + [[t for t, _ in p] for p in pairs[1:]]
+            tok_idx = [None] + [_index(tok_ids[m], "token", m)
+                                for m in range(1, dim + 1)]
+            tok_under = [None] + [[idx[m].get(u, -2) for _, u in pairs[m]]
+                                  for m in range(1, dim + 1)]
+            face = _rows(doc, "faces", idx, 1, dim, [None] + idx)
+            deg = _rows(doc, "degeneracies", idx, 0, dim - 1, idx[1:])
+            zeta = _rows(doc, "zeta", idx, 0, dim - 1, tok_idx[1:])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"bad tDelta-set document: {exc}") from exc
-        return cls(dim, simplices, faces, degs, tokens, zeta, name=name)
+        return cls(dim, ids, face, deg, tok_ids, tok_under, zeta, name=name)
 
 
-def _rows(entries, key, known, lo, hi):
-    """{(m, i, s): value} of the [m, i, s, value] entries of a document;
-    InvalidInput on an entry the tables would drop."""
-    out = {}
-    for m, i, s, v in entries:
-        if not (lo <= m <= hi and 0 <= i <= m and s in known[m]) or \
-                (m, i, s) in out:
+def _rows(doc, key, idx, lo, hi, to):
+    """Index rows of the [m, i, s, v] entries of ``doc[key]``, levels lo..hi:
+    rows[m][i] at the index of s is the index of v in ``to[m]``, -2 for an
+    unknown v, and -1 where no entry is given.  InvalidInput on an entry the
+    tables would drop."""
+    rows = [[[-1] * len(idx[m]) for _ in range(m + 1)] if lo <= m <= hi
+            else None for m in range(len(idx))]
+    for m, i, s, v in doc[key]:
+        j = idx[m].get(s) if lo <= m <= hi and 0 <= i <= m else None
+        if j is None or rows[m][i][j] != -1:
             raise InvalidInput(
                 f"{key} entry {[m, i, s, v]!r} would be dropped: it needs a "
                 f"level in {lo}..{hi}, an index in 0..level, a simplex of "
                 f"that level, and no repeat")
-        out[(m, i, s)] = v
-    return out
+        rows[m][i][j] = to[m].get(v, -2)
+    return rows
 
 
 # -- maps of tDelta-sets --------------------------------------------------------
@@ -845,14 +832,6 @@ def _seq_id(seq):
     return "".join(map(str, seq))
 
 
-def _from_tables(dim, ids, face, deg, tok_ids, tok_under, zeta, name=""):
-    """The tDelta-set on these ids and index rows, in any order per level;
-    see ``TruncatedTDeltaSet._install``."""
-    X = TruncatedTDeltaSet.__new__(TruncatedTDeltaSet)
-    X._install(dim, ids, face, deg, tok_ids, tok_under, zeta, name)
-    return X
-
-
 def _minimal_tokens(dim, ids, deg, marked):
     """(tok_ids, tok_under, zeta) of a stratified object: one token
     ``t|{id}`` over each degenerate simplex and over each index in
@@ -885,8 +864,9 @@ def _build_simplicial(dim, level_seqs, marked, name):
     ids = [[_seq_id(s) for s in level] for level in level_seqs]
     marks = [None] + [{rank[m][s] for s in marked if s in rank[m]}
                       for m in range(1, dim + 1)]
-    return _from_tables(dim, ids, face, deg,
-                        *_minimal_tokens(dim, ids, deg, marks), name=name)
+    return TruncatedTDeltaSet(dim, ids, face, deg,
+                              *_minimal_tokens(dim, ids, deg, marks),
+                              name=name)
 
 
 def _monotone(m, k):
@@ -1040,9 +1020,9 @@ def join(A, B, out_dim=None, name=None):
            for m, level in enumerate(keys)]
     marks = [None] + [{j for j, k in enumerate(keys[m]) if marked(m, *k)}
                       for m in range(1, out_dim + 1)]
-    return _from_tables(out_dim, ids, face, deg,
-                        *_minimal_tokens(out_dim, ids, deg, marks),
-                        name=name or f"{A.name} * {B.name}")
+    return TruncatedTDeltaSet(out_dim, ids, face, deg,
+                              *_minimal_tokens(out_dim, ids, deg, marks),
+                              name=name or f"{A.name} * {B.name}")
 
 
 # -- colimit-style operations ----------------------------------------------------
@@ -1056,7 +1036,7 @@ def coproduct(parts, name=""):
     if not parts:
         raise InvalidInput("empty coproduct needs an explicit dimension")
     dim = max(P.dim for P in parts)
-    # full-size tables; _install reads only the levels that exist
+    # full-size tables; the constructor reads only the levels that exist
     ids, tok_ids, tok_under = ([[] for _ in range(dim + 1)] for _ in range(3))
     face, deg, zeta = ([[[] for _ in range(m + 1)] for m in range(dim + 1)]
                        for _ in range(3))
@@ -1076,7 +1056,8 @@ def coproduct(parts, name=""):
                 elif m < dim:
                     deg[m][i] += [-1] * len(P._ids[m])
                     zeta[m][i] += [-1] * len(P._ids[m])
-    return _from_tables(dim, ids, face, deg, tok_ids, tok_under, zeta, name)
+    return TruncatedTDeltaSet(dim, ids, face, deg, tok_ids, tok_under, zeta,
+                              name)
 
 
 def _shift(row, by):
@@ -1155,7 +1136,8 @@ def pushout(f, i, prefix="B.", name=""):
     tok_under = [None] + [X._tok_under[m] + [s_land[m][B._tok_under[m][t]]
                                              for t in t_new[m]]
                           for m in range(1, dim + 1)]
-    P = _from_tables(dim, ids, face, deg, tok_ids, tok_under, zeta, name)
+    P = TruncatedTDeltaSet(dim, ids, face, deg, tok_ids, tok_under, zeta,
+                           name)
     b_simp = {(m, B._ids[m][b]): ids[m][s_land[m][b]]
               for m in range(B.dim + 1)
               for b, w in enumerate(B._deg_wit[m]) if w is None}
@@ -1232,8 +1214,8 @@ def identify_markings(X, name=None, labels=None):
         cls.append([rank[labels[(m, t)]] for t in X._tok_ids[m]])
     zeta = [[[cls[m + 1][t] if t >= 0 else -1 for t in row]
              for row in X._zeta[m]] for m in range(X.dim)] + [None]
-    Q = _from_tables(X.dim, X._ids, X._face, X._deg, tok_ids, tok_under, zeta,
-                     name or f"{X.name}/~")
+    Q = TruncatedTDeltaSet(X.dim, X._ids, X._face, X._deg, tok_ids,
+                           tok_under, zeta, name or f"{X.name}/~")
     gens = inclusion_map(X, Q)  # the simplices; free tokens go to their class
     to_q = TDeltaMap(X, Q, gens.simplex_map,
                      {key: labels[key] for key in gens.token_map})

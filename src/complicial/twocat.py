@@ -66,6 +66,8 @@ class FiniteTwoCategory:
         self.whisker_l = dict(whisker_l)
         self.whisker_r = dict(whisker_r)
         self._completions = {}  # 1-cell -> its completions, filled on demand
+        if len(set(self.objects)) != len(self.objects):
+            raise InvalidInput("duplicate object ids")
         if len(self.one_cells) != len(list(one_cells)):
             raise InvalidInput("duplicate 1-cell ids")
         if len(self.two_cells) != len(list(two_cells)):
@@ -350,17 +352,16 @@ class FiniteTwoCategory:
     def from_json_dict(cls, doc, name=""):
         """Load a document; InvalidInput unless every object, cell id,
         boundary and result is a string, every ``identity`` a JSON bool and
-        every row of ``vcomp``/``whisker_l``/``whisker_r`` a triple."""
+        every row of ``vcomp``/``whisker_l``/``whisker_r`` a triple, and no
+        table gives a pair twice."""
         try:
             objects = [_string(x, "object") for x in _list(doc, "objects")]
             one = [OneCell(*_cell(d, "1-cell")) for d in _list(doc, "one_cells")]
             two = [TwoCell(*_cell(d, "2-cell")) for d in _list(doc, "two_cells")]
-            comp1 = {}
-            for d in _list(doc, "comp1"):
-                g, f, r = (_string(d[k], f"comp1 {k}")
-                           for k in ("g", "f", "result"))
-                comp1[(g, f)] = r
-            vcomp, wl, wr = ({(b, a): r for b, a, r in _triples(doc, key)}
+            comp1 = _table("comp1", (
+                [_string(d[k], f"comp1 {k}") for k in ("g", "f", "result")]
+                for d in _list(doc, "comp1")))
+            vcomp, wl, wr = (_table(key, _triples(doc, key))
                              for key in ("vcomp", "whisker_l", "whisker_r"))
         except (KeyError, TypeError) as exc:
             raise InvalidInput(f"bad 2-category document: {exc}") from exc
@@ -390,6 +391,17 @@ def _cell(d, what):
         raise InvalidInput(f"{what} identity {identity!r} is not a bool")
     return (*(_string(d[k], f"{what} {k}") for k in ("id", "src", "tgt")),
             identity)
+
+
+def _table(key, rows):
+    """{(a, b): result} of the [a, b, result] rows of one table;
+    InvalidInput on a pair given twice."""
+    out = {}
+    for a, b, r in rows:
+        if (a, b) in out:
+            raise InvalidInput(f"{key} gives the pair ({a}, {b}) twice")
+        out[(a, b)] = r
+    return out
 
 
 def _triples(doc, key):

@@ -211,8 +211,14 @@ def _set(path, value):
      "whisker_l[f,i2_g] = nope: unknown cell"),
     (_set(("one_cells", 2, "identity"), "no"),
      "1-cell identity 'no' is not a bool"),
+    (lambda d: d["comp1"].insert(0, {"g": "f", "f": "g", "result": "ix"}),
+     "comp1 gives the pair (f, g) twice"),
+    (lambda d: d["vcomp"].append(list(d["vcomp"][0])),
+     "vcomp gives the pair (i2_f, i2_f) twice"),
+    (lambda d: d["objects"].append("x"), "duplicate object ids"),
 ], ids=["vcomp-pair", "whisker-quadruple", "int-object", "list-cell-id",
-        "unknown-whisker-result", "string-identity"])
+        "unknown-whisker-result", "string-identity", "repeated-comp1",
+        "repeated-vcomp", "repeated-object"])
 def test_two_category_loader_rejects_bad_documents(mutate, named, tmp_path,
                                                    capsys):
     from complicial import twocat
@@ -266,9 +272,9 @@ def mutated(draw, kind):
         if not places:
             continue
         path, node = draw(st.sampled_from(places))
-        if op == "retype":
-            value = draw(OTHER_VALUES.filter(
-                lambda v, node=node: type(v) is not type(node)))
+        if op == "retype":  # a copy: st.just hands out one shared object
+            value = copy.deepcopy(draw(OTHER_VALUES.filter(
+                lambda v, node=node: type(v) is not type(node))))
         elif op == "truncate":
             value = node[:draw(st.integers(0, max(len(node) - 1, 0)))]
         if not path:

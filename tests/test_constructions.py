@@ -3,10 +3,11 @@
 ``coproduct``, ``pushout`` and ``join`` build their results straight from the
 index tables of their inputs.  The ``ref_`` functions below are the
 constructions they replaced: every simplex and token is copied through its
-string id, the per-id lookups and the id-keyed ``TruncatedTDeltaSet``
-constructor.  They are kept here as the oracle, on random inputs and on the
-shapes of the anodyne library: the results must agree table for table, with
-the same names, the same maps and ``validate() == []``.
+string id and the per-id lookups into id-keyed dicts, which reach a
+tDelta-set as a document, through the loader.  They are kept here as the
+oracle, on random inputs and on the shapes of the anodyne library: the
+results must agree table for table, with the same names, the same maps and
+``validate() == []``.
 """
 
 import functools
@@ -17,12 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from complicial import lifting, nerves, tdelta, twocat
-from complicial.tdelta import (TruncatedTDeltaSet, boundary, coproduct, delta,
-                               delta3_eq, delta3_sharp, delta_k,
-                               delta_k_dprime, delta_k_prime, delta_t, horn,
-                               identity_map, inclusion_map, iter_maps, join,
-                               pushout, pushout_family)
+from complicial.tdelta import (boundary, coproduct, delta, delta3_eq,
+                               delta3_sharp, delta_k, delta_k_dprime,
+                               delta_k_prime, delta_t, horn, identity_map,
+                               inclusion_map, iter_maps, join, pushout,
+                               pushout_family)
 from complicial.twocat import InvalidInput
+from test_shapes import tdelta_from_dicts
 
 
 def degeneracy_of(X, m, i, sid):
@@ -142,8 +144,8 @@ def ref_tokens_from_marks(dim, simplices, faces, degs, marked, name):
                 lvl.append((f"t|{s}", s))
         tokens[m] = lvl
     zeta = {(m, i, s): f"t|{y}" for (m, i, s), y in degs.items()}
-    return TruncatedTDeltaSet(dim, simplices, faces, degs, tokens, zeta,
-                              name=name)
+    return tdelta_from_dicts(dim, simplices, faces, degs, tokens, zeta,
+                             name=name)
 
 
 def ref_coproduct(parts, name=""):
@@ -168,8 +170,8 @@ def ref_coproduct(parts, name=""):
         for m in range(1, P.dim + 1):
             tokens[m] += [(tag(t), tag(P.under_of(m, t)))
                           for t in P.token_ids(m)]
-    return TruncatedTDeltaSet(dim, simplices, faces, degs, tokens, zeta,
-                              name=name)
+    return tdelta_from_dicts(dim, simplices, faces, degs, tokens, zeta,
+                             name=name)
 
 
 def ref_pushout(f, i, prefix="B.", name=""):
@@ -233,7 +235,7 @@ def ref_pushout(f, i, prefix="B.", name=""):
                 continue
             tokens[m].append((new_tid(m, t), new_sid(m, B.under_of(m, t))))
 
-    P = TruncatedTDeltaSet(dim, simplices, faces, degs, tokens, zeta, name=name)
+    P = tdelta_from_dicts(dim, simplices, faces, degs, tokens, zeta, name=name)
     x_to_p = inclusion_map(X, P)
     b_simp = {(m, b): new_sid(m, b) for m in range(B.dim + 1)
               for b in B.nondegenerate_ids(m)}

@@ -1,10 +1,13 @@
+import gc
 import hashlib
 import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from complicial import twocat
+from complicial import lifting, twocat
 from complicial.nerves import (duskin_nerve, natural_nerve, nerve_map,
                                nerve_with_info, rs_fully_faithful_check,
                                rs_nerve, rs_to_natural)
@@ -192,3 +195,58 @@ def test_rs_nerves_have_no_free_level1_tokens(catalog, N):
         rs = rs_nerve(C, N)
         assert all(w is not None for w in rs._zeta_wit[1]), name
         assert rs_to_natural(rs, natural_nerve(C, N)).is_valid(), name
+
+
+@st.composite
+def posets(draw):
+    """A poset on 1-4 objects, as a FiniteCategory: a random set of pairs
+    i < j, transitively closed."""
+    n = draw(st.integers(1, 4))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    le = {(i, i) for i in range(n)} | {p for p, k in zip(pairs, keep) if k}
+    for j in range(n):  # Warshall: close through each middle object in turn
+        le |= {(i, k) for i, a in le if a == j for b, k in le if b == j}
+    arrows = [twocat.OneCell(f"a{i}{j}", str(i), str(j), i == j)
+              for i, j in sorted(le)]
+    comp = {(f"a{j}{k}", f"a{i}{j}"): f"a{i}{k}"
+            for i, j in le for b, k in le if b == j}
+    return twocat.FiniteCategory(tuple(str(i) for i in range(n)),
+                                 tuple(arrows), tuple(sorted(comp.items())))
+
+
+@given(posets())
+@settings(max_examples=25, deadline=None)
+def test_random_small_two_categories(P):
+    """Locally discrete and suspended posets: valid 2-categories whose nerve
+    sizes are the 2-functor counts, with three valid markings and a valid
+    comparison map."""
+    for C in (twocat.two_category_from_category(P, "P"),
+              twocat.suspension(P, "SP")):
+        assert C.validate() == []
+        X = duskin_nerve(C, 3)
+        for m in range(4):
+            assert len(X.simplex_ids(m)) == \
+                len(twocat.two_functors(twocat.oriental2(m), C)), (C.name, m)
+        for marking in ("street", "rs", "natural"):
+            assert nerve_with_info(C, 4, marking)[0].validate() == []
+        assert rs_to_natural(rs_nerve(C, 4), natural_nerve(C, 4)).is_valid()
+
+
+def test_nerve_builds_and_domain_searches_leave_no_cycles(catalog):
+    """Nothing they allocate waits for the cyclic collector, so their
+    memory goes back as soon as the results are dropped."""
+    X = rs_nerve(catalog["sigma-iso"], 4)
+    library = lifting.anodyne_library(2, 4)
+    gc.collect()
+    gc.disable()
+    try:
+        for ext in library:
+            lifting.check_extension(X, ext)
+        assert gc.collect() == 0
+        for marking in ("street", "rs", "natural"):
+            nerve_with_info(catalog["oriental-3"], 5, marking)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

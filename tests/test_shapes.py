@@ -3,9 +3,9 @@
 ``tdelta`` builds its standard shapes straight into index tables from the
 ranks of vertex tuples.  The reference below is the construction it
 replaced: every face, degeneracy, token and comarking is written as a dict
-entry between string ids and compiled by the ``TruncatedTDeltaSet``
-constructor, with markings given as sets of string ids.  Both must agree
-table for table and byte for byte, on every shape of the anodyne library
+entry between string ids, with markings given as sets of string ids, and
+the dicts reach a tDelta-set as a document, through the loader.  Both must
+agree table for table and byte for byte, on every shape of the anodyne library
 and on the gluing shapes of the factorization.
 """
 
@@ -16,6 +16,21 @@ import pytest
 
 from complicial import lifting, tdelta
 from complicial.tdelta import TruncatedTDeltaSet
+
+
+def tdelta_from_dicts(dim, simplices, faces, degs, tokens, zeta, name=""):
+    """The tDelta-set of id-keyed dicts, written as a document and loaded:
+    ``simplices[m]`` lists ids, ``tokens[m]`` (id, under) pairs, and the
+    other dicts map (m, i, id) to an id."""
+    def rows(d):
+        return [[m, i, s, v] for (m, i, s), v in d.items()]
+    return TruncatedTDeltaSet.from_json_dict({
+        "dim": dim,
+        "simplices": [list(simplices.get(m, ())) for m in range(dim + 1)],
+        "tokens": [[{"id": t, "under": u} for t, u in tokens.get(m, ())]
+                   for m in range(1, dim + 1)],
+        "faces": rows(faces), "degeneracies": rows(degs), "zeta": rows(zeta),
+    }, name=name)
 
 
 @functools.cache
@@ -49,8 +64,8 @@ def _ref_simplicial(dim, level_seqs, marked, name):
         for s in level_seqs[m]:
             for i in range(m + 1):
                 zeta[(m, i, _seq_id(s))] = f"t|{_seq_id(s[:i + 1] + s[i:])}"
-    return TruncatedTDeltaSet(dim, simplices, faces, degs, tokens, zeta,
-                              name=name)
+    return tdelta_from_dicts(dim, simplices, faces, degs, tokens, zeta,
+                             name=name)
 
 
 def _monotone(m, k):
