@@ -8,10 +8,14 @@ missing token image, the table code must give the same answers and the same
 composites.
 """
 
+import hashlib
+import json
+import pathlib
+
 import pytest
 
 from complicial import factorization as fz
-from complicial import nerves, tdelta, twocat
+from complicial import lifting, nerves, tdelta, twocat
 from complicial.twocat import InvalidInput
 
 
@@ -148,6 +152,45 @@ def _stage_maps(C, N=4):
              ("p2_to_p3", "x_to_p2"), ("q", "p3_to_p4"), ("q", "s4"),
              ("s4", "p3_to_q"), ("p3_to_q", "p2_to_p3")]
     return maps, pairs
+
+
+MAP_DIGESTS = json.loads(
+    (pathlib.Path(__file__).parent / "map_digests.json").read_text())
+
+
+def map_digest(f):
+    """SHA-256 of the map document."""
+    doc = json.dumps(f.to_json_dict(), sort_keys=True)
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
+def pinned_maps():
+    """For every catalog entry at N = 4: the digest of every replay map and
+    of the composite rs -> natural; and, over its rs and natural nerves,
+    maps_checked and the first witness's digest for every extension of
+    anodyne_library(2, 4), forwards and reversed."""
+    library = lifting.anodyne_library(2, 4)
+    out = {}
+    for name, C in sorted(twocat.standard_examples().items()):
+        maps, _ = _stage_maps(C)
+        maps["composite"] = maps["p3_to_q"].compose(
+            maps["p2_to_p3"]).compose(maps["x_to_p2"])
+        out.update({f"{name}/{key}": map_digest(f)
+                    for key, f in maps.items()})
+        for marking in ("rs", "natural"):
+            X = nerves.nerve_with_info(C, 4, marking)[0]
+            for ext in library:
+                for order, reverse in (("fwd", False), ("rev", True)):
+                    r = lifting.check_extension(X, ext, reverse=reverse)
+                    out[f"{name}/{marking}/{ext.label()}/{order}"] = [
+                        r.maps_checked,
+                        r.witness and map_digest(r.witness)]
+    return out
+
+
+def test_maps_are_pinned():
+    """Map documents of the replay and of the fibrancy witnesses."""
+    assert pinned_maps() == MAP_DIGESTS
 
 
 NAMES = ["sigma-iso", "inv-oriental-2", "iso"]
