@@ -13,6 +13,7 @@ overrides both; either must be a positive integer.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -30,8 +31,17 @@ EXIT_BUDGET = 2
 EXIT_INPUT = 3
 
 
+@contextlib.contextmanager
+def _output(path):
+    """Raise InvalidInput (exit 3) where writing to path fails."""
+    try:
+        yield
+    except OSError as exc:
+        raise InvalidInput(f"cannot write {path}: {exc}") from exc
+
+
 def _dump(path, doc):
-    with open(path, "w", encoding="utf-8") as fh:
+    with _output(path), open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -65,7 +75,7 @@ def _dump_tdelta(path, X):
             yield ("    [\n" + ",\n".join(map(item, lvl)) + "\n    ]" if lvl
                    else "    []")
 
-    with open(path, "w", encoding="utf-8") as fh:
+    with _output(path), open(path, "w", encoding="utf-8") as fh:
         w = fh.write
 
         def write_list(pieces):
@@ -161,7 +171,8 @@ def cmd_check_fibrant(args):
 
 def cmd_factorize(args):
     C = _load_two_category(args.input)
-    os.makedirs(args.trace, exist_ok=True)
+    with _output(args.trace):
+        os.makedirs(args.trace, exist_ok=True)
     *stages, summary = factorization.verify_factorization(C, args.dim)
     for name, X in zip(("p1", "p2", "p3", "p4", "final"), stages):
         _dump_tdelta(os.path.join(args.trace, f"{name}.json"), X)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from . import lifting, nerves, tdelta, twocat
 from .lifting import saturation, thinness
 from .nerves import completion_token
-from .tdelta import TDeltaMap, inclusion_map
+from .tdelta import inclusion_map, map_on_generators
 from .twocat import AdjointEquivalence
 
 
@@ -138,17 +138,19 @@ def _section_of_collapse(P, Q, to_q, base):
     """Section of a token collapse P -> Q: each token of Q goes back to the
     least member of its class that is a token of the earlier stage base,
     else to the least member.  Q has the simplices of P."""
-    classes = {}
+    simg = inclusion_map(Q, P)._simg  # the tokens are chosen below
+    timg = [None]
     for m in range(1, P.dim + 1):
-        for t in P.token_ids(m):
-            classes.setdefault((m, to_q.apply_token(m, t)), []).append(t)
-    keep = {m: set(base.token_ids(m)) for m in range(1, base.dim + 1)}
-    gens = inclusion_map(Q, P)  # the simplices; free tokens are chosen here
-    tok = {}
-    for m, q in gens.token_map:
-        members = sorted(classes[(m, q)])
-        tok[(m, q)] = next((t for t in members if t in keep[m]), members[0])
-    return TDeltaMap(Q, P, gens.simplex_map, tok)
+        keep = set(base.token_ids(m))
+        row = [-1] * len(Q._tok_ids[m])
+        # tokens of base first, then any; P's tokens are in id order, so
+        # the first one seen in a class is its least such member
+        for first in (True, False):
+            for t, q in enumerate(to_q._timg[m]):
+                if row[q] < 0 and (not first or P._tok_ids[m][t] in keep):
+                    row[q] = t
+        timg.append(row)
+    return map_on_generators(Q, P, simg, timg)
 
 
 def stage_p2(P1, x_to_p1):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import tdelta
 from .tdelta import (BudgetExceeded, TDeltaMap, get_budget, inclusion_map,
-                     _images_along, _iter_maps, _to_map)
+                     map_on_generators, _images_along, _iter_maps, _to_map)
 from .twocat import InvalidInput
 
 
@@ -365,25 +365,13 @@ def _part_to_map(X, ext, plan, values):
     """Materialize a witness TDeltaMap from a family of slot values."""
     A = ext.A
     lvl_from = plan.m if plan.kind == "simplex" else plan.m - 1
-    simp = {}
+    simg = [[-1] * len(level) for level in A._ids]
     for (lvl, idx), (pos, drops) in plan.chains.items():
-        if A._deg_wit[lvl][idx] is not None:
-            continue
-        sid = A._ids[lvl][idx]
-        simp[(lvl, sid)] = X._ids[lvl][_chase(X, values, lvl_from, pos, drops)]
-    tok = {}
-    for m in range(1, A.dim + 1):
-        zwit = A._zeta_wit[m]
-        toks_over = X._tokens_over_idx[m]
-        for idx, w in enumerate(zwit):
-            if w is not None:
-                continue
-            t = A._tok_ids[m][idx]
-            under = A._tok_under[m][idx]
-            pos, drops = plan.chains[(m, under)]
-            img = _chase(X, values, lvl_from, pos, drops)
-            tok[(m, t)] = X._tok_ids[m][min(toks_over[img])]
-    return TDeltaMap(A, X, simp, tok)
+        simg[lvl][idx] = _chase(X, values, lvl_from, pos, drops)
+    timg = [None] + [[min(X._tokens_over_idx[m][simg[m][u]]) if w is None
+                      else -1 for u, w in zip(A._tok_under[m], A._zeta_wit[m])]
+                     for m in range(1, A.dim + 1)]
+    return map_on_generators(A, X, simg, timg)
 
 
 def check_extension(X, ext, budget=None, reverse=False):

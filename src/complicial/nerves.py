@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import tdelta, twocat
-from .tdelta import TDeltaMap, TruncatedTDeltaSet
+from .tdelta import TruncatedTDeltaSet
 from .twocat import InvalidInput
 
 
@@ -215,25 +215,24 @@ def nerve_map(F, C, D, N=5, marking="rs"):
         rows, below = XC._face[m], img[m - 1]
         img.append([XD._by_boundary[m][tuple(below[r[j]] for r in rows)][0]
                     for j in range(len(XC._ids[m]))])
-    simp = {(m, s): XD._ids[m][img[m][j]] for m in range(N + 1)
-            for j, s in enumerate(XC._ids[m]) if XC._deg_wit[m][j] is None}
     by_token = {completion_token(f, ae): (f, ae)
                 for f, aes in infoC.completions.items() for ae in aes}
-    tok = {}
+    timg = [None]
     for m in range(1, N + 1):
-        wit = XC._zeta_wit[m]
-        for k, t in enumerate(XC._tok_ids[m]):
-            if wit[k] is not None:
-                continue
-            if m == 1 and marking == "natural":
+        row = []
+        for t, u, w in zip(XC._tok_ids[m], XC._tok_under[m], XC._zeta_wit[m]):
+            if w is not None:
+                tid = None  # a comarked token follows its simplex
+            elif m == 1 and marking == "natural":
                 f, ae = by_token[t]
                 img_ae = twocat.AdjointEquivalence(F.one(f), F.one(ae.g),
                                                    F.two(ae.eta), F.two(ae.eps))
-                tok[(m, t)] = completion_token(F.one(f), img_ae)
+                tid = completion_token(F.one(f), img_ae)
             else:
-                y = img[m][XC._tok_under[m][k]]
-                tok[(m, t)] = f"t|{XD._ids[m][y]}"
-    return TDeltaMap(XC, XD, simp, tok)
+                tid = f"t|{XD._ids[m][img[m][u]]}"
+            row.append(XD._tok_idx[m].get(tid, -1))
+        timg.append(row)
+    return tdelta.map_on_generators(XC, XD, img, timg)
 
 
 def rs_fully_faithful_check(C, D, N=4, budget=None):

@@ -464,7 +464,8 @@ def _rows(doc, key, idx, lo, hi, to):
     rows = [[[-1] * len(idx[m]) for _ in range(m + 1)] if lo <= m <= hi
             else None for m in range(len(idx))]
     for m, i, s, v in doc[key]:
-        j = idx[m].get(s) if lo <= m <= hi and 0 <= i <= m else None
+        ok = type(m) is type(i) is int and lo <= m <= hi and 0 <= i <= m
+        j = idx[m].get(s) if ok else None
         if j is None or rows[m][i][j] != -1:
             raise InvalidInput(
                 f"{key} entry {[m, i, s, v]!r} would be dropped: it needs a "
@@ -477,75 +478,41 @@ def _rows(doc, key, idx, lo, hi, to):
 # -- maps of tDelta-sets --------------------------------------------------------
 
 class TDeltaMap:
-    """Levelwise map, stored on non-degenerate simplices and free tokens.
+    """Levelwise map: per level, the index in dst of every simplex and every
+    token of src, or -1 where the map is undefined.
 
-    Degenerate simplex values derive through the Eilenberg-Zilber witness;
-    comarked token values derive through zeta.  Checks and operations read
-    per-level index tables that are computed once from the stored values.
+    The images of non-degenerate simplices and free tokens are the map's
+    data; the rest follow through the Eilenberg-Zilber witness and zeta
+    (see ``map_on_generators``).
     """
 
-    def __init__(self, src, dst, simplex_map, token_map):
+    def __init__(self, src, dst, simg, timg):
         self.src = src
         self.dst = dst
-        self.simplex_map = dict(simplex_map)
-        self.token_map = dict(token_map)
-
-    @cached_property
-    def _tables(self):
-        """(simplex images, token images): per level, the target index of
-        every source simplex or token; negative where the map is undefined,
-        including stored values that name no element of the target."""
-        A, X = self.src, self.dst
-        out = ([], [None])
-        for k, stored, ids, idx, wits, ops in (
-                (0, self.simplex_map, A._ids, X._idx, A._deg_wit, X._deg),
-                (1, self.token_map, A._tok_ids, X._tok_idx, A._zeta_wit,
-                 X._zeta)):
-            get = stored.get
-            for m in range(k, A.dim + 1):
-                at = idx[m] if m <= X.dim else {}
-                row = [-2 if (v := get((m, s))) is None else at.get(v, -1)
-                       for s in ids[m]]
-                if 0 < m <= X.dim:   # derive through the witness one level down
-                    below, op = out[0][m - 1], ops[m - 1]
-                    for j, w in enumerate(wits[m]):
-                        if w is not None and row[j] == -2 and below[w[1]] >= 0:
-                            row[j] = op[w[0]][below[w[1]]]
-                out[k].append(row)
-        return out
+        self._simg = simg
+        self._timg = timg
 
     def _images(self, k):
         """(m, row) for every level of simplex (k=0) or token (k=1) images,
         in order; InvalidInput on reaching a row where the map is undefined."""
-        for m, row in enumerate(self._tables[k]):
+        for m, row in enumerate((self._simg, self._timg)[k]):
             if row and min(row) < 0:
                 ids = (self.src._ids, self.src._tok_ids)[k][m]
-                raise InvalidInput(
-                    f"map undefined on {ids[row.index(min(row))]!r}")
+                raise InvalidInput(f"map undefined on {ids[row.index(-1)]!r}")
             if row is not None:
                 yield m, row
 
     def apply_simplex(self, m, sid):
-        j = self._tables[0][m][self.src._idx[m][sid]]
+        j = self._simg[m][self.src._idx[m][sid]]
         if j < 0:
             raise InvalidInput(f"map undefined on simplex {sid!r}")
         return self.dst._ids[m][j]
 
     def apply_token(self, m, tid):
-        j = self._tables[1][m][self.src._tok_idx[m][tid]]
+        j = self._timg[m][self.src._tok_idx[m][tid]]
         if j < 0:
             raise InvalidInput(f"map undefined on token {tid!r}")
         return self.dst._tok_ids[m][j]
-
-    def simplex_table(self):
-        ids = self.dst._ids
-        return {(m, s): ids[m][v] for m, row in self._images(0)
-                for s, v in zip(self.src._ids[m], row)}
-
-    def token_table(self):
-        ids = self.dst._tok_ids
-        return {(m, t): ids[m][v] for m, row in self._images(1)
-                for t, v in zip(self.src._tok_ids[m], row)}
 
     def equals(self, other):
         return (self.src.same_as(other.src) and self.dst.same_as(other.dst)
@@ -559,20 +526,19 @@ class TDeltaMap:
                              mid._tok_ids != B._tok_ids):
             raise InvalidInput(f"cannot compose through {mid.name!r} and "
                                f"{B.name!r}: their ids differ")
-        stored = ({}, {})
-        for k, wits, ids, out_ids in ((0, A._deg_wit, A._ids, self.dst._ids),
-                                      (1, A._zeta_wit, A._tok_ids,
-                                       self.dst._tok_ids)):
+        rows = ([], [None])
+        for k, wits, ids in ((0, A._deg_wit, A._ids),
+                             (1, A._zeta_wit, A._tok_ids)):
             for m in range(k, A.dim + 1):
-                first, then = other._tables[k][m], self._tables[k][m]
+                first = (other._simg, other._timg)[k][m]
+                then = (self._simg, self._timg)[k][m]
+                row = [then[v] if v >= 0 else -1 for v in first]
                 for j, w in enumerate(wits[m]):
-                    v = then[first[j]] if w is None and first[j] >= 0 else -1
-                    if v >= 0:
-                        stored[k][(m, ids[m][j])] = out_ids[m][v]
-                    elif w is None:
+                    if w is None and row[j] < 0:
                         raise InvalidInput(
                             f"composite undefined on {ids[m][j]!r}")
-        return TDeltaMap(A, self.dst, *stored)
+                rows[k].append(row)
+        return map_on_generators(A, self.dst, *rows)
 
     def is_mono(self):
         return all(len(set(row)) == len(row)
@@ -602,19 +568,70 @@ class TDeltaMap:
             for lhs, a, x, img in checks)
 
     def to_json_dict(self):
-        return {
-            "simplices": [[m, s, v] for (m, s), v in sorted(self.simplex_map.items())],
-            "tokens": [[m, t, v] for (m, t), v in sorted(self.token_map.items())],
-        }
+        """[level, id, image id] for every non-degenerate simplex and free
+        token that the map defines, in sorted order."""
+        A, X = self.src, self.dst
+        return {key: [[m, ids[m][j], x_ids[m][v]]
+                      for m, row in enumerate(rows) if row
+                      for j, v in enumerate(row)
+                      if v >= 0 and wits[m][j] is None]
+                for key, rows, ids, wits, x_ids in (
+                    ("simplices", self._simg, A._ids, A._deg_wit, X._ids),
+                    ("tokens", self._timg, A._tok_ids, A._zeta_wit,
+                     X._tok_ids))}
+
+
+def map_on_generators(A, X, simg, timg):
+    """The map A -> X with the images of the generators in these rows.
+
+    ``simg[m]`` and ``timg[m]`` are per level rows of indices into X (-1 where
+    undefined), adopted and overwritten in place: each degenerate simplex
+    and comarked token takes the image that its witness one level down gives
+    through X's degeneracies and zeta.
+    """
+    for m in range(1, min(A.dim, X.dim) + 1):
+        below = simg[m - 1]
+        for row, wits, ops in ((simg[m], A._deg_wit[m], X._deg[m - 1]),
+                               (timg[m], A._zeta_wit[m], X._zeta[m - 1])):
+            for j, w in enumerate(wits):
+                if w is not None:
+                    b = below[w[1]]
+                    row[j] = ops[w[0]][b] if b >= 0 else -1
+    return TDeltaMap(A, X, simg, timg)
 
 
 def map_from_json_dict(src, dst, doc):
+    """Load a map document; InvalidInput on any entry it would drop: a level
+    that is not an integer or that one side lacks, an id that is not a
+    non-degenerate simplex or free token of src, a target id that dst lacks
+    at that level, or a source given twice.  Generators the document leaves
+    out stay undefined."""
+    rows = _undefined(src)
     try:
-        simp = {(m, s): v for m, s, v in doc["simplices"]}
-        tok = {(m, t): v for m, t, v in doc["tokens"]}
+        for k, key, lo, src_idx, wits, dst_idx in (
+                (0, "simplices", 0, src._idx, src._deg_wit, dst._idx),
+                (1, "tokens", 1, src._tok_idx, src._zeta_wit,
+                 dst._tok_idx)):
+            for m, s, v in doc[key]:
+                ok = type(m) is int and lo <= m <= min(src.dim, dst.dim)
+                j = src_idx[m].get(s) if ok else None
+                ok = j is not None and wits[m][j] is None
+                if not ok or rows[k][m][j] >= 0 or v not in dst_idx[m]:
+                    raise InvalidInput(
+                        f"{key} entry {[m, s, v]!r} would be dropped: "
+                        f"it needs a level both sides have, a generator of "
+                        f"the source, an element of the target at that "
+                        f"level, and no repeat")
+                rows[k][m][j] = dst_idx[m][v]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"bad map document: {exc}") from exc
-    return TDeltaMap(src, dst, simp, tok)
+    return map_on_generators(src, dst, *rows)
+
+
+def _undefined(A):
+    """Fresh (simplex, token) image rows of A, undefined everywhere."""
+    return ([[-1] * len(level) for level in A._ids],
+            [None] + [[-1] * len(level) for level in A._tok_ids[1:]])
 
 
 def identity_map(X):
@@ -623,13 +640,12 @@ def identity_map(X):
 
 def inclusion_map(A, X):
     """The inclusion when A's generators carry the same ids inside X."""
-    simp = {(m, s): s for m in range(A.dim + 1) for s in A.nondegenerate_ids(m)}
-    tok = {}
-    for m in range(1, A.dim + 1):
-        wit = A._zeta_wit[m]
-        tok.update({(m, t): t for i, t in enumerate(A._tok_ids[m])
-                    if wit[i] is None})
-    return TDeltaMap(A, X, simp, tok)
+    rows = ([], [None])
+    for k, ids, idx in ((0, A._ids, X._idx), (1, A._tok_ids, X._tok_idx)):
+        for m in range(k, A.dim + 1):
+            at = idx[m] if m <= X.dim else {}
+            rows[k].append([at.get(s, -1) for s in ids[m]])
+    return map_on_generators(A, X, *rows)
 
 
 # -- enumeration kernel -----------------------------------------------------------
@@ -775,21 +791,10 @@ def _iter_maps(A, X, budget, seed_simp=None, seed_tok=None, reverse=False):
 
 
 def _to_map(A, X, simg, timg):
-    simp = {}
-    for m in range(A.dim + 1):
-        wit = A._deg_wit[m]
-        ids = A._ids[m]
-        for j, w in enumerate(wit):
-            if w is None:
-                simp[(m, ids[j])] = X._ids[m][simg[m][j]]
-    tok = {}
-    for m in range(1, A.dim + 1):
-        zwit = A._zeta_wit[m]
-        ids = A._tok_ids[m]
-        for j, w in enumerate(zwit):
-            if w is None:
-                tok[(m, ids[j])] = X._tok_ids[m][timg[m][j]]
-    return TDeltaMap(A, X, simp, tok)
+    """The map of the kernel's (simg, timg), copied: the kernel keeps
+    writing into its rows."""
+    return map_on_generators(A, X, [row[:] for row in simg],
+                             [None] + [row[:] for row in timg[1:]])
 
 
 def count_generators(A):
@@ -1067,10 +1072,8 @@ def _shift(row, by):
 def _images_along(f, i):
     """For f: A -> X and i: A -> B, the (simplex, token) rows that give, per
     level of B, the index in X of f(a) at i(a), and -1 off the image of i."""
-    B = i.dst
-    out = ([], [None])
-    for k, b_ids in ((0, B._ids), (1, B._tok_ids)):
-        out[k].extend([-1] * len(b_ids[m]) for m in range(k, B.dim + 1))
+    out = _undefined(i.dst)
+    for k in (0, 1):
         for (m, irow), (_, frow) in zip(i._images(k), f._images(k)):
             for b, x in zip(irow, frow):
                 out[k][m][b] = x
@@ -1138,13 +1141,12 @@ def pushout(f, i, prefix="B.", name=""):
                           for m in range(1, dim + 1)]
     P = TruncatedTDeltaSet(dim, ids, face, deg, tok_ids, tok_under, zeta,
                            name)
-    b_simp = {(m, B._ids[m][b]): ids[m][s_land[m][b]]
-              for m in range(B.dim + 1)
-              for b, w in enumerate(B._deg_wit[m]) if w is None}
-    b_tok = {(m, B._tok_ids[m][t]): tok_ids[m][t_land[m][t]]
-             for m in range(1, B.dim + 1)
-             for t, w in enumerate(B._zeta_wit[m]) if w is None}
-    return P, inclusion_map(X, P), TDeltaMap(B, P, b_simp, b_tok)
+    # P's constructor put each level in id order: land in it through the ids
+    b_rows = ([[P._idx[m][ids[m][n]] for n in s_land[m]]
+               for m in range(B.dim + 1)],
+              [None] + [[P._tok_idx[m][tok_ids[m][n]] for n in t_land[m]]
+                        for m in range(1, B.dim + 1)])
+    return P, inclusion_map(X, P), map_on_generators(B, P, *b_rows)
 
 
 def pushout_family(X, gluings, prefix="g", name=""):
@@ -1162,26 +1164,33 @@ def pushout_family(X, gluings, prefix="g", name=""):
     f = _on_summands([f for f, _ in gluings], A, X, tag_values=False)
     i = _on_summands([i for _, i in gluings], A, B, tag_values=True)
     P, x_to_p, b_to_p = pushout(f, i, prefix=prefix, name=name)
-    b_maps = []
-    for k, (_, ik) in enumerate(gluings):
-        gens = inclusion_map(ik.dst, ik.dst)  # B_k -> P: b_to_p on summand k
-        simp = {(m, x): b_to_p.apply_simplex(m, f"{k}:{x}")
-                for m, x in gens.simplex_map}
-        tok = {(m, x): b_to_p.apply_token(m, f"{k}:{x}")
-               for m, x in gens.token_map}
-        b_maps.append(TDeltaMap(ik.dst, P, simp, tok))
-    return P, x_to_p, b_maps
+    return P, x_to_p, [b_to_p.compose(_injection(B, k, ik.dst))
+                       for k, (_, ik) in enumerate(gluings)]
+
+
+def _injection(C, k, part):
+    """The injection of the k-th summand ``part`` into the coproduct C."""
+    return TDeltaMap(part, C, [[C._idx[m][f"{k}:{s}"] for s in part._ids[m]]
+                               for m in range(part.dim + 1)],
+                     [None] + [[C._tok_idx[m][f"{k}:{t}"]
+                                for t in part._tok_ids[m]]
+                               for m in range(1, part.dim + 1)])
 
 
 def _on_summands(maps, src, dst, tag_values):
     """The map out of the coproduct src that is maps[k] on its k-th summand;
     with tag_values, into the k-th summand of the coproduct dst."""
-    stored = ({}, {})
+    simg, timg = _undefined(src)
     for k, f in enumerate(maps):
-        for out, part in zip(stored, (f.simplex_map, f.token_map)):
-            out.update({(m, f"{k}:{x}"): f"{k}:{v}" if tag_values else v
-                        for (m, x), v in part.items()})
-    return TDeltaMap(src, dst, *stored)
+        if tag_values:
+            f = _injection(dst, k, f.dst).compose(f)
+        at = _injection(src, k, f.src)
+        for rows, at_rows, f_rows in ((simg, at._simg, f._simg),
+                                      (timg, at._timg, f._timg)):
+            for row, a, values in zip(rows, at_rows, f_rows):
+                for j, v in zip(a or (), values or ()):
+                    row[j] = v
+    return map_on_generators(src, dst, simg, timg)
 
 
 def identify_markings(X, name=None, labels=None):
@@ -1216,7 +1225,8 @@ def identify_markings(X, name=None, labels=None):
              for row in X._zeta[m]] for m in range(X.dim)] + [None]
     Q = TruncatedTDeltaSet(X.dim, X._ids, X._face, X._deg, tok_ids,
                            tok_under, zeta, name or f"{X.name}/~")
-    gens = inclusion_map(X, Q)  # the simplices; free tokens go to their class
-    to_q = TDeltaMap(X, Q, gens.simplex_map,
-                     {key: labels[key] for key in gens.token_map})
-    return Q, to_q
+    # Q adopts X's simplices; its constructor put each token level in order
+    timg = [None] + [[Q._tok_idx[m][labels[(m, t)]] for t in X._tok_ids[m]]
+                     for m in range(1, X.dim + 1)]
+    return Q, map_on_generators(
+        X, Q, [list(range(len(level))) for level in X._ids], timg)

@@ -175,10 +175,15 @@ def test_non_string_ids_exit_code(tmp_path, capsys, where):
      "degeneracies entry [1, 0, 'ab', '0'] would be dropped"),
     (lambda d: d["zeta"].append(list(d["zeta"][0])),
      "zeta entry [0, 0, '0', 't|00'] would be dropped"),
+    (lambda d: d["faces"][0].__setitem__(0, True),
+     "faces entry [True, 0, '00', '0'] would be dropped"),
+    (lambda d: d["faces"][0].__setitem__(1, False),
+     "faces entry [1, False, '00', '0'] would be dropped"),
 ], ids=["dim-float", "dim-str", "dim-bool", "dim-negative", "dim-7",
         "dim-huge", "extra-simplex-level", "extra-token-level",
         "face-level-5", "face-level-0", "degeneracy-level-2", "zeta-level--1",
-        "face-index-2", "unknown-simplex", "repeated-zeta"])
+        "face-index-2", "unknown-simplex", "repeated-zeta", "face-level-true",
+        "face-index-false"])
 def test_tdelta_loader_rejects_what_it_would_drop(mutate, named, tmp_path,
                                                   capsys):
     from complicial import tdelta
@@ -189,6 +194,28 @@ def test_tdelta_loader_rejects_what_it_would_drop(mutate, named, tmp_path,
     assert run(["check-fibrant", "--input", str(bad),
                 "--dim", "2"]) == cli.EXIT_INPUT
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["examples", "--name", "iso", "--out", "{tmp}/missing/C.json"],
+    ["nerve", "--input", "{cat}", "--dim", "2", "--out", "{tmp}/missing/X.json"],
+    ["check-fibrant", "--input", "{nerve}", "--dim", "2",
+     "--report", "{tmp}/missing/R.json"],
+    ["categorify", "--input", "{nerve}", "--out", "{tmp}/missing/P.json"],
+    ["factorize", "--input", "{cat}", "--dim", "4", "--trace", "{nerve}"],
+    ["counit-check", "--cat", "{cat}", "--dim", "3",
+     "--report", "{tmp}/missing/K.json"],
+], ids=["examples", "nerve", "check-fibrant", "categorify", "factorize",
+        "counit-check"])
+def test_unwritable_output_exits_input(argv, tmp_path, capsys):
+    cat, nerve = tmp_path / "C.json", tmp_path / "X.json"
+    assert run(["examples", "--name", "iso", "--out", str(cat)]) == 0
+    assert run(["nerve", "--input", str(cat), "--dim", "2",
+                "--out", str(nerve)]) == 0
+    capsys.readouterr()
+    argv = [a.format(tmp=tmp_path, cat=cat, nerve=nerve) for a in argv]
+    assert run(argv) == cli.EXIT_INPUT
+    assert "input error: cannot write" in capsys.readouterr().err
 
 
 def _set(path, value):

@@ -237,14 +237,15 @@ def ref_pushout(f, i, prefix="B.", name=""):
 
     P = tdelta_from_dicts(dim, simplices, faces, degs, tokens, zeta, name=name)
     x_to_p = inclusion_map(X, P)
-    b_simp = {(m, b): new_sid(m, b) for m in range(B.dim + 1)
-              for b in B.nondegenerate_ids(m)}
-    b_tok = {}
+    b_simp = [[m, b, new_sid(m, b)] for m in range(B.dim + 1)
+              for b in B.nondegenerate_ids(m)]
+    b_tok = []
     for m in range(1, B.dim + 1):
         wit = B._zeta_wit[m]
-        b_tok.update({(m, t): new_tid(m, t)
-                      for k, t in enumerate(B._tok_ids[m]) if wit[k] is None})
-    b_to_p = tdelta.TDeltaMap(B, P, b_simp, b_tok)
+        b_tok += [[m, t, new_tid(m, t)]
+                  for k, t in enumerate(B._tok_ids[m]) if wit[k] is None]
+    b_to_p = tdelta.map_from_json_dict(B, P, {"simplices": b_simp,
+                                              "tokens": b_tok})
     return P, x_to_p, b_to_p
 
 

@@ -1,16 +1,19 @@
-"""TDeltaMap's index-table operations against the former string-level code.
+"""TDeltaMap's index rows against the former string-level code.
 
 The functions prefixed ``ref_`` are the id-walking implementations that
-``TDeltaMap`` used before its checks moved onto per-level index tables.  They
-are kept here as the oracle: on every stage map of the factorization replay,
-and on maps with one wrong simplex image, one wrong token image or one
-missing token image, the table code must give the same answers and the same
-composites.
+``TDeltaMap`` used when it stored id-keyed dicts.  They are kept here as the
+oracle, and they see a map only through its document: the images of its
+generators by id, read once per map.  On every stage map of the
+factorization replay, and on maps whose document has one wrong simplex
+image, one wrong token image or one missing token image, the row code must
+give the same answers and the same composite documents.  The replay maps
+and the fibrancy witnesses are also pinned by digest.
 """
 
 import hashlib
 import json
 import pathlib
+import weakref
 
 import pytest
 
@@ -35,8 +38,20 @@ def zeta_of(X, m, i, sid):
     return X._tok_ids[m + 1][j]
 
 
+_GENERATORS = weakref.WeakKeyDictionary()
+
+
+def generators(f):
+    """(simplex images, token images) of f's document, keyed (level, id)."""
+    if f not in _GENERATORS:
+        doc = f.to_json_dict()
+        _GENERATORS[f] = ({(m, s): v for m, s, v in doc["simplices"]},
+                          {(m, t): v for m, t, v in doc["tokens"]})
+    return _GENERATORS[f]
+
+
 def ref_apply_simplex(f, m, sid):
-    got = f.simplex_map.get((m, sid))
+    got = generators(f)[0].get((m, sid))
     if got is not None:
         return got
     wit = f.src._deg_wit[m][f.src._idx[m][sid]]
@@ -48,7 +63,7 @@ def ref_apply_simplex(f, m, sid):
 
 
 def ref_apply_token(f, m, tid):
-    got = f.token_map.get((m, tid))
+    got = generators(f)[1].get((m, tid))
     if got is not None:
         return got
     wit = f.src._zeta_wit[m][f.src._tok_idx[m][tid]]
@@ -76,16 +91,17 @@ def ref_equals(f, g):
 
 
 def ref_compose(f, g):
-    """f after g, as a TDeltaMap."""
-    simp = {(m, s): ref_apply_simplex(f, m, ref_apply_simplex(g, m, s))
-            for m in range(g.src.dim + 1) for s in g.src.nondegenerate_ids(m)}
-    tok = {}
+    """The document of f after g."""
+    simp = [[m, s, ref_apply_simplex(f, m, ref_apply_simplex(g, m, s))]
+            for m in range(g.src.dim + 1) for s in g.src.nondegenerate_ids(m)]
+    tok = []
     for m in range(1, g.src.dim + 1):
         wit = g.src._zeta_wit[m]
         for i, t in enumerate(g.src._tok_ids[m]):
             if wit[i] is None:
-                tok[(m, t)] = ref_apply_token(f, m, ref_apply_token(g, m, t))
-    return tdelta.TDeltaMap(g.src, f.dst, simp, tok)
+                tok.append([m, t, ref_apply_token(f, m,
+                                                  ref_apply_token(g, m, t))])
+    return {"simplices": sorted(simp), "tokens": sorted(tok)}
 
 
 def ref_is_mono(f):
@@ -126,6 +142,18 @@ def ref_is_valid(f):
     except (KeyError, InvalidInput):
         return False
     return True
+
+
+def simplex_table(f):
+    """Every simplex image of f by id, read off its rows."""
+    return {(m, s): f.apply_simplex(m, s)
+            for m in range(f.src.dim + 1) for s in f.src.simplex_ids(m)}
+
+
+def token_table(f):
+    """Every token image of f by id, read off its rows."""
+    return {(m, t): f.apply_token(m, t)
+            for m in range(1, f.src.dim + 1) for t in f.src.token_ids(m)}
 
 
 def _outcome(fn, *args):
@@ -204,10 +232,8 @@ def replay(request):
 def _assert_agree(f):
     assert f.is_valid() == ref_is_valid(f)
     assert _outcome(tdelta.TDeltaMap.is_mono, f) == _outcome(ref_is_mono, f)
-    assert _outcome(tdelta.TDeltaMap.simplex_table, f) == \
-        _outcome(ref_simplex_table, f)
-    assert _outcome(tdelta.TDeltaMap.token_table, f) == \
-        _outcome(ref_token_table, f)
+    assert _outcome(simplex_table, f) == _outcome(ref_simplex_table, f)
+    assert _outcome(token_table, f) == _outcome(ref_token_table, f)
 
 
 def test_stage_maps_agree_with_string_oracle(replay):
@@ -217,9 +243,9 @@ def test_stage_maps_agree_with_string_oracle(replay):
         _assert_agree(f)
     for g_name, f_name in pairs:
         g, f = maps[g_name], maps[f_name]
-        new, ref = g.compose(f), ref_compose(g, f)
-        assert (new.simplex_map, new.token_map) == \
-            (ref.simplex_map, ref.token_map), (g_name, f_name)
+        new, doc = g.compose(f), ref_compose(g, f)
+        assert new.to_json_dict() == doc, (g_name, f_name)
+        ref = tdelta.map_from_json_dict(f.src, g.dst, doc)
         assert new.equals(ref) and ref_equals(new, ref)
         _assert_agree(new)
     for a, b in [("r", "r"), ("q", "q"), ("x_to_p2", "x_to_p1"),
@@ -231,22 +257,23 @@ def test_stage_maps_agree_with_string_oracle(replay):
 def _wrong_face_image(f):
     """f with one non-degenerate edge sent to an edge of another target."""
     X = f.dst
-    for (m, sid), img in sorted(f.simplex_map.items()):
+    doc = f.to_json_dict()
+    for entry in doc["simplices"]:
+        m, sid, img = entry
         if m != 1:
             continue
         for other in X.simplex_ids(1):
             if X.face_of(1, 0, other) != X.face_of(1, 0, img):
-                simp = dict(f.simplex_map)
-                simp[(1, sid)] = other
-                return tdelta.TDeltaMap(f.src, X, simp, f.token_map), sid
+                entry[2] = other
+                return tdelta.map_from_json_dict(f.src, X, doc), sid
     raise AssertionError("no edge with a different target")
 
 
 def _missing_token_image(f):
     """f with the stored image of one free token dropped."""
-    key = max(f.token_map)
-    tok = {k: v for k, v in f.token_map.items() if k != key}
-    return tdelta.TDeltaMap(f.src, f.dst, f.simplex_map, tok), key
+    doc = f.to_json_dict()
+    m, t, _ = doc["tokens"].pop()
+    return tdelta.map_from_json_dict(f.src, f.dst, doc), (m, t)
 
 
 @pytest.mark.parametrize("name", ["x_to_p1", "p2_to_p3", "s4"])
@@ -260,21 +287,21 @@ def test_wrong_face_image_agrees_with_string_oracle(replay, name):
     assert not bad.equals(f) and not ref_equals(bad, f)
     for g in maps.values():
         if g.src is f.dst:
-            new, ref = g.compose(bad), ref_compose(g, bad)
-            assert (new.simplex_map, new.token_map) == \
-                (ref.simplex_map, ref.token_map)
+            new = g.compose(bad)
+            assert new.to_json_dict() == ref_compose(g, bad)
             _assert_agree(new)
 
 
 def _wrong_token_image(f):
     """f with one free token sent to a token over another simplex."""
     X = f.dst
-    for (m, tid), img in sorted(f.token_map.items()):
+    doc = f.to_json_dict()
+    for entry in doc["tokens"]:
+        m, tid, img = entry
         for other in X.token_ids(m):
             if X.under_of(m, other) != X.under_of(m, img):
-                tok = dict(f.token_map)
-                tok[(m, tid)] = other
-                return tdelta.TDeltaMap(f.src, X, f.simplex_map, tok)
+                entry[2] = other
+                return tdelta.map_from_json_dict(f.src, X, doc)
     raise AssertionError("no token over another simplex")
 
 
@@ -282,7 +309,7 @@ def _wrong_token_image(f):
 def test_wrong_token_image_agrees_with_string_oracle(replay, name):
     maps, _ = replay
     f = maps[name]
-    if not f.token_map:
+    if not generators(f)[1]:
         pytest.skip(f"{name} stores no token images here")
     bad = _wrong_token_image(f)
     assert not bad.is_valid() and not ref_is_valid(bad)
@@ -294,7 +321,7 @@ def test_wrong_token_image_agrees_with_string_oracle(replay, name):
 def test_missing_token_image_agrees_with_string_oracle(replay, name):
     maps, _ = replay
     f = maps[name]
-    if not f.token_map:
+    if not generators(f)[1]:
         pytest.skip(f"{name} stores no token images here")
     bad, (m, t) = _missing_token_image(f)
     assert not bad.is_valid() and not ref_is_valid(bad)

@@ -182,9 +182,10 @@ def test_pushout_adds_marking_token():
 def test_pushout_of_empty_is_coproduct():
     empty = boundary(0)
     A = delta(0)
-    f = tdelta.TDeltaMap(empty, A, {}, {})
+    nothing = {"simplices": [], "tokens": []}
+    f = tdelta.map_from_json_dict(empty, A, nothing)
     B = delta(0)
-    i = tdelta.TDeltaMap(empty, B, {}, {})
+    i = tdelta.map_from_json_dict(empty, B, nothing)
     P, _, _ = pushout(f, i)
     assert len(P.simplex_ids(0)) == 2
     C = coproduct([A, B])
@@ -201,8 +202,7 @@ def test_pushout_universal_property_small():
     P, xp, bp = pushout(f, i)
     T = delta(2)
     cocones = [(u, v) for u in maps(X, T) for v in maps(B, T)
-               if u.compose(f).simplex_table() == v.compose(i).simplex_table()
-               and u.compose(f).token_table() == v.compose(i).token_table()]
+               if u.compose(f).to_json_dict() == v.compose(i).to_json_dict()]
     assert len(cocones) == 14
     for u, v in cocones:
         throughs = [w for w in maps(P, T)
@@ -330,6 +330,81 @@ def test_tdelta_json_round_trip():
         back = TruncatedTDeltaSet.from_json_dict(doc, name=X.name)
         assert back.same_as(X)
         assert back.to_json_dict() == doc
+
+
+def _edge_map_document():
+    """Delta[1]_t -> Delta[2] marked on 01: the inclusion, as a document."""
+    A, X = delta_t(1), delta(2, marked={(0, 1)})
+    return A, X, inclusion_map(A, X).to_json_dict()
+
+
+def test_map_document_round_trip():
+    A, X, doc = _edge_map_document()
+    assert doc == {"simplices": [[0, "0", "0"], [0, "1", "1"],
+                                 [1, "01", "01"]],
+                   "tokens": [[1, "t|01", "t|01"]]}
+    f = tdelta.map_from_json_dict(A, X, doc)
+    assert f.is_valid() and f.to_json_dict() == doc
+    assert f.equals(inclusion_map(A, X))
+
+
+def _replace(key, k, entry):
+    def mutate(doc):
+        doc[key][k] = entry
+    return mutate
+
+
+def _append(key, entry):
+    return lambda doc: doc[key].append(entry)
+
+
+@pytest.mark.parametrize("mutate", [
+    _append("simplices", [9, "0", "0"]),
+    _append("simplices", [2, "012", "012"]),
+    _replace("simplices", 2, [True, "01", "01"]),
+    _replace("simplices", 2, [1.0, "01", "01"]),
+    _replace("simplices", 2, ["1", "01", "01"]),
+    _append("simplices", [1, "nope", "01"]),
+    _append("simplices", [1, "00", "00"]),
+    _replace("simplices", 2, [1, "01", "012"]),
+    _append("simplices", [0, "0", "1"]),
+    _append("simplices", [0, "0", "0"]),
+    _append("tokens", [1, "t|nope", "t|01"]),
+    _append("tokens", [1, "t|00", "t|00"]),
+    _replace("tokens", 0, [1, "t|01", "t|nope"]),
+    _replace("tokens", 0, [False, "t|01", "t|01"]),
+    _append("tokens", [1, "t|01", "t|00"]),
+], ids=["level-9", "level-2-source-lacks", "bool-level", "float-level",
+        "string-level", "unknown-simplex", "degenerate-simplex",
+        "target-at-other-level", "repeated-source", "repeated-entry",
+        "unknown-token", "comarked-token", "unknown-target-token",
+        "bool-token-level", "repeated-token"])
+def test_map_loader_rejects_what_it_would_drop(mutate):
+    A, X, doc = _edge_map_document()
+    mutate(doc)
+    with pytest.raises(twocat.InvalidInput, match="would be dropped"):
+        tdelta.map_from_json_dict(A, X, doc)
+
+
+def test_map_loader_rejects_a_level_the_target_lacks():
+    A, X = delta(2), delta(1)
+    doc = {"simplices": [[0, "0", "0"], [0, "1", "0"], [0, "2", "1"],
+                         [1, "01", "00"], [1, "02", "01"], [1, "12", "01"],
+                         [2, "012", "001"]], "tokens": []}
+    with pytest.raises(twocat.InvalidInput, match="would be dropped"):
+        tdelta.map_from_json_dict(A, X, doc)
+    doc["simplices"].pop()
+    assert tdelta.map_from_json_dict(A, X, doc).to_json_dict() == doc
+
+
+def test_map_loader_keeps_a_partial_map():
+    """A generator the document leaves out stays undefined."""
+    A, X, doc = _edge_map_document()
+    for key in ("simplices", "tokens"):
+        part = dict(doc, **{key: doc[key][:-1]})
+        f = tdelta.map_from_json_dict(A, X, part)
+        assert not f.is_valid()
+        assert f.to_json_dict() == part
 
 
 def test_budget_env_override(monkeypatch):
