@@ -203,10 +203,9 @@ def _nondeg_chains(A, tops):
 def _free_token_unders(S):
     out = []
     for m in range(1, S.dim + 1):
-        zwit = S._zeta_wit[m]
-        for idx, w in enumerate(zwit):
-            if w is None:
-                out.append((m, S._tok_under[m][idx]))
+        under = S._tok_under[m]
+        free = set(range(len(under))).difference(*S._zeta[m - 1])
+        out += [(m, under[t]) for t in sorted(free)]
     return out
 
 
@@ -239,13 +238,15 @@ def _compile_plan(ext):
     for lvl, under in _free_token_unders(A):
         pos, drops = chains[(lvl, under)]
         domain_marks.append((lvl, pos, drops))
+    # per level: the simplices of B under a token whose id A lacks
+    fresh = [None] + [{B._tok_under[lvl][B._tok_idx[lvl][t]] for t in
+                       set(B._tok_ids[lvl]).difference(A.token_ids(lvl))}
+                      for lvl in range(1, B.dim + 1)]
     lift_marks = []
     for lvl, under in _free_token_unders(B):
+        if under not in fresh[lvl]:
+            continue  # every token over it already lives in the domain
         bid = B._ids[lvl][under]
-        tids = {B._tok_ids[lvl][t]
-                for t in B._tokens_over_idx[lvl].get(under, ())}
-        if tids <= set(A.token_ids(lvl)):
-            continue  # every token here already lives in the domain
         if bid not in A._idx[lvl]:
             if ext.family != "horn":
                 raise InvalidInput(

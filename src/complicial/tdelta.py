@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .twocat import InvalidInput
 
@@ -171,8 +171,8 @@ class TruncatedTDeltaSet:
     def nondegenerate_ids(self, m):
         if not 0 <= m <= self.dim:
             return []
-        wit = self._deg_wit[m]
-        return [s for i, s in enumerate(self._ids[m]) if wit[i] is None]
+        hit = set().union(*self._deg[m - 1]) if m else ()
+        return [s for i, s in enumerate(self._ids[m]) if i not in hit]
 
     def counts(self):
         return {
@@ -852,36 +852,46 @@ def _minimal_tokens(dim, ids, deg, marked):
     return tok_ids, tok_under, zeta
 
 
-def _build_simplicial(dim, level_seqs, marked, name):
-    """Stratified object on monotone vertex sequences with minimal markings.
-
-    ``level_seqs[m]`` lists the sequences present at level m (closed under
-    faces and degeneracies); ``marked`` is a set of non-degenerate vertex
-    tuples to mark on top of the degenerate ones.  The tables come straight
-    from the ranks of vertex tuples within their level; each simplex's
-    string id is derived once.
-    """
-    rank = [{s: j for j, s in enumerate(level)} for level in level_seqs]
-    face = [None] + [[[rank[m - 1][s[:i] + s[i + 1:]] for s in level_seqs[m]]
-                      for i in range(m + 1)] for m in range(1, dim + 1)]
-    deg = [[[rank[m + 1][s[:i + 1] + s[i:]] for s in level_seqs[m]]
-            for i in range(m + 1)] for m in range(dim)] + [None]
-    ids = [[_seq_id(s) for s in level] for level in level_seqs]
-    marks = [None] + [{rank[m][s] for s in marked if s in rank[m]}
-                      for m in range(1, dim + 1)]
-    return TruncatedTDeltaSet(dim, ids, face, deg,
-                              *_minimal_tokens(dim, ids, deg, marks),
-                              name=name)
-
-
 def _monotone(m, k):
     """Monotone sequences of length k+1 with values in 0..m."""
     return list(itertools.combinations_with_replacement(range(m + 1), k + 1))
 
 
-def _filtered_levels(m, dim, keep):
-    return [[s for s in _monotone(m, k) if keep(frozenset(s))]
+@lru_cache(maxsize=(MAX_DIM + 1) ** 2)
+def _delta_tables(m, dim):
+    """(rank, ids, face, deg) of Delta[m] truncated at dim, shared by every
+    shape on it and never written to: per level the index of each monotone
+    vertex sequence, and the id, face and degeneracy rows."""
+    rank = [{s: j for j, s in enumerate(_monotone(m, k))}
             for k in range(dim + 1)]
+    face = [None] + [[[rank[k - 1][s[:i] + s[i + 1:]] for s in rank[k]]
+                      for i in range(k + 1)] for k in range(1, dim + 1)]
+    deg = [[[rank[k + 1][s[:i + 1] + s[i:]] for s in rank[k]]
+            for i in range(k + 1)] for k in range(dim)] + [None]
+    return rank, [list(map(_seq_id, level)) for level in rank], face, deg
+
+
+def _build_simplicial(m, dim, marked, name, keep=None):
+    """Stratified object on Delta[m] truncated at dim, or on its simplices
+    whose vertex sets pass ``keep`` (closed under faces), with minimal
+    markings and the vertex tuples in ``marked`` marked on top."""
+    rank, ids, face, deg = _delta_tables(m, dim)
+    marks = [{rank[k][s] for s in marked if s in rank[k]}
+             for k in range(dim + 1)]
+    if keep is not None:  # restrict the rows of Delta[m] and renumber
+        place = [{j: new for new, j in enumerate(
+            j for s, j in level.items() if keep(frozenset(s)))}
+            for level in rank]
+        ids = [[ids[k][j] for j in place[k]] for k in range(dim + 1)]
+        face = [None] + [[[place[k - 1][row[j]] for j in place[k]]
+                          for row in face[k]] for k in range(1, dim + 1)]
+        deg = [[[place[k + 1][row[j]] for j in place[k]] for row in deg[k]]
+               for k in range(dim)] + [None]
+        marks = [{place[k][j] for j in marks[k] & place[k].keys()}
+                 for k in range(dim + 1)]
+    return TruncatedTDeltaSet(dim, ids, face, deg,
+                              *_minimal_tokens(dim, ids, deg, marks),
+                              name=name)
 
 
 def delta(m, dim=None, marked=(), name=None):
@@ -889,9 +899,7 @@ def delta(m, dim=None, marked=(), name=None):
     dim = m if dim is None else dim
     if not all(isinstance(s, tuple) for s in marked):
         raise InvalidInput("marked simplices are given as vertex tuples")
-    levels = [_monotone(m, k) for k in range(dim + 1)]
-    return _build_simplicial(dim, levels, set(marked),
-                             name or f"Delta[{m}]")
+    return _build_simplicial(m, dim, set(marked), name or f"Delta[{m}]")
 
 
 def delta_t(m, dim=None):
@@ -904,8 +912,8 @@ def delta_t(m, dim=None):
 def boundary(m, dim=None):
     dim = max(m - 1, 0) if dim is None else dim
     full = frozenset(range(m + 1))
-    levels = _filtered_levels(m, dim, lambda vs: vs != full)
-    return _build_simplicial(dim, levels, set(), f"dDelta[{m}]")
+    return _build_simplicial(m, dim, set(), f"dDelta[{m}]",
+                             keep=lambda vs: vs != full)
 
 
 def _admissible(k, m):
@@ -956,9 +964,8 @@ def horn(k, m, dim=None):
         raise InvalidInput("need 0 <= k <= m")
     dim = m if dim is None else dim
     other = frozenset(v for v in range(m + 1) if v != k)
-    levels = _filtered_levels(m, dim, lambda vs: not other <= vs)
-    return _build_simplicial(dim, levels, _marked_for_delta_k(k, m, dim),
-                             f"Horn^{k}[{m}]")
+    return _build_simplicial(m, dim, _marked_for_delta_k(k, m, dim),
+                             f"Horn^{k}[{m}]", keep=lambda vs: not other <= vs)
 
 
 def delta3_eq(dim=3):

@@ -218,6 +218,50 @@ def test_unwritable_output_exits_input(argv, tmp_path, capsys):
     assert "input error: cannot write" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["nerve", "--input", "{cat}", "--dim", "5", "--out", "{tmp}/missing/X.json"],
+    ["check-fibrant", "--input", "{nerve}", "--dim", "5",
+     "--report", "{tmp}/missing/R.json"],
+    ["check-fibrant", "--input", "{nerve}", "--dim", "5",
+     "--report", "{cat}/R.json"],
+    ["categorify", "--input", "{nerve}", "--out", "{tmp}/missing/P.json"],
+    ["counit-check", "--cat", "{cat}", "--report", "{tmp}/missing/K.json"],
+], ids=["nerve", "check-fibrant", "check-fibrant-file-as-dir", "categorify",
+        "counit-check"])
+def test_unwritable_output_fails_before_any_work(argv, tmp_path, capsys,
+                                                 monkeypatch):
+    """An output whose directory is missing ends the command before it
+    loads its input, and so before any search."""
+    cat, nerve = tmp_path / "C.json", tmp_path / "X.json"
+    assert run(["examples", "--name", "oriental-3", "--out", str(cat)]) == 0
+    assert run(["nerve", "--input", str(cat), "--dim", "5",
+                "--out", str(nerve)]) == 0
+    capsys.readouterr()
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the output was checked")
+
+    for name in ("_load", "_load_two_category", "_load_tdelta"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(cli.lifting, "is_precomplicial", never)
+    argv = [a.format(tmp=tmp_path, cat=cat, nerve=nerve) for a in argv]
+    assert run(argv) == cli.EXIT_INPUT
+    assert "input error: cannot write" in capsys.readouterr().err
+
+
+def test_failed_command_leaves_existing_output_alone(tmp_path, capsys):
+    """The early check neither creates nor truncates the output."""
+    bad, report = tmp_path / "X.json", tmp_path / "R.json"
+    bad.write_text("{}")
+    report.write_text("kept\n")
+    assert run(["check-fibrant", "--input", str(bad), "--dim", "2",
+                "--report", str(report)]) == cli.EXIT_INPUT
+    assert report.read_text() == "kept\n"
+    assert run(["check-fibrant", "--input", str(bad), "--dim", "2",
+                "--report", str(tmp_path / "new.json")]) == cli.EXIT_INPUT
+    assert not (tmp_path / "new.json").exists()
+
+
 def _set(path, value):
     def mutate(doc):
         node = doc

@@ -254,7 +254,7 @@ def test_positive_fibrancy_small(catalog):
         {"horn", "thinness", "triviality", "saturation"}
 
 
-def test_jobs_parameter_deterministic(catalog):
+def test_fibrancy_report_deterministic(catalog):
     """Two runs on separately built nerves give byte-identical reports."""
     r1, r2 = (is_precomplicial(nerves.natural_nerve(catalog["sigma-iso"], 4),
                                2, 4) for _ in range(2))

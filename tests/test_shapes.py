@@ -229,3 +229,27 @@ GLUING_AND_SMALL = [
     ids=[f"shape{i}" for i in range(len(GLUING_AND_SMALL))])
 def test_other_shapes_match_reference(build, ref):
     _assert_same(build(), ref())
+
+
+def test_shapes_in_any_build_order_match_reference():
+    """Shapes on one Delta[m] share its rows; building them in an order
+    unlike the library's, and again, still gives the reference tables."""
+    tdelta._delta_tables.cache_clear()
+    order = [
+        (lambda: tdelta.delta_k(1, 4), lambda: ref_delta_k(1, 4)),
+        (lambda: tdelta.horn(1, 4), lambda: ref_horn(1, 4)),
+        (lambda: tdelta.delta(4), lambda: ref_delta(4)),
+        (lambda: tdelta.boundary(4, dim=4), lambda: ref_boundary(4, 4)),
+        (lambda: tdelta.delta(4, dim=5), lambda: ref_delta(4, 5)),
+        (lambda: tdelta.delta_k(1, 4), lambda: ref_delta_k(1, 4)),
+    ]
+    built = []
+    for build, ref in order:
+        X, R = build(), ref()
+        _assert_same(X, R)
+        assert ([X.tokens_over(m, s) for m in range(1, X.dim + 1)
+                 for s in X.simplex_ids(m)] ==
+                [R.tokens_over(m, s) for m in range(1, R.dim + 1)
+                 for s in R.simplex_ids(m)])
+        built.append(X)
+    assert built[0]._face[4][0] is built[2]._face[4][0] is built[5]._face[4][0]
