@@ -20,9 +20,8 @@ remaining relations through a congruence closure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import nerves, twocat
+from .record import OrderedRecord, Record
 from .twocat import FiniteTwoCategory, InvalidInput, OneCell, TwoCell
 
 
@@ -36,32 +35,25 @@ class CounitRelationError(Exception):
     """A transcription relation fails inside the target 2-category."""
 
 
-@dataclass(frozen=True, order=True)
-class Word:
-    src: str
-    tgt: str
-    gens: tuple = ()
+class Word(OrderedRecord):
+    __slots__ = ("src", "tgt", "gens")
+    _defaults = ((),)
 
 
-@dataclass(frozen=True, order=True)
-class PastingFactor:
-    pre: tuple
-    gen: str
-    post: tuple
+class PastingFactor(OrderedRecord):
+    __slots__ = ("pre", "gen", "post")
 
 
-@dataclass(frozen=True, order=True)
-class Pasting:
-    src: Word
-    factors: tuple = ()
+class Pasting(OrderedRecord):
+    __slots__ = ("src", "factors")  # a Word; PastingFactors
+    _defaults = ((),)
 
 
-@dataclass
-class TwoPolygraph:
-    zero_gens: tuple
-    one_gens: dict   # id -> (src, tgt)
-    two_gens: dict   # id -> (Word, Word)
-    relations: tuple  # of (Pasting, Pasting), each pair sorted
+class TwoPolygraph(Record):
+    __slots__ = ("zero_gens",
+                 "one_gens",    # id -> (src, tgt)
+                 "two_gens",    # id -> (Word, Word)
+                 "relations")   # of (Pasting, Pasting), each pair sorted
 
     def word(self, src, gens):
         tgt = src
@@ -520,13 +512,9 @@ def evaluate_free(P, budget=20000):
 
 # -- the counit of the nerve-categorification adjunction ----------------------
 
-@dataclass
-class CounitAssignment:
-    polygraph: TwoPolygraph
-    on_one: dict
-    on_two: dict
-    nerve: object          # the natural nerve that polygraph presents
-    info: nerves.NerveInfo
+class CounitAssignment(Record):
+    # nerve: the natural nerve that polygraph presents
+    __slots__ = ("polygraph", "on_one", "on_two", "nerve", "info")
 
 
 def _eval_word(C, on_one, w):
@@ -591,10 +579,8 @@ def counit_assignment(C, N=4):
     return CounitAssignment(P, on_one, on_two, X, info)
 
 
-@dataclass
-class SectionResult:
-    ok: bool
-    mismatches: list
+class SectionResult(Record):
+    __slots__ = ("ok", "mismatches")
 
     def __bool__(self):
         return self.ok

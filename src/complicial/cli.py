@@ -20,7 +20,7 @@ import sys
 
 from . import categorify as categorify_mod
 from . import factorization, lifting, nerves, tdelta, twocat
-from .categorify import CounitRelationError, EvaluationRefused
+from .categorify import CounitRelationError
 from .factorization import StageError
 from .tdelta import BudgetExceeded
 from .twocat import InvalidInput
@@ -281,9 +281,6 @@ def main(argv=None):
     except BudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except EvaluationRefused as exc:
-        print(f"evaluation refused: {exc.reason}", file=sys.stderr)
-        return EXIT_BUDGET if "budget" in exc.reason else EXIT_MATH
     except (StageError, CounitRelationError) as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_MATH

@@ -23,8 +23,6 @@ object is compared for strict equality with the natural nerve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import lifting, nerves, tdelta, twocat
 from .lifting import saturation, thinness
 from .nerves import completion_token
@@ -64,13 +62,13 @@ def _gluings(X, ext, tops, stage):
     return out
 
 
-@dataclass
 class StageReport:
-    name: str
-    gluings: int
-    tokens_before: list
-    tokens_after: list
-    notes: dict = field(default_factory=dict)
+    __slots__ = ("name", "gluings", "tokens_before", "tokens_after", "notes")
+
+    def __init__(self, name, gluings, tokens_before, tokens_after, notes=None):
+        self.name, self.gluings = name, gluings
+        self.tokens_before, self.tokens_after = tokens_before, tokens_after
+        self.notes = {} if notes is None else notes
 
 
 def _invertible_nonidentity(C):

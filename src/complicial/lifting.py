@@ -16,20 +16,15 @@ never conflated with a definitive "no lift".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import tdelta
-from .tdelta import (BudgetExceeded, TDeltaMap, get_budget, inclusion_map,
+from .record import Record
+from .tdelta import (BudgetExceeded, get_budget, inclusion_map,
                      map_on_generators, _images_along, _iter_maps, _to_map)
 from .twocat import InvalidInput
 
 
-@dataclass(frozen=True)
-class AnodyneExtension:
-    family: str
-    params: tuple  # sorted (key, value) pairs
-    A: object
-    B: object
+class AnodyneExtension(Record):
+    __slots__ = ("family", "params", "A", "B")  # params: sorted (key, value)
 
     @property
     def inclusion(self):
@@ -40,10 +35,8 @@ class AnodyneExtension:
         return f"{self.family}({inner})"
 
 
-@dataclass(frozen=True)
-class LiftingProblem:
-    extension: AnodyneExtension
-    along: TDeltaMap  # A -> X
+class LiftingProblem(Record):
+    __slots__ = ("extension", "along")  # along: A -> X
 
 
 def thinness(k, m):
@@ -105,22 +98,16 @@ def find_lift(problem, budget=None, reverse=False):
     return None
 
 
-@dataclass
-class ExtensionResult:
-    extension: AnodyneExtension
-    maps_checked: int
-    witness: TDeltaMap | None  # a map with no lift, if any
+class ExtensionResult(Record):
+    __slots__ = ("extension", "maps_checked", "witness")  # a map with no lift
 
     @property
     def passed(self):
         return self.witness is None
 
 
-@dataclass
-class FibrancyReport:
-    n: int
-    dim: int
-    results: list
+class FibrancyReport(Record):
+    __slots__ = ("n", "dim", "results")
 
     @property
     def passed(self):
@@ -157,8 +144,7 @@ class FibrancyReport:
         }
 
 
-@dataclass
-class _Plan:
+class _Plan(Record):
     """Compiled shape data for one elementary extension.
 
     Every domain in the library has underlying simplicial set either a
@@ -169,14 +155,14 @@ class _Plan:
     to indexed lookups.
     """
 
-    kind: str           # "simplex" | "horn"
-    m: int
-    k: int | None
-    slots: list         # face positions carrying the family ("horn" only)
-    chains: dict        # A nondeg (level, idx) -> (slot_pos, drops)
-    domain_marks: list  # (level, slot_pos, drops) that must be marked in X
-    lift_marks: list    # same, for the extra marked simplices of B
-    fk_faces: list | None  # ("horn") chains for the faces of the missing face
+    __slots__ = (
+        "kind",          # "simplex" | "horn"
+        "m", "k",
+        "slots",         # face positions carrying the family ("horn" only)
+        "chains",        # A nondeg (level, idx) -> (slot_pos, drops)
+        "domain_marks",  # (level, slot_pos, drops) that must be marked in X
+        "lift_marks",    # same, for the extra marked simplices of B
+        "fk_faces")      # ("horn") chains for the faces of the missing face
 
 
 def _nondeg_chains(A, tops):

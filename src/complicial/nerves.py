@@ -16,22 +16,21 @@ Markings:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import tdelta, twocat
 from .tdelta import TruncatedTDeltaSet
 from .twocat import InvalidInput
 
 
-@dataclass
 class NerveInfo:
     """Construction metadata: witness cells behind the simplex ids."""
 
-    C: object
-    dim: int
-    two_data: dict = field(default_factory=dict)   # sid -> (u, v, alpha)
-    two_index: dict = field(default_factory=dict)  # (u, v, alpha) -> sid
-    completions: dict = field(default_factory=dict)
+    __slots__ = ("C", "dim", "two_data", "two_index", "completions")
+
+    def __init__(self, C, dim):
+        self.C, self.dim = C, dim
+        self.two_data = {}   # sid -> (u, v, alpha)
+        self.two_index = {}  # (u, v, alpha) -> sid
+        self.completions = {}
 
     def witness(self, sid):
         return self.two_data[sid][2]

@@ -71,9 +71,9 @@ def _check(row, targets, what, sources):
 def _level_order(level):
     """(order, place) for one level of ids: its indices in the string order
     of the ids, and the new index of each old one; None if already sorted."""
-    order = sorted(range(len(level)), key=level.__getitem__)
-    if order == list(range(len(level))):
+    if level == sorted(level):
         return None
+    order = sorted(range(len(level)), key=level.__getitem__)
     place = [0] * len(order)
     for new, old in enumerate(order):
         place[old] = new
@@ -110,7 +110,14 @@ class TruncatedTDeltaSet:
         """
         if dim < 0:
             raise InvalidInput("dimension bound must be >= 0")
-        s_ord = [_level_order(level) for level in ids]
+        # the shared rows of a Delta[m] are in order, indexed and valid as
+        # built; every other row, and every token row, is checked
+        shared = (type(ids) is _DeltaIds and len(ids) == dim + 1
+                  and face is ids.face and deg is ids.deg)
+        if shared:
+            s_ord, self._idx = [None] * (dim + 1), list(ids.idx)
+        else:
+            s_ord = [_level_order(level) for level in ids]
         t_ord = [None] + [_level_order(tok_ids[m]) for m in range(1, dim + 1)]
         self.dim = dim
         self.name = name
@@ -118,7 +125,8 @@ class TruncatedTDeltaSet:
                            for m in range(dim + 1)]
         self._tok_ids = tok_ids = [None] + [
             _reorder(tok_ids[m], t_ord[m], None) for m in range(1, dim + 1)]
-        self._idx = [_index(ids[m], "simplex", m) for m in range(dim + 1)]
+        if not shared:
+            self._idx = [_index(ids[m], "simplex", m) for m in range(dim + 1)]
         self._tok_idx = [None] + [_index(tok_ids[m], "token", m)
                                   for m in range(1, dim + 1)]
         self._face = face = [None] + [
@@ -135,10 +143,12 @@ class TruncatedTDeltaSet:
             for m in range(1, dim + 1)]
         for m in range(dim + 1):
             for i in range(m + 1):
-                if m:
+                if m and not shared:
                     _check(face[m][i], ids[m - 1], f"simplex as d_{i}", ids[m])
                 if m < dim:
-                    _check(deg[m][i], ids[m + 1], f"simplex as s_{i}", ids[m])
+                    if not shared:
+                        _check(deg[m][i], ids[m + 1], f"simplex as s_{i}",
+                               ids[m])
                     _check(zeta[m][i], tok_ids[m + 1], f"token as zeta_{i}",
                            ids[m])
             if m:
@@ -857,18 +867,32 @@ def _monotone(m, k):
     return list(itertools.combinations_with_replacement(range(m + 1), k + 1))
 
 
+class _DeltaIds(list):
+    """The id levels of one Delta[m], each in string order, with their index
+    dicts and the face and degeneracy rows that go with them: the
+    constructor adopts these unchecked."""
+
+    __slots__ = ("idx", "face", "deg")
+
+
 @lru_cache(maxsize=(MAX_DIM + 1) ** 2)
 def _delta_tables(m, dim):
     """(rank, ids, face, deg) of Delta[m] truncated at dim, shared by every
     shape on it and never written to: per level the index of each monotone
-    vertex sequence, and the id, face and degeneracy rows."""
+    vertex sequence, and the id, face and degeneracy rows.  From m = 10 on
+    the vertex ids are not in string order and ids is a plain list."""
     rank = [{s: j for j, s in enumerate(_monotone(m, k))}
             for k in range(dim + 1)]
     face = [None] + [[[rank[k - 1][s[:i] + s[i + 1:]] for s in rank[k]]
                       for i in range(k + 1)] for k in range(1, dim + 1)]
     deg = [[[rank[k + 1][s[:i + 1] + s[i:]] for s in rank[k]]
             for i in range(k + 1)] for k in range(dim)] + [None]
-    return rank, [list(map(_seq_id, level)) for level in rank], face, deg
+    ids = [list(map(_seq_id, level)) for level in rank]
+    if all(level == sorted(level) for level in ids):
+        ids = _DeltaIds(ids)
+        ids.idx = [_index(level, "simplex", k) for k, level in enumerate(ids)]
+        ids.face, ids.deg = face, deg
+    return rank, ids, face, deg
 
 
 def _build_simplicial(m, dim, marked, name, keep=None):

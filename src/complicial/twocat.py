@@ -20,38 +20,29 @@ With these conventions the triangle identities of an adjunction
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
+
+from .record import OrderedRecord, Record
 
 
 class InvalidInput(ValueError):
     """Malformed constructor data or JSON document."""
 
 
-@dataclass(frozen=True, order=True)
-class OneCell:
-    id: str
-    src: str
-    tgt: str
-    identity: bool = False
+class OneCell(OrderedRecord):
+    __slots__ = ("id", "src", "tgt", "identity")
+    _defaults = (False,)
 
 
-@dataclass(frozen=True, order=True)
-class TwoCell:
-    id: str
-    src: str  # 1-cell id
-    tgt: str  # 1-cell id, parallel to src
-    identity: bool = False
+class TwoCell(OrderedRecord):
+    __slots__ = ("id", "src", "tgt", "identity")  # src, tgt: parallel 1-cells
+    _defaults = (False,)
 
 
-@dataclass(frozen=True, order=True)
-class AdjointEquivalence:
+class AdjointEquivalence(OrderedRecord):
     """A completion (f, g, eta, eps) with invertible unit and counit."""
 
-    f: str
-    g: str
-    eta: str
-    eps: str
+    __slots__ = ("f", "g", "eta", "eps")
 
 
 class FiniteTwoCategory:
@@ -474,13 +465,10 @@ def transpose_completion(C, ae):
 
 # -- 2-functor enumeration ----------------------------------------------------
 
-@dataclass(frozen=True)
-class TwoFunctor:
+class TwoFunctor(Record):
     """A strict 2-functor given by its three assignment tables."""
 
-    on_objects: tuple
-    on_one: tuple
-    on_two: tuple
+    __slots__ = ("on_objects", "on_one", "on_two")
 
     def ob(self, x):
         return dict(self.on_objects)[x]
@@ -604,13 +592,10 @@ def two_functors(C, D):
 
 # -- finite 1-categories and standard 2-categories ----------------------------
 
-@dataclass(frozen=True)
-class FiniteCategory:
+class FiniteCategory(Record):
     """A finite 1-category: arrow table with identities flagged."""
 
-    objects: tuple
-    arrows: tuple  # of OneCell
-    comp: tuple    # of ((g, f), result)
+    __slots__ = ("objects", "arrows", "comp")  # OneCells; ((g, f), result)s
 
     def arrow_map(self):
         return {a.id: a for a in self.arrows}

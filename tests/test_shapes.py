@@ -9,6 +9,7 @@ agree table for table and byte for byte, on every shape of the anodyne library
 and on the gluing shapes of the factorization.
 """
 
+import copy
 import functools
 import itertools
 
@@ -16,6 +17,7 @@ import pytest
 
 from complicial import lifting, tdelta
 from complicial.tdelta import TruncatedTDeltaSet
+from complicial.twocat import InvalidInput
 
 
 def tdelta_from_dicts(dim, simplices, faces, degs, tokens, zeta, name=""):
@@ -253,3 +255,28 @@ def test_shapes_in_any_build_order_match_reference():
                  for s in R.simplex_ids(m)])
         built.append(X)
     assert built[0]._face[4][0] is built[2]._face[4][0] is built[5]._face[4][0]
+
+
+def test_constructor_adopts_only_the_shared_delta_rows_unchecked():
+    """Every shape on one Delta[m] adopts its rows and index dicts as they
+    are; copied or restricted simplex rows and all token rows are checked."""
+    X, Y = tdelta.delta(3, dim=4), tdelta.delta_k(1, 3, dim=4)
+    assert all(X._idx[m] is Y._idx[m] for m in range(5))
+    assert tdelta.horn(1, 3, dim=4)._idx[1] is not X._idx[1]
+    assert type(tdelta._delta_tables(10, 1)[1]) is list  # "10" < "2"
+    _, ids, face, deg = tdelta._delta_tables(2, 2)
+    tok_ids, tok_under, zeta = tdelta._minimal_tokens(2, ids, deg, [set()] * 3)
+    copied = TruncatedTDeltaSet(2, [list(level) for level in ids], face, deg,
+                                tok_ids, tok_under, zeta, name="Delta[2]")
+    _assert_same(copied, tdelta.delta(2))
+    assert copied._idx[1] is not tdelta.delta(2)._idx[1]
+
+    under, z, f, d = map(copy.deepcopy, (tok_under, zeta, face, deg))
+    under[1][0] = z[0][0][0] = f[1][0][0] = d[0][0][0] = 99
+    cases = [((ids, face, deg, tok_ids, under, zeta), "unknown simplex under"),
+             ((ids, face, deg, tok_ids, tok_under, z), "unknown token as zeta_0"),
+             ((ids, f, deg, tok_ids, tok_under, zeta), "unknown simplex as d_0"),
+             ((ids, face, d, tok_ids, tok_under, zeta), "unknown simplex as s_0")]
+    for args, message in cases:
+        with pytest.raises(InvalidInput, match=message):
+            TruncatedTDeltaSet(2, *args)
