@@ -14,17 +14,13 @@ def _compare(op):
     def method(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return op(self._values(self), other._values(other))
+        return op(self._key, other._key)
     return method
 
 
 class Record:
-    __slots__ = ()
+    __slots__ = ("_key",)  # the tuple of the fields
     _defaults = ()
-
-    def __init_subclass__(cls):
-        if cls.__slots__:
-            cls._values = operator.attrgetter(*cls.__slots__)
 
     def __init__(self, *args):
         names = self.__slots__
@@ -34,6 +30,7 @@ class Record:
             if len(args) != len(names):
                 raise TypeError(f"{type(self).__name__} takes the fields "
                                 f"{names}")
+        _set(self, "_key", args)
         for name, value in zip(names, args):
             _set(self, name, value)
 
@@ -44,10 +41,13 @@ class Record:
     __eq__ = _compare(operator.eq)
 
     def __hash__(self):
-        return hash(self._values(self))
+        return hash(self._key)
 
     def __repr__(self):
-        return f"{type(self).__name__}{self._values(self)!r}"
+        return f"{type(self).__name__}{self._key!r}"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._key
 
 
 class OrderedRecord(Record):

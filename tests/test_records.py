@@ -6,6 +6,7 @@ compare as the tuple of their fields; none can be assigned to.  The mutable
 records keep their defaults, with one fresh dict per instance.
 """
 
+import copy
 import itertools
 
 import pytest
@@ -69,6 +70,7 @@ def test_equal_fields_mean_equal_records(cls):
     x, y = (cls(*v) for v in values)
     assert x != y and not x == y
     assert len({x, y}) == 2
+    assert copy.copy(x) == x and _fields(copy.copy(x)) == values[0]
 
 
 @pytest.mark.parametrize("cls", list(RECORDS), ids=lambda c: c.__name__)
