@@ -10,25 +10,13 @@ nothing.
 A pasting is a vertical list of whiskered 2-generators; each factor stores
 the 1-generator words applied before and after its generator, so pastings
 rewrite plain words.  Relations are unordered pairs of parallel pastings.
-
-``evaluate_presentation`` builds the finite 2-category presented by a small
-enough presentation: it refuses cyclic 1-generator graphs, closes the
-pasting cells under composition with interchange-canonical normal forms
-(cancelling recognizable formal-inverse pairs), and quotients by the
-remaining relations through a congruence closure.
 """
 
 from __future__ import annotations
 
 from . import nerves, twocat
 from .record import OrderedRecord, Record
-from .twocat import FiniteTwoCategory, InvalidInput, OneCell, TwoCell
-
-
-class EvaluationRefused(RuntimeError):
-    def __init__(self, reason):
-        super().__init__(reason)
-        self.reason = reason
+from .twocat import InvalidInput
 
 
 class CounitRelationError(Exception):
@@ -239,275 +227,6 @@ def categorify(X):
         raise InvalidInput("categorify produced an ill-typed presentation: "
                            + "; ".join(errs[:3]))
     return P
-
-
-# -- evaluation ---------------------------------------------------------------
-
-def _one_cell_words(P, limit):
-    """All composable 1-generator words; refuses cyclic generator graphs."""
-    outgoing = {}
-    for g, (s, t) in sorted(P.one_gens.items()):
-        outgoing.setdefault(s, []).append(g)
-    color = {}
-
-    def visit(v):
-        color[v] = 1
-        for g in outgoing.get(v, ()):
-            t = P.one_gens[g][1]
-            if color.get(t) == 1:
-                raise EvaluationRefused(
-                    f"1-generator graph has a cycle through {t}")
-            if color.get(t) is None:
-                visit(t)
-        color[v] = 2
-
-    for v in P.zero_gens:
-        if color.get(v) is None:
-            visit(v)
-    words = [Word(v, v, ()) for v in P.zero_gens]
-    frontier = list(words)
-    while frontier:
-        w = frontier.pop()
-        for g in outgoing.get(w.tgt, ()):
-            nxt = Word(w.src, P.one_gens[g][1], w.gens + (g,))
-            words.append(nxt)
-            frontier.append(nxt)
-            if len(words) > limit:
-                raise EvaluationRefused("too many 1-cell words")
-    return sorted(set(words))
-
-
-def _detect_inverse_pairs(P):
-    """Formal inverse pairs recognizable from bare cancellation relations."""
-    inv = {}
-    consumed = set()
-    for rel in P.relations:
-        lens = sorted(len(p.factors) for p in rel)
-        if lens != [0, 2]:
-            continue
-        long = rel[0] if len(rel[0].factors) == 2 else rel[1]
-        f1, f2 = long.factors
-        if f1.pre or f1.post or f2.pre or f2.post:
-            continue
-        inv[f1.gen] = f2.gen
-        inv[f2.gen] = f1.gen
-        consumed.add(rel)
-    return inv, consumed
-
-
-def _normalize(P, inv, factors):
-    """Interchange-canonical, inverse-cancelled factor sequence.
-
-    Adjacent factors acting on disjoint word segments commute; the canonical
-    form applies the leftmost segment first.  A factor followed by its
-    formal inverse on the same segment cancels.
-    """
-    fs = list(factors)
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i + 1 < len(fs):
-            a, b = fs[i], fs[i + 1]
-            sa, ta = P.two_gens[a.gen]
-            sb, tb = P.two_gens[b.gen]
-            p1, s1, t1 = len(a.pre), len(sa.gens), len(ta.gens)
-            p2, s2 = len(b.pre), len(sb.gens)
-            if inv.get(a.gen) == b.gen and a.pre == b.pre and a.post == b.post:
-                del fs[i:i + 2]
-                changed = True
-                i = max(i - 1, 0)
-                continue
-            if p2 + s2 <= p1 and (p2 < p1 or s2 > 0):
-                new_b = PastingFactor(a.pre[:p2], b.gen,
-                                      a.pre[p2 + s2:] + sa.gens + a.post)
-                new_a = PastingFactor(a.pre[:p2] + tb.gens + a.pre[p2 + s2:],
-                                      a.gen, a.post)
-                fs[i], fs[i + 1] = new_b, new_a
-                changed = True
-                i = max(i - 1, 0)
-                continue
-            if p2 >= p1 + t1 and p2 - t1 + s1 < p1:
-                off = p2 - p1 - t1
-                new_b = PastingFactor(a.pre + sa.gens + a.post[:off],
-                                      b.gen, a.post[off + s2:])
-                new_a = PastingFactor(a.pre, a.gen,
-                                      a.post[:off] + tb.gens
-                                      + a.post[off + s2:])
-                fs[i], fs[i + 1] = new_b, new_a
-                changed = True
-                i = max(i - 1, 0)
-                continue
-            i += 1
-    return tuple(fs)
-
-
-def _closure_cells(P, words, inv, budget):
-    """All pasting cells, keyed (source word, canonical factors) -> target."""
-    cells = {}
-    frontier = []
-    for w in words:
-        cells[(w, ())] = w
-        frontier.append((w, ()))
-    word_set = {(w.src, w.gens): w for w in words}
-    gens = sorted(P.two_gens.items())
-    while frontier:
-        src, fs = frontier.pop()
-        tgt = cells[(src, fs)]
-        for gid, (gsrc, gtgt) in gens:
-            glen = len(gsrc.gens)
-            for p in range(len(tgt.gens) - glen + 1):
-                if tgt.gens[p:p + glen] != gsrc.gens:
-                    continue
-                pre, post = tgt.gens[:p], tgt.gens[p + glen:]
-                if glen == 0:
-                    obj = src.src
-                    for g1 in pre:
-                        obj = P.one_gens[g1][1]
-                    if obj != gsrc.src:
-                        continue
-                nf = _normalize(P, inv, fs + (PastingFactor(pre, gid, post),))
-                key = (src, nf)
-                if key in cells:
-                    continue
-                cells[key] = word_set[(tgt.src, pre + gtgt.gens + post)]
-                frontier.append(key)
-                if len(cells) > budget:
-                    raise EvaluationRefused(
-                        "2-cell closure exceeded the budget")
-    return cells
-
-
-class _UnionFind(dict):
-    def find(self, a):
-        while self[a] != a:
-            self[a] = self[self[a]]
-            a = self[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self[rb] = ra
-        return True
-
-
-def evaluate_presentation(P, budget=20000):
-    """The finite 2-category presented by P, when small enough to build.
-
-    Returns (FiniteTwoCategory, word_to_cell, cell_class): the 1-cell id of
-    each generator word, and the 2-cell id of each closure cell.
-    """
-    errs = P.validate()
-    if errs:
-        raise InvalidInput("; ".join(errs))
-    words = _one_cell_words(P, limit=budget)
-    inv, consumed = _detect_inverse_pairs(P)
-    cells = _closure_cells(P, words, inv, budget)
-
-    def wid(w):
-        return f"id|{w.src}" if not w.gens else "w|" + ".".join(w.gens)
-
-    one = [OneCell(wid(w), w.src, w.tgt, not w.gens) for w in words]
-    comp1 = {}
-    for w1 in words:
-        for w2 in words:
-            if w1.tgt == w2.src:
-                comp1[(wid(w2), wid(w1))] = wid(
-                    Word(w1.src, w2.tgt, w1.gens + w2.gens))
-
-    def vcomp_cells(c2, c1):
-        return (c1[0], _normalize(P, inv, c1[1] + c2[1]))
-
-    def whisk_l(w, c):
-        nfs = tuple(PastingFactor(f.pre, f.gen, f.post + w.gens)
-                    for f in c[1])
-        nsrc = Word(c[0].src, w.tgt, c[0].gens + w.gens)
-        return (nsrc, _normalize(P, inv, nfs))
-
-    def whisk_r(c, w):
-        nfs = tuple(PastingFactor(w.gens + f.pre, f.gen, f.post)
-                    for f in c[1])
-        nsrc = Word(w.src, c[0].tgt, w.gens + c[0].gens)
-        return (nsrc, _normalize(P, inv, nfs))
-
-    uf = _UnionFind({c: c for c in cells})
-    pending = []
-
-    def merge(a, b):
-        if uf.union(a, b):
-            pending.append((a, b))
-
-    for rel in P.relations:
-        if rel in consumed:
-            continue
-        a = (rel[0].src, _normalize(P, inv, rel[0].factors))
-        b = (rel[1].src, _normalize(P, inv, rel[1].factors))
-        if a not in cells or b not in cells:
-            raise EvaluationRefused("relation outside the closed cell set")
-        merge(a, b)
-
-    cell_list = sorted(cells)
-    while pending:
-        a, b = pending.pop()
-        for c in cell_list:
-            if cells[a] == c[0]:
-                merge(vcomp_cells(c, a), vcomp_cells(c, b))
-            if cells[c] == a[0]:
-                merge(vcomp_cells(a, c), vcomp_cells(b, c))
-        for w in words:
-            if w.src == cells[a].tgt:
-                merge(whisk_l(w, a), whisk_l(w, b))
-            if w.tgt == a[0].src:
-                merge(whisk_r(a, w), whisk_r(b, w))
-
-    names = {}
-    for k, r in enumerate(sorted({uf.find(c) for c in cell_list})):
-        names[r] = f"p|{k}"
-    cid = {c: names[uf.find(c)] for c in cell_list}
-    identity_class = {cid[(w, ())]: w for w in words}
-    two = []
-    for r in sorted(names):
-        name = names[r]
-        if name in identity_class:
-            w0 = identity_class[name]
-            two.append(TwoCell(name, wid(w0), wid(w0), True))
-        else:
-            two.append(TwoCell(name, wid(r[0]), wid(cells[r]), False))
-
-    def fill(table, key, value, what):
-        if table.setdefault(key, value) != value:
-            raise EvaluationRefused(
-                f"{what} is not well-defined on classes; "
-                "presentation out of scope")
-
-    vcomp, wl, wr = {}, {}, {}
-    for c1 in cell_list:
-        for c2 in cell_list:
-            if cells[c1] == c2[0]:
-                fill(vcomp, (cid[c2], cid[c1]), cid[vcomp_cells(c2, c1)],
-                     "vertical composition")
-    for c in cell_list:
-        for w in words:
-            if w.src == cells[c].tgt:
-                fill(wl, (wid(w), cid[c]), cid[whisk_l(w, c)], "whiskering")
-            if w.tgt == c[0].src:
-                fill(wr, (cid[c], wid(w)), cid[whisk_r(c, w)], "whiskering")
-    C = FiniteTwoCategory(P.zero_gens, one, comp1, two, vcomp, wl, wr,
-                          name="eval")
-    word_to_cell = {w: wid(w) for w in words}
-    return C, word_to_cell, cid
-
-
-def evaluate_free(P, budget=20000):
-    """Free finite 2-category on a relation-free presentation, or refusal."""
-    if P.relations:
-        raise EvaluationRefused("presentation has relations; not free")
-    C, _, _ = evaluate_presentation(P, budget=budget)
-    return C
 
 
 # -- the counit of the nerve-categorification adjunction ----------------------

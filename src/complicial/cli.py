@@ -5,9 +5,8 @@ Subcommands: ``examples``, ``nerve``, ``check-fibrant``, ``factorize``,
 one-line human summary on stdout.  Exit status: 0 on success (a fibrancy
 failure is still a successful check, recorded in the report), 1 on a
 mathematical verification failure, 2 on budget exhaustion, 3 on input
-errors, usage errors included.  The environment variable
-``COMPLICIAL_BUDGET`` overrides the default search budget; ``--budget``
-overrides both; either must be a positive integer.
+errors, usage errors included.  ``check-fibrant --budget`` overrides the
+default search budget and must be a positive integer.
 """
 
 from __future__ import annotations
@@ -171,9 +170,9 @@ def cmd_check_fibrant(args):
 
 def cmd_factorize(args):
     C = _load_two_category(args.input)
+    *stages, summary = factorization.verify_factorization(C, args.dim)
     with _output(args.trace):
         os.makedirs(args.trace, exist_ok=True)
-    *stages, summary = factorization.verify_factorization(C, args.dim)
     for name, X in zip(("p1", "p2", "p3", "p4", "final"), stages):
         _dump_tdelta(os.path.join(args.trace, f"{name}.json"), X)
     _dump(os.path.join(args.trace, "summary.json"), summary)

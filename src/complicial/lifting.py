@@ -19,7 +19,7 @@ from __future__ import annotations
 from . import tdelta
 from .record import Record
 from .tdelta import (BudgetExceeded, get_budget, inclusion_map,
-                     map_on_generators, _images_along, _iter_maps, _to_map)
+                     map_on_generators)
 from .twocat import InvalidInput
 
 
@@ -33,10 +33,6 @@ class AnodyneExtension(Record):
     def label(self):
         inner = ",".join(f"{k}={v}" for k, v in self.params)
         return f"{self.family}({inner})"
-
-
-class LiftingProblem(Record):
-    __slots__ = ("extension", "along")  # along: A -> X
 
 
 def thinness(k, m):
@@ -78,24 +74,6 @@ def anodyne_library(n=2, N=5):
             tdelta.delta(l, dim=l), tdelta.delta_t(l, dim=l)))
     out += [saturation(l) for l in range(-1, N - 3)]
     return out
-
-
-def find_lift(problem, budget=None, reverse=False):
-    """A lift B -> X extending the problem's map along its inclusion.
-
-    Returns the first lift in canonical search order, or None once the
-    search space is exhausted.  Raises BudgetExceeded if the node budget
-    runs out first.
-    """
-    budget = get_budget(budget)
-    ext = problem.extension
-    f = problem.along
-    X = f.dst
-    seed_simp, seed_tok = _images_along(f, ext.inclusion)
-    for simg, timg in _iter_maps(ext.B, X, budget, seed_simp=seed_simp,
-                                 seed_tok=seed_tok, reverse=reverse):
-        return _to_map(ext.B, X, simg, timg)
-    return None
 
 
 class ExtensionResult(Record):
@@ -287,7 +265,7 @@ def _plan_lift_exists(X, plan, values, lvl_from):
     return False
 
 
-def _iter_domain_parts(X, plan, budget, reverse=False):
+def _iter_domain_parts(X, plan, budget):
     """Underlying simplicial maps out of the extension domain.
 
     Yields tuples of X simplex indices, one per slot: the single top for
@@ -295,8 +273,7 @@ def _iter_domain_parts(X, plan, budget, reverse=False):
     """
     steps = 0
     if plan.kind == "simplex":
-        rng = range(len(X._ids[plan.m]))
-        for x in (reversed(rng) if reverse else rng):
+        for x in range(len(X._ids[plan.m])):
             steps += 1
             if steps > budget:
                 raise BudgetExceeded(f"{steps} domain nodes")
@@ -319,14 +296,9 @@ def _iter_domain_parts(X, plan, budget, reverse=False):
 
     def candidates(p):
         if p == 0:
-            cand = list(range(size))
-        else:
-            face = X._face[level][slots[p] - 1]
-            cand = list(prefixes[p - 1].get(tuple(face[v] for v in values),
-                                            ()))
-        if reverse:
-            cand.reverse()
-        return iter(cand)
+            return iter(range(size))
+        face = X._face[level][slots[p] - 1]
+        return iter(prefixes[p - 1].get(tuple(face[v] for v in values), ()))
 
     stack = [candidates(0)]  # depth first: one iterator per filled slot + 1
     while stack:
@@ -361,7 +333,7 @@ def _part_to_map(X, ext, plan, values):
     return map_on_generators(A, X, simg, timg)
 
 
-def check_extension(X, ext, budget=None, reverse=False):
+def check_extension(X, ext, budget=None):
     """Search every map ext.A -> X for a lift; stop at the first failure.
 
     Token images never influence liftability, so the search runs over
@@ -372,7 +344,7 @@ def check_extension(X, ext, budget=None, reverse=False):
     lvl_from = plan.m if plan.kind == "simplex" else plan.m - 1
     checked = 0
     try:
-        for values in _iter_domain_parts(X, plan, budget, reverse=reverse):
+        for values in _iter_domain_parts(X, plan, budget):
             checked += 1
             if not _plan_lift_exists(X, plan, values, lvl_from):
                 return ExtensionResult(ext, checked,
@@ -380,41 +352,6 @@ def check_extension(X, ext, budget=None, reverse=False):
     except BudgetExceeded as exc:
         raise BudgetExceeded(f"{ext.label()}: {exc}") from None
     return ExtensionResult(ext, checked, None)
-
-
-def check_extension_generic(X, ext, budget=None, reverse=False):
-    """Reference implementation through the generic map enumeration."""
-    budget = get_budget(budget)
-    checked = 0
-    for f in tdelta.iter_maps(ext.A, X, budget=budget, reverse=reverse):
-        checked += 1
-        lift = find_lift(LiftingProblem(ext, f), budget=budget, reverse=reverse)
-        if lift is None:
-            return ExtensionResult(ext, checked, f)
-    return ExtensionResult(ext, checked, None)
-
-
-def rs_fibrancy_prediction(C):
-    """Both readings of the fibrancy criterion for identity-marked nerves.
-
-    The criterion can be stated with strictly invertible 1-cells or with
-    weakly invertible ones; both predicates are computed and reported so the
-    lifting results can be compared against each.
-    """
-    from . import twocat as tc
-    strict_isos = {f for f in tc.one_isomorphisms(C)
-                   if not C.one_cells[f].identity}
-    equivalences = {f for f in C.one_cells
-                    if not C.one_cells[f].identity and tc.is_equivalence(C, f)}
-    two_isos = {a for a in tc.invertible_2cells(C)
-                if not C.two_cells[a].identity}
-    return {
-        "non_identity_one_isomorphisms": sorted(strict_isos),
-        "non_identity_equivalences": sorted(equivalences),
-        "non_identity_two_isomorphisms": sorted(two_isos),
-        "fibrant_by_strict_reading": not strict_isos and not two_isos,
-        "fibrant_by_weak_reading": not equivalences and not two_isos,
-    }
 
 
 def is_precomplicial(X, n=2, N=None, budget=None):

@@ -198,48 +198,3 @@ def rs_to_natural(rs, nat):
     with the same id (every level-1 rs mark is degenerate)."""
     return tdelta.inclusion_map(rs, nat)
 
-
-def nerve_map(F, C, D, N=5, marking="rs"):
-    """The map of nerves induced by a 2-functor F: C -> D."""
-    XC, infoC = nerve_with_info(C, N, marking)
-    XD, infoD = nerve_with_info(D, N, marking)
-    # img[m]: the index in XD of the image of each m-simplex of XC
-    img = [[XD._idx[0][F.ob(x)] for x in XC._ids[0]]]
-    if N >= 1:
-        img.append([XD._idx[1][F.one(f)] for f in XC._ids[1]])
-    if N >= 2:
-        img.append([XD._idx[2][infoD.triangle(F.one(u), F.one(v), F.two(a))]
-                    for u, v, a in map(infoC.two_data.get, XC._ids[2])])
-    for m in range(3, N + 1):  # an m-simplex is the tuple of its faces
-        rows, below = XC._face[m], img[m - 1]
-        img.append([XD._by_boundary[m][tuple(below[r[j]] for r in rows)][0]
-                    for j in range(len(XC._ids[m]))])
-    by_token = {completion_token(f, ae): (f, ae)
-                for f, aes in infoC.completions.items() for ae in aes}
-    timg = [None]
-    for m in range(1, N + 1):
-        row = []
-        for t, u, w in zip(XC._tok_ids[m], XC._tok_under[m], XC._zeta_wit[m]):
-            if w is not None:
-                tid = None  # a comarked token follows its simplex
-            elif m == 1 and marking == "natural":
-                f, ae = by_token[t]
-                img_ae = twocat.AdjointEquivalence(F.one(f), F.one(ae.g),
-                                                   F.two(ae.eta), F.two(ae.eps))
-                tid = completion_token(F.one(f), img_ae)
-            else:
-                tid = f"t|{XD._ids[m][img[m][u]]}"
-            row.append(XD._tok_idx[m].get(tid, -1))
-        timg.append(row)
-    return tdelta.map_on_generators(XC, XD, img, timg)
-
-
-def rs_fully_faithful_check(C, D, N=4, budget=None):
-    """Compare nerve-map and 2-functor counts; True on exact agreement."""
-    if N < 4:
-        raise InvalidInput("faithfulness needs dimension at least 4")
-    A = rs_nerve(C, N)
-    X = rs_nerve(D, N)
-    nerve_maps = tdelta.maps(A, X, budget=budget)
-    functors = twocat.two_functors(C, D)
-    return len(nerve_maps) == len(functors)

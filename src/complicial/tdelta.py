@@ -13,14 +13,13 @@ on top of the usual simplicial identities.  Tokens over one simplex need not
 be unique; stratified means every ``u`` is injective.
 
 Ids are strings; every construction hands the constructor integer index
-rows, which the enumeration kernels read directly.  Values are immutable
+rows, which the lift search reads directly.  Values are immutable
 after construction.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 from functools import cached_property, lru_cache
 
 from .twocat import InvalidInput
@@ -31,19 +30,10 @@ MAX_DIM = 6  # the largest dimension of a nerve, library or loaded document
 
 
 def get_budget(budget=None):
-    """The given budget, else ``COMPLICIAL_BUDGET``, else the default."""
+    """The given budget, else the default; InvalidInput below 1."""
     if budget is None:
-        env = os.environ.get("COMPLICIAL_BUDGET")
-        if not env:
-            return DEFAULT_BUDGET
-        try:
-            budget = int(env)
-        except ValueError:
-            raise InvalidInput(f"COMPLICIAL_BUDGET={env!r} is not an "
-                               "integer") from None
-        if budget < 1:
-            raise InvalidInput(f"COMPLICIAL_BUDGET={env!r} must be >= 1")
-    elif budget < 1:
+        return DEFAULT_BUDGET
+    if budget < 1:
         raise InvalidInput(f"search budget {budget} must be >= 1")
     return budget
 
@@ -232,80 +222,6 @@ class TruncatedTDeltaSet:
                     if t >= 0:
                         wit[m + 1][t] = (i, j)
         return wit
-
-    @cached_property
-    def _zeta_simplex_determined(self):
-        """True when zeta values depend only on the underlying simplex.
-
-        Every construction in this library has the property; when the
-        codomain of a map search has it, zeta-compatibility of derived
-        token images is automatic and the kernel skips those checks.
-        """
-        for m in range(self.dim):
-            chosen = {}
-            for i in range(m + 1):
-                deg = self._deg[m][i]
-                zet = self._zeta[m][i]
-                for j in range(len(self._ids[m])):
-                    t = zet[j]
-                    if t < 0:
-                        continue
-                    target = deg[j]
-                    if chosen.setdefault(target, t) != t:
-                        return False
-        return True
-
-    @cached_property
-    def _lean_tables(self):
-        """Degenerate-fill plan pruned to entries later slots actually read."""
-        dfill, _, _ = self._lift_tables
-        used = [set() for _ in range(self.dim + 1)]
-        for m in range(1, self.dim + 1):
-            wit = self._deg_wit[m]
-            for j in range(len(self._ids[m])):
-                if wit[j] is None:
-                    for i in range(m + 1):
-                        used[m - 1].add(self._face[m][i][j])
-        for m in range(1, self.dim + 1):
-            zwit = self._zeta_wit[m]
-            for j in range(len(self._tok_ids[m])):
-                if zwit[j] is None:
-                    used[m].add(self._tok_under[m][j])
-        out = [[] for _ in range(self.dim + 1)]
-        for m in range(self.dim, 0, -1):
-            keep = [e for e in dfill[m] if e[0] in used[m]]
-            out[m] = keep
-            for _, _, pre in keep:
-                used[m - 1].add(pre)
-        return out
-
-    @cached_property
-    def _lift_tables(self):
-        """Per-level derivation plans for the enumeration kernel.
-
-        dfill[m]: (index, i, preimage index) for each degenerate simplex;
-        tderive[m]: (token, i, x) canonical zeta witness per comarked token;
-        tcheck[m]: remaining zeta entries (token, i, x) to verify.
-        """
-        dfill = [[] for _ in range(self.dim + 1)]
-        for m in range(1, self.dim + 1):
-            wit = self._deg_wit[m]
-            for j, w in enumerate(wit):
-                if w is not None:
-                    dfill[m].append((j, w[0], w[1]))
-        tderive = [None] + [[] for _ in range(self.dim)]
-        tcheck = [None] + [[] for _ in range(self.dim)]
-        for m in range(1, self.dim + 1):
-            zwit = self._zeta_wit[m]
-            for t, w in enumerate(zwit):
-                if w is not None:
-                    tderive[m].append((t, w[0], w[1]))
-            for i in range(m):
-                row = self._zeta[m - 1][i]
-                for x, t in enumerate(row):
-                    if t >= 0 and zwit[t] != (i, x):
-                        tcheck[m].append((t, i, x))
-        return dfill, tderive, tcheck
 
     @cached_property
     def _by_boundary(self):
@@ -656,189 +572,6 @@ def inclusion_map(A, X):
             at = idx[m] if m <= X.dim else {}
             rows[k].append([at.get(s, -1) for s in ids[m]])
     return map_on_generators(A, X, *rows)
-
-
-# -- enumeration kernel -----------------------------------------------------------
-
-def _iter_maps(A, X, budget, seed_simp=None, seed_tok=None, reverse=False):
-    """Backtracking enumeration of tDelta-maps A -> X, canonical order.
-
-    ``seed_simp``/``seed_tok`` pre-assign images (by integer index) and are
-    used for lifting problems.  Yields (simg, timg) index arrays; the caller
-    converts to TDeltaMap.  Raises BudgetExceeded when the node budget runs
-    out.
-    """
-    if A.dim > X.dim:
-        raise InvalidInput("domain truncation exceeds codomain truncation")
-    steps = 0
-    simg = [row[:] if row else [-1] * len(A._ids[m])
-            for m, row in enumerate(seed_simp or [])] or \
-        [[-1] * len(A._ids[m]) for m in range(A.dim + 1)]
-    timg = [None] + [row[:] for row in (seed_tok or [None])[1:]] if seed_tok \
-        else [None] + [[-1] * len(A._tok_ids[m]) for m in range(1, A.dim + 1)]
-
-    slots = []
-    for m in range(A.dim + 1):
-        slots.append(("sfill", m))
-        wit = A._deg_wit[m]
-        for j in range(len(A._ids[m])):
-            if wit[j] is None and simg[m][j] < 0:
-                slots.append(("snd", m, j))
-        if m >= 1:
-            slots.append(("tfill", m))
-            zwit = A._zeta_wit[m]
-            for j in range(len(A._tok_ids[m])):
-                if zwit[j] is None and timg[m][j] < 0:
-                    slots.append(("tnd", m, j))
-
-    x_tokens_over = X._tokens_over_idx
-    x_boundary = X._by_boundary
-
-    if X._zeta_simplex_determined:
-        dfill = A._lean_tables
-        tderive = tcheck = [()] * (A.dim + 1)
-    else:
-        dfill, tderive, tcheck = A._lift_tables
-
-    def candidates(slot):
-        kind = slot[0]
-        if kind == "sfill":
-            m = slot[1]
-            below = simg[m - 1] if m else None
-            here = simg[m]
-            x_deg = X._deg[m - 1] if m else None
-            writes = []
-            for j, i, pre in dfill[m]:
-                val = x_deg[i][below[pre]]
-                cur = here[j]
-                if cur < 0:
-                    writes.append((m, j, val))
-                elif cur != val:
-                    return iter(())
-            return iter([writes])
-        if kind == "tfill":
-            m = slot[1]
-            below = simg[m - 1]
-            here = timg[m]
-            x_zeta = X._zeta[m - 1]
-            writes = []
-            vals = {}
-            for t, i, x in tderive[m]:
-                val = x_zeta[i][below[x]]
-                cur = here[t]
-                if cur < 0:
-                    writes.append(("tok", m, t, val))
-                    vals[t] = val
-                elif cur != val:
-                    return iter(())
-                else:
-                    vals[t] = val
-            for t, i, x in tcheck[m]:
-                if x_zeta[i][below[x]] != vals[t]:
-                    return iter(())
-            return iter([writes])
-        if kind == "snd":
-            _, m, j = slot
-            if m == 0:
-                cand = range(len(X._ids[0]))
-            else:
-                below = simg[m - 1]
-                frow = A._face[m]
-                key = tuple(below[frow[i][j]] for i in range(m + 1))
-                cand = x_boundary[m].get(key, ())
-            cand = list(cand)
-            if reverse:
-                cand.reverse()
-            return iter([(m, j, v)] for v in cand)
-        _, m, j = slot
-        cand = list(x_tokens_over[m].get(simg[m][A._tok_under[m][j]], ()))
-        if reverse:
-            cand.reverse()
-        return iter([("tok", m, j, v)] for v in cand)
-
-    def write(ws):
-        for w in ws:
-            if w[0] == "tok":
-                _, m, j, v = w
-                timg[m][j] = v
-            else:
-                m, j, v = w
-                simg[m][j] = v
-
-    def erase(ws):
-        for w in ws:
-            if w[0] == "tok":
-                _, m, j, _ = w
-                timg[m][j] = -1
-            else:
-                m, j, _ = w
-                simg[m][j] = -1
-
-    if not slots:
-        yield simg, timg
-        return
-    stack = [(candidates(slots[0]), None)]
-    while stack:
-        it, done = stack[-1]
-        if done is not None:
-            erase(done)
-        try:
-            ws = next(it)
-        except StopIteration:
-            stack.pop()
-            continue
-        steps += 1
-        if steps > budget:
-            raise BudgetExceeded(
-                f"map search exceeded budget {budget} "
-                f"({A.name or 'A'} -> {X.name or 'X'})")
-        write(ws)
-        stack[-1] = (it, ws)
-        if len(stack) == len(slots):
-            yield simg, timg
-            continue
-        stack.append((candidates(slots[len(stack)]), None))
-
-
-def _to_map(A, X, simg, timg):
-    """The map of the kernel's (simg, timg), copied: the kernel keeps
-    writing into its rows."""
-    return map_on_generators(A, X, [row[:] for row in simg],
-                             [None] + [row[:] for row in timg[1:]])
-
-
-def count_generators(A):
-    n = sum(len(A.nondegenerate_ids(m)) for m in range(A.dim + 1))
-    for m in range(1, A.dim + 1):
-        n += sum(1 for w in A._zeta_wit[m] if w is None)
-    return n
-
-
-def maps(A, X, budget=None, reverse=False):
-    """Exhaustive, deterministic list of all tDelta-maps A -> X."""
-    budget = get_budget(budget)
-    if count_generators(A) > budget:
-        raise BudgetExceeded("domain has more generators than the budget")
-    return [_to_map(A, X, simg, timg)
-            for simg, timg in _iter_maps(A, X, budget, reverse=reverse)]
-
-
-def iter_maps(A, X, budget=None, reverse=False):
-    budget = get_budget(budget)
-    for simg, timg in _iter_maps(A, X, budget, reverse=reverse):
-        yield _to_map(A, X, simg, timg)
-
-
-def find_isomorphism(X, Y, budget=None):
-    """First levelwise-bijective map X -> Y, or None."""
-    if [len(r) for r in X._ids] != [len(r) for r in Y._ids]:
-        return None
-    if [len(r) for r in X._tok_ids[1:]] != [len(r) for r in Y._tok_ids[1:]]:
-        return None
-    for f in iter_maps(X, Y, budget=budget):
-        if f.is_mono():
-            return f
-    return None
 
 
 # -- standard stratified shapes -----------------------------------------------------

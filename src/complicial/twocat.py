@@ -316,10 +316,6 @@ class FiniteTwoCategory:
                     add(f"interchange fails at ({b},{a})")
         return errs
 
-    @property
-    def is_valid(self):
-        return not self.validate()
-
     # -- JSON --------------------------------------------------------------
 
     def to_json_dict(self):
@@ -441,153 +437,10 @@ def adjoint_equivalence_completions(C, f):
     return list(C._completions[f])
 
 
-def is_equivalence(C, f):
-    return bool(adjoint_equivalence_completions(C, f))
-
-
-def one_isomorphisms(C):
-    """1-cells with a strict two-sided inverse (identities included)."""
-    out = set()
-    for f, cell in C.one_cells.items():
-        for g in C.hom(cell.tgt, cell.src):
-            if C.comp(g, f) == C.identity_of(cell.src) and \
-                    C.comp(f, g) == C.identity_of(cell.tgt):
-                out.add(f)
-                break
-    return out
-
-
 def transpose_completion(C, ae):
     """The completion of g induced by (f, g, eta, eps): (g, f, eps^-1, eta^-1)."""
     return AdjointEquivalence(ae.g, ae.f, C._inverse2[ae.eps],
                               C._inverse2[ae.eta])
-
-
-# -- 2-functor enumeration ----------------------------------------------------
-
-class TwoFunctor(Record):
-    """A strict 2-functor given by its three assignment tables."""
-
-    __slots__ = ("on_objects", "on_one", "on_two")
-
-    def ob(self, x):
-        return dict(self.on_objects)[x]
-
-    def one(self, f):
-        return dict(self.on_one)[f]
-
-    def two(self, a):
-        return dict(self.on_two)[a]
-
-
-def two_functors(C, D):
-    """Exhaustively enumerate strict 2-functors C -> D.
-
-    Plain backtracking over object, 1-cell and 2-cell assignments with
-    incremental consistency pruning against every table entry.  Candidate
-    values for a composite cell are forced as soon as one decomposition
-    has fully assigned factors.
-    """
-    obs = sorted(C.objects)
-    one_free = sorted((f for f, c in C.one_cells.items() if not c.identity),
-                      key=lambda i: (len(i), i))
-    two_free = sorted((a for a, c in C.two_cells.items() if not c.identity),
-                      key=lambda i: (len(i), i))
-    comp_items = sorted(C.comp1.items())
-    vcomp_items = sorted(C.vcomp.items())
-    wl_items = sorted(C.whisker_l.items())
-    wr_items = sorted(C.whisker_r.items())
-
-    d_hom = {}
-    for f, c in D.one_cells.items():
-        d_hom.setdefault((c.src, c.tgt), []).append(f)
-    for v in d_hom.values():
-        v.sort()
-
-    results = []
-
-    def extend_two(mo, m1):
-        m2 = {C.identity2_of(f): D.identity2_of(m1[f]) for f in C.one_cells}
-
-        def ok2(m2):
-            for (b, a), r in vcomp_items:
-                ib, ia, ir = m2.get(b), m2.get(a), m2.get(r)
-                if ib and ia and ir and D.vert(ib, ia) != ir:
-                    return False
-            for (c, a), r in wl_items:
-                ia, ir = m2.get(a), m2.get(r)
-                if ia and ir and D.wl(m1[c], ia) != ir:
-                    return False
-            for (a, c), r in wr_items:
-                ia, ir = m2.get(a), m2.get(r)
-                if ia and ir and D.wr(ia, m1[c]) != ir:
-                    return False
-            return True
-
-        def rec2(i):
-            if i == len(two_free):
-                results.append(TwoFunctor(
-                    tuple(sorted(mo.items())),
-                    tuple(sorted(m1.items())),
-                    tuple(sorted(m2.items()))))
-                return
-            a = two_free[i]
-            cell = C.two_cells[a]
-            cands = D.two_cells_between(m1[cell.src], m1[cell.tgt])
-            for (b2, a2), r in vcomp_items:
-                if r == a and b2 in m2 and a2 in m2:
-                    cands = [D.vert(m2[b2], m2[a2])]
-                    break
-            for v in cands:
-                if D.two_cells[v].src != m1[cell.src] or \
-                        D.two_cells[v].tgt != m1[cell.tgt]:
-                    continue
-                m2[a] = v
-                if ok2(m2):
-                    rec2(i + 1)
-                del m2[a]
-
-        rec2(0)
-
-    def ok1(m1):
-        for (g, f), r in comp_items:
-            vg, vf, vr = m1.get(g), m1.get(f), m1.get(r)
-            if vg and vf and vr and D.comp(vg, vf) != vr:
-                return False
-        return True
-
-    def rec1(i, mo, m1):
-        if i == len(one_free):
-            extend_two(mo, m1)
-            return
-        f = one_free[i]
-        cell = C.one_cells[f]
-        cands = d_hom.get((mo[cell.src], mo[cell.tgt]), [])
-        for (g2, f2), r in comp_items:
-            if r == f and g2 in m1 and f2 in m1:
-                cands = [D.comp(m1[g2], m1[f2])]
-                break
-        for v in cands:
-            dc = D.one_cells[v]
-            if (dc.src, dc.tgt) != (mo[cell.src], mo[cell.tgt]):
-                continue
-            m1[f] = v
-            if ok1(m1):
-                rec1(i + 1, mo, m1)
-            del m1[f]
-
-    def rec0(i, mo):
-        if i == len(obs):
-            m1 = {C.identity_of(x): D.identity_of(mo[x]) for x in obs}
-            rec1(0, mo, m1)
-            return
-        for y in D.objects:
-            mo[obs[i]] = y
-            rec0(i + 1, mo)
-            del mo[obs[i]]
-
-    rec0(0, {})
-    return results
 
 
 # -- finite 1-categories and standard 2-categories ----------------------------

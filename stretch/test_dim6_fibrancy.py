@@ -16,6 +16,7 @@ import pathlib
 import pytest
 
 from complicial import lifting, nerves, twocat
+from oracles import rs_fibrancy_prediction
 
 DIM6_DIGESTS = json.loads(
     (pathlib.Path(__file__).parent / "dim6_digests.json").read_text())
@@ -65,6 +66,6 @@ def test_verdicts(reports):
             assert not passed and families == {"saturation"}, name
         else:
             assert passed, name
-        pred = lifting.rs_fibrancy_prediction(catalog[name])
+        pred = rs_fibrancy_prediction(catalog[name])
         assert pred["fibrant_by_strict_reading"] == passed, name
         assert pred["fibrant_by_weak_reading"] == passed, name

@@ -3,10 +3,11 @@ import pytest
 from complicial import categorify as cg
 from complicial import nerves, tdelta, twocat
 from complicial.twocat import InvalidInput
-from complicial.categorify import (EvaluationRefused, Pasting, PastingFactor,
-                                   TwoPolygraph, Word, categorify,
-                                   counit_assignment, evaluate_free,
-                                   evaluate_presentation, section_check)
+from complicial.categorify import (Pasting, PastingFactor, TwoPolygraph,
+                                   Word, categorify, counit_assignment,
+                                   section_check)
+from oracles import (EvaluationRefused, evaluate_free, evaluate_presentation,
+                     two_functors)
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +19,7 @@ def iso_two_categories(C, D):
     sizes = lambda E: (len(E.objects), len(E.one_cells), len(E.two_cells))
     if sizes(C) != sizes(D):
         return False
-    for F in twocat.two_functors(C, D):
+    for F in two_functors(C, D):
         ob, o1, o2 = dict(F.on_objects), dict(F.on_one), dict(F.on_two)
         if len(set(ob.values())) == len(ob) and \
                 len(set(o1.values())) == len(o1) and \

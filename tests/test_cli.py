@@ -100,7 +100,19 @@ def test_factorize_writes_no_trace_when_the_replay_fails(tmp_path,
     trace = tmp_path / "trace"
     assert run(["factorize", "--input", str(cat), "--dim", "4",
                 "--trace", str(trace)]) == cli.EXIT_MATH
-    assert list(trace.iterdir()) == []
+    assert not trace.exists()
+
+
+@pytest.mark.parametrize("dim", ["3", "7", "-1"])
+def test_factorize_out_of_range_dim_makes_no_trace(dim, tmp_path, capsys):
+    """The replay rejects the dimension before the trace directory exists."""
+    cat = tmp_path / "C.json"
+    run(["examples", "--name", "chain-1", "--out", str(cat)])
+    trace = tmp_path / "trace"
+    assert run(["factorize", "--input", str(cat), "--dim", dim,
+                "--trace", str(trace)]) == cli.EXIT_INPUT
+    assert not trace.exists()
+    assert "input error" in capsys.readouterr().err
 
 
 def test_counit_check(tmp_path):
@@ -431,15 +443,6 @@ def test_help_exits_zero(capsys):
     assert "--budget" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("value", ["abc", "0", "-5", "2.5"])
-def test_bad_budget_environment_exits_input(value, chain1_nerve, monkeypatch,
-                                            capsys):
-    monkeypatch.setenv("COMPLICIAL_BUDGET", value)
-    assert run(["check-fibrant", "--input", chain1_nerve,
-                "--dim", "4"]) == cli.EXIT_INPUT
-    assert "COMPLICIAL_BUDGET" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("extra, named", [
     (["--dim", "-2"], "dimension bound N = -2"),
     (["--n", "-5"], "triviality index n = -5"),
@@ -464,6 +467,7 @@ def test_console_entry_point():
 def test_witness_in_report_replays(tmp_path):
     """The report embeds enough data to replay a failing check in isolation."""
     from complicial import lifting, tdelta
+    from oracles import LiftingProblem, find_lift
     cat = tmp_path / "C.json"
     run(["examples", "--name", "iso", "--out", str(cat)])
     nerve = tmp_path / "X.json"
@@ -480,7 +484,7 @@ def test_witness_in_report_replays(tmp_path):
     X = tdelta.TruncatedTDeltaSet.from_json_dict(json.loads(nerve.read_text()))
     f = tdelta.map_from_json_dict(ext.A, X, entry["witness"])
     assert f.is_valid()
-    assert lifting.find_lift(lifting.LiftingProblem(ext, f)) is None
+    assert find_lift(LiftingProblem(ext, f)) is None
 
 
 def test_replay_builds_each_nerve_once(tmp_path, monkeypatch):

@@ -21,9 +21,10 @@ from complicial import lifting, nerves, tdelta, twocat
 from complicial.tdelta import (boundary, coproduct, delta, delta3_eq,
                                delta3_sharp, delta_k, delta_k_dprime,
                                delta_k_prime, delta_t, horn, identity_map,
-                               inclusion_map, iter_maps, join, pushout,
+                               inclusion_map, join, pushout,
                                pushout_family)
 from complicial.twocat import InvalidInput
+from oracles import iter_maps
 from test_shapes import tdelta_from_dicts
 
 

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from complicial import lifting, twocat
-from complicial.nerves import (duskin_nerve, natural_nerve, nerve_map,
-                               nerve_with_info, rs_fully_faithful_check,
+from complicial.nerves import (duskin_nerve, natural_nerve, nerve_with_info,
                                rs_nerve, rs_to_natural)
+from oracles import nerve_map, rs_fully_faithful_check, two_functors
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +57,7 @@ def test_nerve_counts_match_two_functor_oracle(name, catalog):
     C = catalog[name]
     X = duskin_nerve(C, 3)
     for m in range(4):
-        functors = twocat.two_functors(twocat.oriental2(m), C)
+        functors = two_functors(twocat.oriental2(m), C)
         assert len(X.simplex_ids(m)) == len(functors), (name, m)
 
 
@@ -166,7 +166,7 @@ def test_rs_to_natural_token_diff_inverted_oriental(catalog):
 
 def test_nerve_functoriality_naturality_square(catalog):
     C, D = catalog["chain-1"], catalog["sigma-iso"]
-    F = twocat.two_functors(C, D)[1]
+    F = two_functors(C, D)[1]
     rs_map = nerve_map(F, C, D, 4, "rs")
     nat_map = nerve_map(F, C, D, 4, "natural")
     assert rs_map.is_valid() and nat_map.is_valid()
@@ -227,7 +227,7 @@ def test_random_small_two_categories(P):
         X = duskin_nerve(C, 3)
         for m in range(4):
             assert len(X.simplex_ids(m)) == \
-                len(twocat.two_functors(twocat.oriental2(m), C)), (C.name, m)
+                len(two_functors(twocat.oriental2(m), C)), (C.name, m)
         for marking in ("street", "rs", "natural"):
             assert nerve_with_info(C, 4, marking)[0].validate() == []
         assert rs_to_natural(rs_nerve(C, 4), natural_nerve(C, 4)).is_valid()

@@ -14,10 +14,11 @@ import pytest
 from complicial import tdelta
 from complicial.categorify import Pasting, PastingFactor, Word
 from complicial.factorization import StageReport
-from complicial.lifting import AnodyneExtension, LiftingProblem
+from complicial.lifting import AnodyneExtension
 from complicial.nerves import NerveInfo
 from complicial.twocat import (AdjointEquivalence, FiniteCategory, OneCell,
-                               TwoCell, TwoFunctor)
+                               TwoCell)
+from oracles import LiftingProblem, TwoFunctor
 
 _A = tdelta.delta(1)
 _B = tdelta.delta_t(1)
