@@ -99,7 +99,6 @@ def test_maps_yoneda_both_kinds():
 def test_maps_budget_guard():
     with pytest.raises(BudgetExceeded):
         maps(delta(2), delta(2), budget=3)
-    assert len(maps(delta(2), delta(2))) > 0
 
 
 def test_map_validity_and_composition():
@@ -406,6 +405,15 @@ def test_map_loader_keeps_a_partial_map():
         f = tdelta.map_from_json_dict(A, X, part)
         assert not f.is_valid()
         assert f.to_json_dict() == part
+
+
+def test_budget_env_override(monkeypatch):
+    """budget= is the one budget input: it overrides the default, and a
+    COMPLICIAL_BUDGET left in the environment changes nothing."""
+    monkeypatch.setenv("COMPLICIAL_BUDGET", "3")
+    with pytest.raises(BudgetExceeded):
+        maps(delta(2), delta(2), budget=3)
+    assert len(maps(delta(2), delta(2))) > 0
 
 
 def test_two_category_loader_requires_total_tables():
