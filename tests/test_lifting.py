@@ -179,15 +179,6 @@ def test_specialized_agrees_with_generic_on_sub_markings(X):
                 find_lift(LiftingProblem(ext, w)) is None, ext.label()
 
 
-def test_absence_stable_under_search_order(catalog):
-    X = nerves.rs_nerve(catalog["iso"], 4)
-    ext = next(e for e in anodyne_library(2, 4)
-               if e.family == "saturation" and dict(e.params)["l"] == -1)
-    forward = check_extension(X, ext)
-    assert not forward.passed
-    assert find_lift(LiftingProblem(ext, forward.witness)) is None
-
-
 def test_lift_soundness(catalog):
     X = nerves.natural_nerve(catalog["chain-2"], 3)
     for ext in anodyne_library(2, 3):
