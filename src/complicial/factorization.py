@@ -52,13 +52,15 @@ def _gluings(X, ext, tops, stage):
     """
     plan = lifting._compile_plan(ext)
     incl = ext.inclusion
+    xs = [X._idx[plan.m][top] for top in tops]
+    good = set(lifting._passing(X, plan.m, xs, lifting._slot_marks(
+        plan.domain_marks, 0)))
     out = []
-    for top in tops:
-        x = (X._idx[plan.m][top],)
-        if not lifting._plan_marks_ok(X, plan, x, plan.m, plan.domain_marks):
+    for top, x in zip(tops, xs):
+        if x not in good:
             raise StageError(f"{stage}: a marked simplex of {ext.A.name} "
                              f"lands on an unmarked one at {top}")
-        out.append((lifting._part_to_map(X, ext, plan, x), incl))
+        out.append((lifting._part_to_map(X, ext, plan, (x,)), incl))
     return out
 
 

@@ -16,6 +16,9 @@ never conflated with a definitive "no lift".
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import compress
+
 from . import tdelta
 from .record import Record
 from .tdelta import (BudgetExceeded, get_budget, inclusion_map,
@@ -129,8 +132,7 @@ class _Plan(Record):
     standard simplex or a horn; a map out of it is a top simplex of X,
     respectively a pairwise-compatible family of (m-1)-simplices.  Each
     non-degenerate domain simplex is reached from a slot by a chain of
-    face operators, so domain marking constraints and the lift test reduce
-    to indexed lookups.
+    face operators, so every marking constraint is one on a single slot.
     """
 
     __slots__ = (
@@ -139,8 +141,7 @@ class _Plan(Record):
         "slots",         # face positions carrying the family ("horn" only)
         "chains",        # A nondeg (level, idx) -> (slot_pos, drops)
         "domain_marks",  # (level, slot_pos, drops) that must be marked in X
-        "lift_marks",    # same, for the extra marked simplices of B
-        "fk_faces")      # ("horn") chains for the faces of the missing face
+        "lift_marks")    # same, for the extra marked simplices of B
 
 
 def _nondeg_chains(A, tops):
@@ -186,13 +187,8 @@ def _compile_plan(ext):
 
         tops = [(m - 1, in_horn(m - 1, B._face[m][j][top])) for j in slots]
         chains = _nondeg_chains(A, tops)
-        fk_faces = None
-        if m >= 2:
-            fk = B._face[m][k][top]
-            fk_faces = [chains[(m - 2, in_horn(m - 2, B._face[m - 1][i][fk]))]
-                        for i in range(m)]
     else:
-        m, k, slots, fk_faces = A.dim, None, [None], None
+        m, k, slots = A.dim, None, [None]
         nd_top = A.nondegenerate_ids(m)
         if len(nd_top) != 1:
             raise InvalidInput(
@@ -220,7 +216,7 @@ def _compile_plan(ext):
         lift_marks.append((lvl, pos, drops))
     return _Plan(ext.family if ext.family == "horn" else "simplex",
                  m, k, slots, chains, sorted(set(domain_marks)),
-                 sorted(set(lift_marks)), fk_faces)
+                 sorted(set(lift_marks)))
 
 
 def _chase(X, values, lvl_from, pos, drops):
@@ -232,92 +228,89 @@ def _chase(X, values, lvl_from, pos, drops):
     return v
 
 
-def _plan_marks_ok(X, plan, values, lvl_from, marks):
+def _slot_marks(marks, pos):
+    """(level, drops) of the marks that plan ``marks`` chases from slot pos."""
+    return [(lvl, drops) for lvl, p, drops in marks if p == pos]
+
+
+def _passing(X, lvl_from, values, marks):
+    """The values, simplex indices of X at lvl_from, in order, whose faces
+    along the drops of every (level, drops) in marks are marked; filtered
+    one mark at a time."""
     toks = X._tokens_over_idx
-    for lvl, pos, drops in marks:
-        if not toks[lvl].get(_chase(X, values, lvl_from, pos, drops)):
-            return False
-    return True
+    for lvl, drops in marks:
+        img = values
+        for at, d in zip(range(lvl_from, lvl, -1), drops):
+            img = map(X._face[at][d].__getitem__, img)
+        values = list(compress(values, map(toks[lvl].__contains__, img)))
+    return values
 
 
-def _plan_lift_exists(X, plan, values, lvl_from):
-    if not _plan_marks_ok(X, plan, values, lvl_from, plan.lift_marks):
-        return False
-    if plan.kind == "simplex":
-        return True
-    m, k = plan.m, plan.k
-    if m >= 2:
-        gkey = tuple(_chase(X, values, lvl_from, pos, drops)
-                     for pos, drops in plan.fk_faces)
-        cands = X._by_boundary[m - 1].get(gkey, ())
-    else:
-        cands = range(len(X._ids[0]))
-    key = [-1] * (m + 1)
-    for pos, j in enumerate(plan.slots):
-        key[j] = values[pos]
-    toks = X._tokens_over_idx[m]
-    bb = X._by_boundary[m]
-    for g in cands:
-        key[k] = g
-        for top in bb.get(tuple(key), ()):
-            if toks.get(top):
-                return True
-    return False
+def _search(X, plan, budget):
+    """(maps checked, slot values of the first map without a lift or None).
 
-
-def _iter_domain_parts(X, plan, budget):
-    """Underlying simplicial maps out of the extension domain.
-
-    Yields tuples of X simplex indices, one per slot: the single top for
-    simplex-shaped domains, the face family for horns.
+    A map is a simplex of X (simplex-shaped domains) or a compatible family
+    of (m-1)-simplices, one per horn slot, enumerated depth first in index
+    order; each value drawn is a domain node, and the search raises
+    BudgetExceeded on drawing node budget + 1.  Whether a value satisfies
+    the domain and lift marks chased from its slot is read off tables built
+    once; a horn lifts iff some marked m-simplex of X (valid, so the missing
+    face then fits) has the family as its faces at the slots.
     """
-    steps = 0
+    m, slots = plan.m, plan.slots
     if plan.kind == "simplex":
-        for x in range(len(X._ids[plan.m])):
-            steps += 1
-            if steps > budget:
-                raise BudgetExceeded(f"{steps} domain nodes")
-            if _plan_marks_ok(X, plan, (x,), plan.m, plan.domain_marks):
-                yield (x,)
-        return
-    # prefix indexes: slot p needs faces at positions slots[:p]
-    m = plan.m
-    slots = plan.slots
-    level = m - 1
-    size = len(X._ids[level])
-    prefixes = []
-    for p in range(1, len(slots)):
+        size = len(X._ids[m])
+        good = _passing(X, m, range(min(size, budget)),
+                        _slot_marks(plan.domain_marks, 0))
+        lifts = set(_passing(X, m, good, _slot_marks(plan.lift_marks, 0)))
+        bad = next((i for i, x in enumerate(good) if x not in lifts), None)
+        if bad is not None:
+            return bad + 1, (good[bad],)
+        if size > budget:
+            raise BudgetExceeded
+        return len(good), None
+    level, last = m - 1, len(slots) - 1
+    size, face = len(X._ids[level]), X._face[level]
+    dom = [_passing(X, level, range(size), _slot_marks(plan.domain_marks, p))
+           for p in range(last + 1)]
+    lift = [set(_passing(X, level, values, _slot_marks(plan.lift_marks, p)))
+            for p, values in enumerate(dom)]
+    dom = [set(values) for values in dom]
+    tops = list(X._tokens_over_idx[m])
+    filled = set(zip(*[list(map(X._face[m][j].__getitem__, tops))
+                       for j in slots]))
+    prefixes = []  # slot p draws from the values with the right faces
+    for p in range(1, last + 1):
         d = {}
-        rows = [X._face[level][i] for i in slots[:p]]
-        for y in range(size):
-            d.setdefault(tuple(r[y] for r in rows), []).append(y)
+        for y, key in enumerate(zip(*[face[j] for j in slots[:p]])):
+            d.setdefault(key, []).append(y)
         prefixes.append(d)
-    values = []
-
-    def candidates(p):
-        if p == 0:
-            return iter(range(size))
-        face = X._face[level][slots[p] - 1]
-        return iter(prefixes[p - 1].get(tuple(face[v] for v in values), ()))
-
-    stack = [candidates(0)]  # depth first: one iterator per filled slot + 1
-    while stack:
-        y = next(stack[-1], None)
-        if y is None:
-            stack.pop()
-            if values:
-                values.pop()
-            continue
+    has = set.__contains__
+    steps = checked = 0
+    for y in range(size):  # depth first over the first slot, level-wise below
         steps += 1
         if steps > budget:
-            raise BudgetExceeded(f"{steps} domain nodes")
-        values.append(y)
-        if len(values) < len(slots):
-            stack.append(candidates(len(values)))
-            continue
-        if _plan_marks_ok(X, plan, values, level, plan.domain_marks):
-            yield tuple(values)
-        values.pop()
+            raise BudgetExceeded
+        levels = [[(y,)]]
+        for d, row in zip(prefixes, (face[j - 1] for j in slots[1:])):
+            levels.append([t + (z,) for t in levels[-1]
+                           for z in d.get(tuple(map(row.__getitem__, t)), ())])
+        leaves = levels[-1]
+        below = sum(map(len, levels)) - 1
+        if steps + below > budget:  # keep the leaves drawn within the budget
+            leaves = [t for t in leaves if steps + sum(
+                bisect_left(levels[p], t[:p + 1]) + 1
+                for p in range(1, last + 1)) <= budget]
+        good = [t for t in leaves if all(map(has, dom, t))]
+        bad = next((i for i, t in enumerate(good) if t not in filled
+                    or not all(map(has, lift, t))), None)
+        if bad is not None:
+            return checked + bad + 1, good[bad]
+        checked += len(good)
+        steps += below
+        if steps > budget:
+            raise BudgetExceeded
+    return checked, None
 
 
 def _part_to_map(X, ext, plan, values):
@@ -341,17 +334,13 @@ def check_extension(X, ext, budget=None):
     """
     budget = get_budget(budget)
     plan = _compile_plan(ext)
-    lvl_from = plan.m if plan.kind == "simplex" else plan.m - 1
-    checked = 0
     try:
-        for values in _iter_domain_parts(X, plan, budget):
-            checked += 1
-            if not _plan_lift_exists(X, plan, values, lvl_from):
-                return ExtensionResult(ext, checked,
-                                       _part_to_map(X, ext, plan, values))
-    except BudgetExceeded as exc:
-        raise BudgetExceeded(f"{ext.label()}: {exc}") from None
-    return ExtensionResult(ext, checked, None)
+        checked, values = _search(X, plan, budget)
+    except BudgetExceeded:
+        raise BudgetExceeded(f"{ext.label()}: {budget + 1} domain nodes") \
+            from None
+    return ExtensionResult(ext, checked, None if values is None
+                           else _part_to_map(X, ext, plan, values))
 
 
 def is_precomplicial(X, n=2, N=None, budget=None):
