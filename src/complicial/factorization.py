@@ -50,11 +50,9 @@ def _gluings(X, ext, tops, stage):
     The maps come from the compiled lift plan of the extension, which also
     checks that every marked simplex of A lands on a marked simplex.
     """
-    plan = lifting._compile_plan(ext)
-    incl = ext.inclusion
+    plan, incl = lifting._compile_plan(ext), ext.inclusion
     xs = [X._idx[plan.m][top] for top in tops]
-    good = set(lifting._passing(X, plan.m, xs, lifting._slot_marks(
-        plan.domain_marks, 0)))
+    good = set(lifting._passing(X, plan.m, xs, plan.domain_marks))
     out = []
     for top, x in zip(tops, xs):
         if x not in good:

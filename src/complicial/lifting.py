@@ -145,20 +145,14 @@ class _Plan(Record):
 
 
 def _nondeg_chains(A, tops):
-    """Reach every non-degenerate simplex of A from the top slots by faces."""
-    chains = {}
-    frontier = []
-    for pos, (lvl, idx) in enumerate(tops):
-        chains[(lvl, idx)] = (pos, ())
-        frontier.append((lvl, idx))
-    while frontier:
-        lvl, idx = frontier.pop(0)
+    """Reach every non-degenerate simplex of A from the top slots by faces,
+    breadth first."""
+    chains = {top: (pos, ()) for pos, top in enumerate(tops)}
+    frontier = list(tops)
+    for lvl, idx in frontier:  # the frontier grows as the loop runs
         pos, drops = chains[(lvl, idx)]
-        if lvl == 0:
-            continue
-        for i in range(lvl + 1):
-            tgt = A._face[lvl][i][idx]
-            key = (lvl - 1, tgt)
+        for i in range(lvl + 1 if lvl else 0):
+            key = (lvl - 1, A._face[lvl][i][idx])
             if key not in chains:
                 chains[key] = (pos, drops + (i,))
                 frontier.append(key)
@@ -219,50 +213,35 @@ def _compile_plan(ext):
                  sorted(set(lift_marks)))
 
 
-def _chase(X, values, lvl_from, pos, drops):
-    v = values[pos]
-    lvl = lvl_from
-    for d in drops:
-        v = X._face[lvl][d][v]
-        lvl -= 1
-    return v
-
-
-def _slot_marks(marks, pos):
-    """(level, drops) of the marks that plan ``marks`` chases from slot pos."""
-    return [(lvl, drops) for lvl, p, drops in marks if p == pos]
-
-
-def _passing(X, lvl_from, values, marks):
-    """The values, simplex indices of X at lvl_from, in order, whose faces
-    along the drops of every (level, drops) in marks are marked; filtered
-    one mark at a time."""
-    toks = X._tokens_over_idx
-    for lvl, drops in marks:
+def _passing(X, lvl_from, values, marks, pos=0):
+    """The values, simplex indices of X at lvl_from, in order, that slot pos
+    admits: for each (level, pos, drops) in marks, the face along drops is
+    marked.  Filtered one mark at a time."""
+    for lvl, p, drops in marks:
+        if p != pos:
+            continue
         img = values
         for at, d in zip(range(lvl_from, lvl, -1), drops):
             img = map(X._face[at][d].__getitem__, img)
-        values = list(compress(values, map(toks[lvl].__contains__, img)))
+        marked = X._tokens_over_idx[lvl]
+        values = list(compress(values, map(marked.__contains__, img)))
     return values
 
 
 def _search(X, plan, budget):
     """(maps checked, slot values of the first map without a lift or None).
 
-    A map is a simplex of X (simplex-shaped domains) or a compatible family
-    of (m-1)-simplices, one per horn slot, enumerated depth first in index
-    order; each value drawn is a domain node, and the search raises
-    BudgetExceeded on drawing node budget + 1.  Whether a value satisfies
-    the domain and lift marks chased from its slot is read off tables built
-    once; a horn lifts iff some marked m-simplex of X (valid, so the missing
-    face then fits) has the family as its faces at the slots.
-    """
+    A map is a simplex of X, or for a horn a compatible family of
+    (m-1)-simplices, one per slot, drawn depth first in index order; each
+    value drawn is a domain node, and drawing node budget + 1 raises
+    BudgetExceeded.  The marks a value meets are read off per-slot tables;
+    a horn lifts iff a marked m-simplex of X (valid, so its missing face
+    fits) has the family as its faces at the slots."""
     m, slots = plan.m, plan.slots
     if plan.kind == "simplex":
         size = len(X._ids[m])
-        good = _passing(X, m, range(min(size, budget)),
-                        _slot_marks(plan.domain_marks, 0))
-        lifts = set(_passing(X, m, good, _slot_marks(plan.lift_marks, 0)))
+        good = _passing(X, m, range(min(size, budget)), plan.domain_marks)
+        lifts = set(_passing(X, m, good, plan.lift_marks))
         bad = next((i for i, x in enumerate(good) if x not in lifts), None)
         if bad is not None:
             return bad + 1, (good[bad],)
@@ -271,21 +250,19 @@ def _search(X, plan, budget):
         return len(good), None
     level, last = m - 1, len(slots) - 1
     size, face = len(X._ids[level]), X._face[level]
-    dom = [_passing(X, level, range(size), _slot_marks(plan.domain_marks, p))
+    dom = [_passing(X, level, range(size), plan.domain_marks, p)
            for p in range(last + 1)]
-    lift = [set(_passing(X, level, values, _slot_marks(plan.lift_marks, p)))
+    lift = [set(_passing(X, level, values, plan.lift_marks, p))
             for p, values in enumerate(dom)]
     dom = [set(values) for values in dom]
     tops = list(X._tokens_over_idx[m])
     filled = set(zip(*[list(map(X._face[m][j].__getitem__, tops))
                        for j in slots]))
-    prefixes = []  # slot p draws from the values with the right faces
+    prefixes = []  # slot p draws the values whose faces fit the slots before
     for p in range(1, last + 1):
-        d = {}
+        prefixes.append({})
         for y, key in enumerate(zip(*[face[j] for j in slots[:p]])):
-            d.setdefault(key, []).append(y)
-        prefixes.append(d)
-    has = set.__contains__
+            prefixes[-1].setdefault(key, []).append(y)
     steps = checked = 0
     for y in range(size):  # depth first over the first slot, level-wise below
         steps += 1
@@ -295,15 +272,14 @@ def _search(X, plan, budget):
         for d, row in zip(prefixes, (face[j - 1] for j in slots[1:])):
             levels.append([t + (z,) for t in levels[-1]
                            for z in d.get(tuple(map(row.__getitem__, t)), ())])
-        leaves = levels[-1]
-        below = sum(map(len, levels)) - 1
+        leaves, below = levels[-1], sum(map(len, levels)) - 1
         if steps + below > budget:  # keep the leaves drawn within the budget
             leaves = [t for t in leaves if steps + sum(
                 bisect_left(levels[p], t[:p + 1]) + 1
                 for p in range(1, last + 1)) <= budget]
-        good = [t for t in leaves if all(map(has, dom, t))]
-        bad = next((i for i, t in enumerate(good) if t not in filled
-                    or not all(map(has, lift, t))), None)
+        good = [t for t in leaves if all(map(set.__contains__, dom, t))]
+        bad = next((i for i, t in enumerate(good) if t not in filled or
+                    not all(map(set.__contains__, lift, t))), None)
         if bad is not None:
             return checked + bad + 1, good[bad]
         checked += len(good)
@@ -319,7 +295,10 @@ def _part_to_map(X, ext, plan, values):
     lvl_from = plan.m if plan.kind == "simplex" else plan.m - 1
     simg = [[-1] * len(level) for level in A._ids]
     for (lvl, idx), (pos, drops) in plan.chains.items():
-        simg[lvl][idx] = _chase(X, values, lvl_from, pos, drops)
+        v = values[pos]
+        for at, d in zip(range(lvl_from, lvl, -1), drops):
+            v = X._face[at][d][v]
+        simg[lvl][idx] = v
     timg = [None] + [[min(X._tokens_over_idx[m][simg[m][u]]) if w is None
                       else -1 for u, w in zip(A._tok_under[m], A._zeta_wit[m])]
                      for m in range(1, A.dim + 1)]

@@ -20,6 +20,7 @@ after construction.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from functools import cached_property, lru_cache
 
 from .twocat import InvalidInput
@@ -100,25 +101,27 @@ class TruncatedTDeltaSet:
         """
         if dim < 0:
             raise InvalidInput("dimension bound must be >= 0")
-        # the shared rows of a Delta[m] are in order, indexed and valid as
-        # built; every other row, and every token row, is checked
-        shared = (type(ids) is _DeltaIds and len(ids) == dim + 1
+        # shared rows and the tokens built on them are in order, indexed and
+        # valid as built; every other row is checked
+        shared = (type(ids) is _SharedRows and len(ids) == dim + 1
                   and face is ids.face and deg is ids.deg)
-        if shared:
-            s_ord, self._idx = [None] * (dim + 1), list(ids.idx)
-        else:
-            s_ord = [_level_order(level) for level in ids]
-        t_ord = [None] + [_level_order(tok_ids[m]) for m in range(1, dim + 1)]
+        trusted = (shared and type(tok_ids) is _SharedTokens and
+                   tok_under is tok_ids.under and zeta is tok_ids.zeta)
+        s_ord = [None] * (dim + 1) if shared else [_level_order(level)
+                                                   for level in ids]
+        t_ord = [None] * (dim + 1) if trusted else [None] + [
+            _level_order(tok_ids[m]) for m in range(1, dim + 1)]
         self.dim = dim
         self.name = name
-        self._ids = ids = [_reorder(ids[m], s_ord[m], None)
-                           for m in range(dim + 1)]
-        self._tok_ids = tok_ids = [None] + [
-            _reorder(tok_ids[m], t_ord[m], None) for m in range(1, dim + 1)]
-        if not shared:
-            self._idx = [_index(ids[m], "simplex", m) for m in range(dim + 1)]
-        self._tok_idx = [None] + [_index(tok_ids[m], "token", m)
+        self._ids = ids if shared else [_reorder(ids[m], s_ord[m], None)
+                                        for m in range(dim + 1)]
+        self._idx = list(ids.idx) if shared else [
+            _index(level, "simplex", m) for m, level in enumerate(self._ids)]
+        self._tok_ids = [None] + [_reorder(tok_ids[m], t_ord[m], None)
                                   for m in range(1, dim + 1)]
+        self._tok_idx = list(tok_ids.idx) if trusted else [None] + [
+            _index(self._tok_ids[m], "token", m) for m in range(1, dim + 1)]
+        ids, tok_ids = self._ids, self._tok_ids
         self._face = face = [None] + [
             [_reorder(row, s_ord[m], s_ord[m - 1]) for row in face[m]]
             for m in range(1, dim + 1)]
@@ -135,13 +138,12 @@ class TruncatedTDeltaSet:
             for i in range(m + 1):
                 if m and not shared:
                     _check(face[m][i], ids[m - 1], f"simplex as d_{i}", ids[m])
-                if m < dim:
-                    if not shared:
-                        _check(deg[m][i], ids[m + 1], f"simplex as s_{i}",
-                               ids[m])
+                if m < dim and not shared:
+                    _check(deg[m][i], ids[m + 1], f"simplex as s_{i}", ids[m])
+                if m < dim and not trusted:
                     _check(zeta[m][i], tok_ids[m + 1], f"token as zeta_{i}",
                            ids[m])
-            if m:
+            if m and not trusted:
                 _check(tok_under[m], ids[m], "simplex under", tok_ids[m])
 
     # -- id-level accessors --------------------------------------------------
@@ -600,55 +602,96 @@ def _monotone(m, k):
     return list(itertools.combinations_with_replacement(range(m + 1), k + 1))
 
 
-class _DeltaIds(list):
-    """The id levels of one Delta[m], each in string order, with their index
-    dicts and the face and degeneracy rows that go with them: the
-    constructor adopts these unchecked."""
+class _SharedRows(list):
+    """Id levels in string order with their index dicts, face and degeneracy
+    rows and the tokens over degenerate simplices, built valid: adopted
+    unchecked.  ``key`` is (m, dim) for the rows of Delta[m] at dim."""
 
-    __slots__ = ("idx", "face", "deg")
+    __slots__ = ("idx", "face", "deg", "degenerate", "key")
+
+
+class _SharedTokens(list):
+    """Token id levels ``t|{id}`` on shared rows in string order with their
+    index dicts, unders and zeta rows, built valid: adopted unchecked."""
+
+    __slots__ = ("idx", "under", "zeta")
+
+
+def _shared_rows(ids, face, deg, key=None):
+    """Shared rows on valid face and degeneracy rows; each level of ids
+    lists unique strings in string order."""
+    rows = _SharedRows(ids)
+    rows.idx = [_index(level, "simplex", k) for k, level in enumerate(ids)]
+    rows.face, rows.deg, rows.key = face, deg, key
+    tok_ids, under, zeta = _minimal_tokens(len(ids) - 1, ids, deg,
+                                           [()] * len(ids))
+    rows.degenerate = tokens = _SharedTokens(tok_ids)
+    tokens.under, tokens.zeta = under, zeta
+    tokens.idx = [None] + [{t: i for i, t in enumerate(level)}
+                           for level in tok_ids[1:]]
+    return rows
+
+
+def _shape(rows, marks, name):
+    """The shape on shared rows with minimal markings and the indices in
+    ``marks[k]`` marked: the tokens of ``rows.degenerate``, and one more
+    over each marked simplex that has none.  A token level that gains
+    nothing is adopted with its zeta rows as it is."""
+    base = rows.degenerate
+    tokens = _SharedTokens(base)
+    tokens.idx, tokens.under = list(base.idx), list(base.under)
+    tokens.zeta = list(base.zeta)
+    for k in range(1, len(rows)):
+        new = sorted(j for j in marks[k]
+                     if f"t|{rows[k][j]}" not in base.idx[k])
+        if new:  # the old tokens move up past the new ones below them
+            shift = [t + bisect_left(new, j)
+                     for t, j in enumerate(base.under[k])]
+            tokens.under[k] = sorted(base.under[k] + new)
+            tokens[k] = sorted(base[k] + [f"t|{rows[k][j]}" for j in new])
+            tokens.idx[k] = {t: i for i, t in enumerate(tokens[k])}
+            tokens.zeta[k - 1] = [list(map(shift.__getitem__, row))
+                                  for row in base.zeta[k - 1]]
+    return TruncatedTDeltaSet(len(rows) - 1, rows, rows.face, rows.deg,
+                              tokens, tokens.under, tokens.zeta, name=name)
 
 
 @lru_cache(maxsize=(MAX_DIM + 1) ** 2)
 def _delta_tables(m, dim):
-    """(rank, ids, face, deg) of Delta[m] truncated at dim, shared by every
+    """(rank, rows, face, deg) of Delta[m] truncated at dim, shared by every
     shape on it and never written to: per level the index of each monotone
-    vertex sequence, and the id, face and degeneracy rows.  From m = 10 on
-    the vertex ids are not in string order and ids is a plain list."""
-    rank = [{s: j for j, s in enumerate(_monotone(m, k))}
+    vertex sequence in the string order of the ids (not the vertex order
+    from m = 10 on), the shared rows, and their face and degeneracy rows."""
+    rank = [{s: j for j, s in enumerate(sorted(_monotone(m, k), key=_seq_id))}
             for k in range(dim + 1)]
     face = [None] + [[[rank[k - 1][s[:i] + s[i + 1:]] for s in rank[k]]
                       for i in range(k + 1)] for k in range(1, dim + 1)]
     deg = [[[rank[k + 1][s[:i + 1] + s[i:]] for s in rank[k]]
             for i in range(k + 1)] for k in range(dim)] + [None]
     ids = [list(map(_seq_id, level)) for level in rank]
-    if all(level == sorted(level) for level in ids):
-        ids = _DeltaIds(ids)
-        ids.idx = [_index(level, "simplex", k) for k, level in enumerate(ids)]
-        ids.face, ids.deg = face, deg
-    return rank, ids, face, deg
+    return rank, _shared_rows(ids, face, deg, key=(m, dim)), face, deg
 
 
 def _build_simplicial(m, dim, marked, name, keep=None):
     """Stratified object on Delta[m] truncated at dim, or on its simplices
     whose vertex sets pass ``keep`` (closed under faces), with minimal
     markings and the vertex tuples in ``marked`` marked on top."""
-    rank, ids, face, deg = _delta_tables(m, dim)
+    rank, rows, face, deg = _delta_tables(m, dim)
     marks = [{rank[k][s] for s in marked if s in rank[k]}
              for k in range(dim + 1)]
     if keep is not None:  # restrict the rows of Delta[m] and renumber
         place = [{j: new for new, j in enumerate(
             j for s, j in level.items() if keep(frozenset(s)))}
             for level in rank]
-        ids = [[ids[k][j] for j in place[k]] for k in range(dim + 1)]
         face = [None] + [[[place[k - 1][row[j]] for j in place[k]]
                           for row in face[k]] for k in range(1, dim + 1)]
         deg = [[[place[k + 1][row[j]] for j in place[k]] for row in deg[k]]
                for k in range(dim)] + [None]
         marks = [{place[k][j] for j in marks[k] & place[k].keys()}
                  for k in range(dim + 1)]
-    return TruncatedTDeltaSet(dim, ids, face, deg,
-                              *_minimal_tokens(dim, ids, deg, marks),
-                              name=name)
+        rows = _shared_rows([[rows[k][j] for j in place[k]]
+                             for k in range(dim + 1)], face, deg)
+    return _shape(rows, marks, name)
 
 
 def delta(m, dim=None, marked=(), name=None):
@@ -743,6 +786,7 @@ def join(A, B, out_dim=None, name=None):
     Both inputs must be presented at truncation >= the output truncation so
     that mixed degeneracies stay inside the available levels; the standard
     shape constructors take a ``dim`` argument for exactly this padding.
+    Joins of two Delta[m] shapes share their simplicial rows.
     """
     if not A.is_stratified() or not B.is_stratified():
         raise InvalidInput("join requires stratified inputs")
@@ -750,10 +794,38 @@ def join(A, B, out_dim=None, name=None):
     if A.dim < out_dim or B.dim < out_dim:
         raise InvalidInput("join factors must be padded to the output "
                            "truncation")
+    keys = [getattr(X._ids, "key", None) for X in (A, B)]
+    rows, keys = (_delta_join(*keys, out_dim) if all(keys) else
+                  _join_rows(A, B, out_dim))
 
-    # a simplex a*b of level m is keyed (p, a, b): a of level p in A and b
-    # of level q = m - 1 - p in B, by index; the side of level -1 is empty
-    # (index -1), so (m, a, -1) is a* and (-1, -1, b) is *b
+    def marked(m, p, a, b):
+        q = m - 1 - p
+        return ((p < 0 or A._deg_wit[p][a] is None) and
+                (q < 0 or B._deg_wit[q][b] is None) and
+                (p > 0 and a in a_marks[p] or q > 0 and b in b_marks[q]))
+
+    a_marks, b_marks = ([None] + [set(X._tok_under[m])
+                                  for m in range(1, out_dim + 1)]
+                        for X in (A, B))
+    marks = [None] + [{j for j, k in enumerate(keys[m]) if marked(m, *k)}
+                      for m in range(1, out_dim + 1)]
+    return _shape(rows, marks, name or f"{A.name} * {B.name}")
+
+
+@lru_cache(maxsize=4 * (MAX_DIM + 1) ** 2)
+def _delta_join(a, b, out_dim):
+    """``_join_rows`` of Delta[m] and Delta[m'] for a = (m, dim) and b =
+    (m', dim'), built once per process."""
+    return _join_rows(*(_build_simplicial(*k, (), "") for k in (a, b)),
+                      out_dim)
+
+
+def _join_rows(A, B, out_dim):
+    """(shared rows, keys) of the join of the simplicial sets under A and B:
+    a simplex a*b of level m is keyed (p, a, b), a of level p in A and b of
+    level q = m - 1 - p in B by index, where the side of level -1 is empty
+    (index -1), so (m, a, -1) is a* and (-1, -1, b) is *b; each level in the
+    string order of its ids."""
     def sides(p, X):
         return range(len(X._ids[p])) if p >= 0 else (-1,)
 
@@ -768,30 +840,21 @@ def join(A, B, out_dim=None, name=None):
             return p + 1, A._deg[p][i][a], b
         return p, a, B._deg[m - 1 - p][i - p - 1][b]
 
-    def marked(m, p, a, b):
-        q = m - 1 - p
-        return ((p < 0 or A._deg_wit[p][a] is None) and
-                (q < 0 or B._deg_wit[q][b] is None) and
-                (p > 0 and a in a_marks[p] or q > 0 and b in b_marks[q]))
-
-    a_marks, b_marks = ([None] + [set(X._tok_under[m])
-                                  for m in range(1, out_dim + 1)]
-                        for X in (A, B))
-    keys = [[(p, a, b) for p in range(-1, m + 1) for a in sides(p, A)
-             for b in sides(m - 1 - p, B)] for m in range(out_dim + 1)]
+    keys, ids = [], []
+    for m in range(out_dim + 1):
+        level = [(p, a, b) for p in range(-1, m + 1) for a in sides(p, A)
+                 for b in sides(m - 1 - p, B)]
+        names = [(A._ids[p][a] if p >= 0 else "") + "*" +
+                 (B._ids[m - 1 - p][b] if b >= 0 else "") for p, a, b in level]
+        order = sorted(range(len(level)), key=names.__getitem__)
+        keys.append([level[j] for j in order])
+        ids.append([names[j] for j in order])
     rank = [{k: j for j, k in enumerate(level)} for level in keys]
     face = [None] + [[[rank[m - 1][face_key(m, i, *k)] for k in keys[m]]
                       for i in range(m + 1)] for m in range(1, out_dim + 1)]
     deg = [[[rank[m + 1][deg_key(m, i, *k)] for k in keys[m]]
             for i in range(m + 1)] for m in range(out_dim)] + [None]
-    ids = [[(A._ids[p][a] if p >= 0 else "") + "*" +
-            (B._ids[m - 1 - p][b] if b >= 0 else "") for p, a, b in level]
-           for m, level in enumerate(keys)]
-    marks = [None] + [{j for j, k in enumerate(keys[m]) if marked(m, *k)}
-                      for m in range(1, out_dim + 1)]
-    return TruncatedTDeltaSet(out_dim, ids, face, deg,
-                              *_minimal_tokens(out_dim, ids, deg, marks),
-                              name=name or f"{A.name} * {B.name}")
+    return _shared_rows(ids, face, deg), keys
 
 
 # -- colimit-style operations ----------------------------------------------------

@@ -259,11 +259,14 @@ def test_shapes_in_any_build_order_match_reference():
 
 def test_constructor_adopts_only_the_shared_delta_rows_unchecked():
     """Every shape on one Delta[m] adopts its rows and index dicts as they
-    are; copied or restricted simplex rows and all token rows are checked."""
+    are, and the token levels its marks leave as they are; copied simplex
+    rows and token rows given as plain lists are checked."""
     X, Y = tdelta.delta(3, dim=4), tdelta.delta_k(1, 3, dim=4)
     assert all(X._idx[m] is Y._idx[m] for m in range(5))
+    assert X._tok_idx[1] is Y._tok_idx[1] and X._zeta[0][0] is Y._zeta[0][0]
+    assert X._tok_idx[2] is not Y._tok_idx[2]
     assert tdelta.horn(1, 3, dim=4)._idx[1] is not X._idx[1]
-    assert type(tdelta._delta_tables(10, 1)[1]) is list  # "10" < "2"
+    assert tdelta._delta_tables(10, 1)[1][0][:4] == ["0", "1", "10", "2"]
     _, ids, face, deg = tdelta._delta_tables(2, 2)
     tok_ids, tok_under, zeta = tdelta._minimal_tokens(2, ids, deg, [set()] * 3)
     copied = TruncatedTDeltaSet(2, [list(level) for level in ids], face, deg,
