@@ -269,10 +269,13 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse printed the help or the usage error
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
-    try:  # a missing output directory fails before any work, not after it
+    try:  # an output that cannot be written fails before any work
         for path in (getattr(args, "out", None), getattr(args, "report", None)):
             if path and not os.path.isdir(os.path.dirname(path) or "."):
                 raise InvalidInput(f"cannot write {path}: no such directory")
+        trace = getattr(args, "trace", None)
+        if trace and os.path.exists(trace) and not os.path.isdir(trace):
+            raise InvalidInput(f"cannot write {trace}: not a directory")
         return args.func(args)
     except InvalidInput as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -238,12 +238,14 @@ def test_unwritable_output_exits_input(argv, tmp_path, capsys):
      "--report", "{cat}/R.json"],
     ["categorify", "--input", "{nerve}", "--out", "{tmp}/missing/P.json"],
     ["counit-check", "--cat", "{cat}", "--report", "{tmp}/missing/K.json"],
+    ["factorize", "--input", "{cat}", "--dim", "5", "--trace", "{nerve}"],
 ], ids=["nerve", "check-fibrant", "check-fibrant-file-as-dir", "categorify",
-        "counit-check"])
+        "counit-check", "factorize-trace-is-a-file"])
 def test_unwritable_output_fails_before_any_work(argv, tmp_path, capsys,
                                                  monkeypatch):
-    """An output whose directory is missing ends the command before it
-    loads its input, and so before any search."""
+    """An output whose directory is missing, or a trace directory that is
+    an existing file, ends the command before it loads its input, and so
+    before any search or replay."""
     cat, nerve = tmp_path / "C.json", tmp_path / "X.json"
     assert run(["examples", "--name", "oriental-3", "--out", str(cat)]) == 0
     assert run(["nerve", "--input", str(cat), "--dim", "5",
@@ -256,6 +258,7 @@ def test_unwritable_output_fails_before_any_work(argv, tmp_path, capsys,
     for name in ("_load", "_load_two_category", "_load_tdelta"):
         monkeypatch.setattr(cli, name, never)
     monkeypatch.setattr(cli.lifting, "is_precomplicial", never)
+    monkeypatch.setattr(cli.factorization, "verify_factorization", never)
     argv = [a.format(tmp=tmp_path, cat=cat, nerve=nerve) for a in argv]
     assert run(argv) == cli.EXIT_INPUT
     assert "input error: cannot write" in capsys.readouterr().err
