@@ -141,17 +141,17 @@ SMALL = ["chain-1", "chain-2", "chain-3", "inv-oriental-2", "iso",
 
 
 @functools.cache
-def small_nerve(name, marking):
-    return nerves.nerve_with_info(twocat.standard_examples()[name], 3,
+def small_nerve(name, marking, dim):
+    return nerves.nerve_with_info(twocat.standard_examples()[name], dim,
                                   marking)[0]
 
 
 @st.composite
-def sub_marked_nerves(draw):
-    """A small catalog nerve at dim 3 with a random set of its free tokens
+def sub_marked_nerves(draw, dim=3):
+    """A small catalog nerve at dim with a random set of its free tokens
     dropped from its document."""
     X = small_nerve(draw(st.sampled_from(SMALL)),
-                    draw(st.sampled_from(["rs", "natural"])))
+                    draw(st.sampled_from(["rs", "natural"])), dim)
     free = [(m, t) for m in range(1, X.dim + 1)
             for t, w in zip(X._tok_ids[m], X._zeta_wit[m]) if w is None]
     drop = draw(st.sets(st.sampled_from(free))) if free else set()
@@ -168,7 +168,19 @@ def test_specialized_agrees_with_generic_on_sub_markings(X):
     stratified X (the generic search also counts token choices); every
     witness is a map without a lift.  The first witness depends on the
     search order, so it is not compared."""
-    for ext in anodyne_library(2, 3):
+    _agrees_with_generic(X, anodyne_library(2, 3))
+
+
+@given(sub_marked_nerves(dim=4))
+@settings(max_examples=5, deadline=None)
+def test_specialized_agrees_with_generic_on_sub_markings_at_dim_4(X):
+    """The same comparison on the library at dim 4, whose 4-horns have four
+    slots and whose saturation(l=-1) fails on some rs nerves."""
+    _agrees_with_generic(X, anodyne_library(2, 4))
+
+
+def _agrees_with_generic(X, library):
+    for ext in library:
         a = check_extension(X, ext)
         b = check_extension_generic(X, ext)
         assert a.passed == b.passed, ext.label()
