@@ -20,7 +20,6 @@ after construction.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from functools import cached_property, lru_cache
 
 from .twocat import InvalidInput
@@ -642,12 +641,10 @@ def _shape(rows, marks, name):
     tokens.idx, tokens.under = list(base.idx), list(base.under)
     tokens.zeta = list(base.zeta)
     for k in range(1, len(rows)):
-        new = sorted(j for j in marks[k]
-                     if f"t|{rows[k][j]}" not in base.idx[k])
-        if new:  # the old tokens move up past the new ones below them
-            shift = [t + bisect_left(new, j)
-                     for t, j in enumerate(base.under[k])]
-            tokens.under[k] = sorted(base.under[k] + new)
+        new = {j for j in marks[k] if f"t|{rows[k][j]}" not in base.idx[k]}
+        if new:  # shift: where each old token lands among the new ones
+            tokens.under[k] = under = sorted(base.under[k] + list(new))
+            shift = [t for t, j in enumerate(under) if j not in new]
             tokens[k] = sorted(base[k] + [f"t|{rows[k][j]}" for j in new])
             tokens.idx[k] = {t: i for i, t in enumerate(tokens[k])}
             tokens.zeta[k - 1] = [list(map(shift.__getitem__, row))
@@ -662,27 +659,28 @@ def _delta_tables(m, dim):
     shape on it and never written to: per level the index of each monotone
     vertex sequence in the string order of the ids (not the vertex order
     from m = 10 on), the shared rows, and their face and degeneracy rows."""
-    rank = [{s: j for j, s in enumerate(sorted(_monotone(m, k), key=_seq_id))}
-            for k in range(dim + 1)]
+    levels = [sorted((_seq_id(s), s) for s in _monotone(m, k))
+              for k in range(dim + 1)]
+    rank = [{s: j for j, (_, s) in enumerate(level)} for level in levels]
     face = [None] + [[[rank[k - 1][s[:i] + s[i + 1:]] for s in rank[k]]
                       for i in range(k + 1)] for k in range(1, dim + 1)]
     deg = [[[rank[k + 1][s[:i + 1] + s[i:]] for s in rank[k]]
             for i in range(k + 1)] for k in range(dim)] + [None]
-    ids = [list(map(_seq_id, level)) for level in rank]
+    ids = [[sid for sid, _ in level] for level in levels]
     return rank, _shared_rows(ids, face, deg, key=(m, dim)), face, deg
 
 
-def _build_simplicial(m, dim, marked, name, keep=None):
+def _build_simplicial(m, dim, marked, name, drop=None):
     """Stratified object on Delta[m] truncated at dim, or on its simplices
-    whose vertex sets pass ``keep`` (closed under faces), with minimal
-    markings and the vertex tuples in ``marked`` marked on top."""
+    that miss a vertex of ``drop``, with minimal markings and the vertex
+    tuples in ``marked`` marked on top."""
     rank, rows, face, deg = _delta_tables(m, dim)
     marks = [{rank[k][s] for s in marked if s in rank[k]}
              for k in range(dim + 1)]
-    if keep is not None:  # restrict the rows of Delta[m] and renumber
-        place = [{j: new for new, j in enumerate(
-            j for s, j in level.items() if keep(frozenset(s)))}
-            for level in rank]
+    if drop is not None:  # restrict the rows of Delta[m] and renumber
+        place = [dict(zip(level.values() if k < len(drop) - 1 else [
+            j for s, j in level.items() if not drop.issubset(s)],
+            itertools.count())) for k, level in enumerate(rank)]
         face = [None] + [[[place[k - 1][row[j]] for j in place[k]]
                           for row in face[k]] for k in range(1, dim + 1)]
         deg = [[[place[k + 1][row[j]] for j in place[k]] for row in deg[k]]
@@ -711,9 +709,8 @@ def delta_t(m, dim=None):
 
 def boundary(m, dim=None):
     dim = max(m - 1, 0) if dim is None else dim
-    full = frozenset(range(m + 1))
     return _build_simplicial(m, dim, set(), f"dDelta[{m}]",
-                             keep=lambda vs: vs != full)
+                             drop=frozenset(range(m + 1)))
 
 
 def _admissible(k, m):
@@ -763,9 +760,8 @@ def horn(k, m, dim=None):
     if not 0 <= k <= m:
         raise InvalidInput("need 0 <= k <= m")
     dim = m if dim is None else dim
-    other = frozenset(v for v in range(m + 1) if v != k)
     return _build_simplicial(m, dim, _marked_for_delta_k(k, m, dim),
-                             f"Horn^{k}[{m}]", keep=lambda vs: not other <= vs)
+                             f"Horn^{k}[{m}]", drop=frozenset(range(m + 1)) - {k})
 
 
 def delta3_eq(dim=3):
