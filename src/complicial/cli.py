@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import json
 import os
+import shutil
 import sys
 
 from . import categorify as categorify_mod
@@ -48,34 +49,46 @@ def _dump(path, doc):
 # The text of _dump for a tDelta-set document, written from templates for
 # its fixed shape: json.dump with an indent always runs the pure-Python
 # encoder, which costs more than building a replay's five stages.
-_ROW = "    [\n      %d,\n      %d,\n      %s,\n      %s\n    ]"
-_TOKEN = '      {\n        "id": %s,\n        "under": %s\n      }'
 _ROWS_PER_WRITE = 4096
+_COPY_BLOCK = 1 << 18
 
 
-def _dump_tdelta(path, X):
+def _dump_tdelta(path, X, prev=None):
     """Write ``X.to_json_dict()`` byte for byte as ``_dump`` does.
 
-    The keys go out in sorted order by hand and every string through the
-    encoder that ``json.dump`` uses.  Rows are written in bounded batches and
-    each level of simplices or tokens as one piece, so no whole document is
-    held as text.
+    Returns ``(path, X, offset)`` for the next call's ``prev``: ``offset``
+    is the byte where ``"tokens"`` starts.  The sections before it depend
+    only on the simplicial set, so they are copied from ``prev``'s file when
+    ``X`` has the same one, and the whole file is copied when ``X`` is the
+    same tDelta-set.  The rest is rendered with the keys in sorted order by
+    hand and each id encoded once by the encoder ``json.dump`` uses, in
+    bounded batches and blocks: no whole document is held as text.
     """
+    if prev is not None and X.same_as(prev[1]):
+        with _output(path), open(prev[0], "rb") as src, \
+                open(path, "wb") as fh:
+            shutil.copyfileobj(src, fh, _COPY_BLOCK)
+        return path, X, prev[2]
     doc = X.to_json_dict()
     enc = json.encoder.encode_basestring_ascii
+    code = {s: enc(s) for level in doc["simplices"] for s in level}
+    code.update((t["id"], enc(t["id"])) for lvl in doc["tokens"] for t in lvl)
 
     def rows(entries):
         for k in range(0, len(entries), _ROWS_PER_WRITE):
-            yield ",\n".join([_ROW % (m, i, enc(s), enc(v)) for m, i, s, v
-                              in entries[k:k + _ROWS_PER_WRITE]])
+            batch = entries[k:k + _ROWS_PER_WRITE]
+            yield ",\n".join([f"    [\n      {m},\n      {i},\n      "
+                              f"{code[s]},\n      {code[v]}\n    ]"
+                              for m, i, s, v in batch])
 
     def levels(lists, item):
         for lvl in lists:
             yield ("    [\n" + ",\n".join(map(item, lvl)) + "\n    ]" if lvl
                    else "    []")
 
-    with _output(path), open(path, "w", encoding="utf-8") as fh:
-        w = fh.write
+    with _output(path), open(path, "wb") as fh:
+        def w(text):
+            fh.write(text.encode("ascii"))
 
         def write_list(pieces):
             first = True
@@ -85,18 +98,28 @@ def _dump_tdelta(path, X):
                 first = False
             w("[]" if first else "\n  ]")
 
-        w('{\n  "degeneracies": ')
-        write_list(rows(doc["degeneracies"]))
-        w(',\n  "dim": %d,\n  "faces": ' % doc["dim"])
-        write_list(rows(doc["faces"]))
-        w(',\n  "simplices": ')
-        write_list(levels(doc["simplices"], lambda s: "      " + enc(s)))
-        w(',\n  "tokens": ')
-        write_list(levels(doc["tokens"], lambda t: _TOKEN % (
-            enc(t["id"]), enc(t["under"]))))
+        if prev is not None and X.same_underlying(prev[1]):
+            offset = prev[2]
+            with open(prev[0], "rb") as src:
+                while block := src.read(min(_COPY_BLOCK, offset - fh.tell())):
+                    fh.write(block)
+        else:
+            w('{\n  "degeneracies": ')
+            write_list(rows(doc["degeneracies"]))
+            w(',\n  "dim": %d,\n  "faces": ' % doc["dim"])
+            write_list(rows(doc["faces"]))
+            w(',\n  "simplices": ')
+            write_list(levels(doc["simplices"], lambda s: "      " + code[s]))
+            w(",\n  ")
+            offset = fh.tell()
+        w('"tokens": ')
+        write_list(levels(doc["tokens"], lambda t: (
+            f'      {{\n        "id": {code[t["id"]]},\n'
+            f'        "under": {code[t["under"]]}\n      }}')))
         w(',\n  "zeta": ')
         write_list(rows(doc["zeta"]))
         w("\n}\n")
+    return path, X, offset
 
 
 def _load(path):
@@ -173,8 +196,9 @@ def cmd_factorize(args):
     *stages, summary = factorization.verify_factorization(C, args.dim)
     with _output(args.trace):
         os.makedirs(args.trace, exist_ok=True)
+    prev = None
     for name, X in zip(("p1", "p2", "p3", "p4", "final"), stages):
-        _dump_tdelta(os.path.join(args.trace, f"{name}.json"), X)
+        prev = _dump_tdelta(os.path.join(args.trace, f"{name}.json"), X, prev)
     _dump(os.path.join(args.trace, "summary.json"), summary)
     print(f"factorization of {C.name} verified; trace in {args.trace}/")
     return EXIT_OK

@@ -128,7 +128,7 @@ def stage_p1(X, info):
 
 
 def _assert_same_underlying(X, Y):
-    if X._ids != Y._ids or X._face != Y._face or X._deg != Y._deg:
+    if not X.same_underlying(Y):
         raise StageError("stage changed the underlying simplicial set")
 
 

@@ -105,21 +105,18 @@ def _pastings_agree(C, faces):
 def _compatible_tuples(m, below):
     """The tuples (y_0, ..., y_m) of (m-1)-simplices with d_i y_j = d_{j-1}
     y_i for all i < j, in lexicographic order; ``below`` holds the face
-    tuple of each (m-1)-simplex."""
-    fits = [None] + [{} for _ in range(m)]  # fits[j]: d_0..d_{j-1} -> [y]
-    for y, f in enumerate(below):
-        for j in range(1, m + 1):
-            fits[j].setdefault(f[:j], []).append(y)
-    out = []
-    stack = [(y,) for y in reversed(range(len(below)))]
-    while stack:  # depth first, smallest candidate on top
-        t = stack.pop()
-        if len(t) > m:
-            out.append(t)
-            continue
-        key = tuple(below[y][len(t) - 1] for y in t)
-        stack.extend(t + (c,) for c in reversed(fits[len(t)].get(key, ())))
-    return out
+    tuple of each (m-1)-simplex.  All tuples of one length are extended at
+    once: y_k is any simplex whose faces d_0..d_{k-1} are the d_{k-1} of
+    y_0..y_{k-1}, which keeps the order lexicographic."""
+    tuples = [(y,) for y in range(len(below))]
+    for k in range(1, m + 1):
+        fits = {}  # d_0..d_{k-1} -> the simplices with these faces
+        for y, f in enumerate(below):
+            fits.setdefault(f[:k], []).append(y)
+        col = [f[k - 1] for f in below]
+        tuples = [t + (c,) for t in tuples
+                  for c in fits.get(tuple(map(col.__getitem__, t)), ())]
+    return tuples
 
 
 def _add_tuple_level(m, tuples, ids, faces, deg):
@@ -127,11 +124,12 @@ def _add_tuple_level(m, tuples, ids, faces, deg):
     degeneracies of level m-1 into it."""
     level, tuples = _in_id_order(f"W{m}.", tuples)
     at = {t: j for j, t in enumerate(tuples)}
-    s = deg[m - 2]
+    s = [*deg[m - 2], ()]  # s_{-1} and s_{m-1} are never applied
     ids.append(level)
     faces.append(tuples)
-    deg.append([[at[tuple(s[i - 1][y[j]] if j < i else z if j <= i + 1
-                          else s[i][y[j - 1]] for j in range(m + 1))]
+    # d_j s_i z is s_{i-1} d_j z below i, z at i and i+1, s_i d_{j-1} z above
+    deg.append([[at[(*map(s[i - 1].__getitem__, y[:i]), z, z,
+                     *map(s[i].__getitem__, y[i + 1:]))]
                  for z, y in enumerate(faces[m - 1])] for i in range(m)])
 
 

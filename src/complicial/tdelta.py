@@ -317,9 +317,14 @@ class TruncatedTDeltaSet:
                 seen.add(u)
         return True
 
-    def same_as(self, other):
+    def same_underlying(self, other):
+        """Whether both have the same simplicial set: ids, faces and
+        degeneracies, whatever their marks."""
         return (self.dim == other.dim and self._ids == other._ids and
-                self._face == other._face and self._deg == other._deg and
+                self._face == other._face and self._deg == other._deg)
+
+    def same_as(self, other):
+        return (self.same_underlying(other) and
                 self._tok_ids == other._tok_ids and
                 self._tok_under == other._tok_under and
                 self._zeta == other._zeta)
@@ -327,27 +332,27 @@ class TruncatedTDeltaSet:
     # -- JSON -------------------------------------------------------------------
 
     def to_json_dict(self):
-        faces = []
-        for m in range(1, self.dim + 1):
-            for i in range(m + 1):
-                for j, s in enumerate(self._ids[m]):
-                    faces.append([m, i, s, self._ids[m - 1][self._face[m][i][j]]])
-        degs = []
-        zeta = []
-        for m in range(self.dim):
-            for i in range(m + 1):
-                for j, s in enumerate(self._ids[m]):
-                    degs.append([m, i, s, self._ids[m + 1][self._deg[m][i][j]]])
-                    zeta.append([m, i, s, self._tok_ids[m + 1][self._zeta[m][i][j]]])
+        ids, toks, dim = self._ids, self._tok_ids, self.dim
+
+        def entries(table, at, lo, hi, shift):
+            # [m, i, s, v] per simplex s of level m, one (m, i) block after
+            # another, v read off table[m][i] in at[m + shift]
+            out = []
+            for m in range(lo, hi):
+                to = at[m + shift]
+                for i, row in enumerate(table[m]):
+                    out += [[m, i, s, to[v]] for s, v in zip(ids[m], row)]
+            return out
+
         return {
-            "dim": self.dim,
-            "simplices": [list(self._ids[m]) for m in range(self.dim + 1)],
-            "faces": faces,
-            "degeneracies": degs,
-            "tokens": [[{"id": t, "under": self._ids[m][self._tok_under[m][i]]}
-                        for i, t in enumerate(self._tok_ids[m])]
-                       for m in range(1, self.dim + 1)],
-            "zeta": zeta,
+            "dim": dim,
+            "simplices": [list(level) for level in ids],
+            "faces": entries(self._face, ids, 1, dim + 1, -1),
+            "degeneracies": entries(self._deg, ids, 0, dim, 1),
+            "tokens": [[{"id": t, "under": ids[m][u]}
+                        for t, u in zip(toks[m], self._tok_under[m])]
+                       for m in range(1, dim + 1)],
+            "zeta": entries(self._zeta, toks, 0, dim, 1),
         }
 
     @classmethod

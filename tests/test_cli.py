@@ -115,6 +115,23 @@ def test_factorize_out_of_range_dim_makes_no_trace(dim, tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("blocked", ["p2.json", "p4.json"])
+def test_factorize_trace_file_that_is_a_directory(blocked, tmp_path):
+    """A trace file that cannot be opened exits 3 with a message, whether
+    the writer would copy the stage before whole (p2 of oriental-3) or
+    only its leading sections (p4)."""
+    cat, trace = tmp_path / "C.json", tmp_path / "T"
+    assert run(["examples", "--name", "oriental-3", "--out", str(cat)]) == 0
+    (trace / blocked).mkdir(parents=True)
+    proc = subprocess.run(
+        [sys.executable, "-m", "complicial.cli", "factorize", "--input",
+         str(cat), "--dim", "4", "--trace", str(trace)],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_INPUT
+    assert f"input error: cannot write {trace / blocked}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_counit_check(tmp_path):
     cat = tmp_path / "C.json"
     run(["examples", "--name", "z2", "--out", str(cat)])

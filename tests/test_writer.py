@@ -34,12 +34,53 @@ def test_catalog_nerves_match_the_oracle(name, tmp_path):
                 (marking, dim)
 
 
-@pytest.mark.parametrize("name", ["sigma-iso", "inv-oriental-2"])
-def test_replay_stages_match_the_oracle(name, tmp_path):
+def chained(docs, tmp_path):
+    """The bytes of each document written after the one before, as
+    ``factorize`` writes its trace."""
+    prev, out = None, []
+    for k, X in enumerate(docs):
+        prev = cli._dump_tdelta(tmp_path / f"{k}.json", X, prev)
+        out.append((tmp_path / f"{k}.json").read_bytes())
+    return out
+
+
+# Which stages the chained writer renders: a stage equal to the one before
+# is copied whole.  Every stage has the simplicial set of the one before.
+@pytest.mark.parametrize("name,rendered", [
+    ("oriental-3", [0, 3, 4]),
+    ("sigma-iso", [0, 1, 2, 3, 4]),
+    ("inv-oriental-2", [0, 1, 2, 3, 4])])
+def test_replay_stages_match_the_oracle(name, rendered, tmp_path,
+                                        monkeypatch):
     *stages, summary = factorization.verify_factorization(CATALOG[name], 4)
     assert len(stages) == 5
+    assert all(Y.same_underlying(X) for X, Y in zip(stages, stages[1:]))
+    calls, to_json_dict = [], tdelta.TruncatedTDeltaSet.to_json_dict
+
+    def counted(X):
+        calls.append(X)
+        return to_json_dict(X)
+    monkeypatch.setattr(tdelta.TruncatedTDeltaSet, "to_json_dict", counted)
+    got = chained(stages, tmp_path)
+    assert [k for k, X in enumerate(stages)
+            if any(Y is X for Y in calls)] == rendered
     for k, X in enumerate(stages):
-        assert written(X, tmp_path / "X.json") == oracle(X), k
+        assert written(X, tmp_path / "X.json") == got[k] == oracle(X), k
+
+
+def test_chained_documents_on_other_simplicial_sets(tmp_path):
+    """Marks changed on one simplicial set (street, rs, natural), then
+    another simplicial set, another dimension and the first one again:
+    each document equals its oracle."""
+    iso, sigma = CATALOG["iso"], CATALOG["sigma-iso"]
+    docs = [nerves.nerve_with_info(iso, 4, marking)[0]
+            for marking in ("street", "rs", "natural")]
+    docs += [nerves.natural_nerve(sigma, 4), nerves.natural_nerve(sigma, 3),
+             tdelta.delta(3, dim=3), docs[0]]
+    assert [Y.same_underlying(X) for X, Y in zip(docs, docs[1:])] == [
+        True, True, False, False, False, False]
+    for k, (X, text) in enumerate(zip(docs, chained(docs, tmp_path))):
+        assert text == oracle(X), k
 
 
 def test_ten_vertices_match_the_oracle(tmp_path):
