@@ -16,6 +16,8 @@ Markings:
 
 from __future__ import annotations
 
+from itertools import chain
+
 from . import tdelta, twocat
 from .tdelta import TruncatedTDeltaSet
 from .twocat import InvalidInput
@@ -105,18 +107,19 @@ def _pastings_agree(C, faces):
 def _compatible_tuples(m, below):
     """The tuples (y_0, ..., y_m) of (m-1)-simplices with d_i y_j = d_{j-1}
     y_i for all i < j, in lexicographic order; ``below`` holds the face
-    tuple of each (m-1)-simplex.  All tuples of one length are extended at
-    once: y_k is any simplex whose faces d_0..d_{k-1} are the d_{k-1} of
-    y_0..y_{k-1}, which keeps the order lexicographic."""
-    tuples = [(y,) for y in range(len(below))]
+    tuple of each (m-1)-simplex.  Built level-wise: each tuple of length k
+    is repeated once per y_k whose faces d_0..d_{k-1} are its d_{k-1}s."""
+    cols = [range(len(below))]  # cols[j][r]: y_j of the r-th tuple
     for k in range(1, m + 1):
         fits = {}  # d_0..d_{k-1} -> the simplices with these faces
         for y, f in enumerate(below):
             fits.setdefault(f[:k], []).append(y)
-        col = [f[k - 1] for f in below]
-        tuples = [t + (c,) for t in tuples
-                  for c in fits.get(tuple(map(col.__getitem__, t)), ())]
-    return tuples
+        face = [f[k - 1] for f in below].__getitem__
+        found = list(map(fits.get, zip(*[map(face, c) for c in cols])))
+        rep = [r for r, ys in enumerate(found) if ys for _ in ys]
+        cols = [list(map(c.__getitem__, rep)) for c in cols]
+        cols.append(list(chain.from_iterable(filter(None, found))))
+    return list(zip(*cols))
 
 
 def _add_tuple_level(m, tuples, ids, faces, deg):
