@@ -166,12 +166,7 @@ def categorify(X):
                 p = Pasting(src, (PastingFactor((), inv_id, ()),))
                 relations.append(_pair(p, Pasting(src)))
             else:
-                gen_f = PastingFactor((), f"A|{x}", ())
-                inv_f = PastingFactor((), inv_id, ())
-                relations.append(_pair(Pasting(src, (gen_f, inv_f)),
-                                       Pasting(src)))
-                relations.append(_pair(Pasting(tgt, (inv_f, gen_f)),
-                                       Pasting(tgt)))
+                relations.extend(_inverse_relations(src, tgt, f"A|{x}", inv_id))
 
     if X.dim >= 1:
         zwit = X._zeta_wit[1]

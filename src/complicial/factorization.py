@@ -34,32 +34,60 @@ class StageError(Exception):
     """A stage assertion failed; the replay does not match the construction."""
 
 
-def _simplex_from_faces(X, m, face_sids):
-    key = tuple(X._idx[m - 1][s] for s in face_sids)
-    hits = X._by_boundary[m].get(key, [])
-    if len(hits) != 1:
-        raise StageError(
-            f"expected exactly one {m}-simplex with the prescribed boundary, "
-            f"found {len(hits)}")
-    return X._ids[m][hits[0]]
+def _simplex_from_faces(X, info, m, face_sids):
+    """The m-simplex (m >= 3) with faces face_sids of X, a stage over the
+    nerve of info."""
+    j = info.by_faces[m].get(tuple(X._idx[m - 1][s] for s in face_sids))
+    if j is None:
+        raise StageError(f"no {m}-simplex has the prescribed boundary")
+    return X._ids[m][j]
 
 
-def _gluings(X, ext, tops, stage):
-    """(A -> X, A -> B) sending the top simplex of ext.A onto each of tops.
+def _tetrahedron(X, info, stage, triangles):
+    """The 3-simplex of X with faces d_0..d_3 the triangles (u, v, alpha)."""
+    try:
+        faces = [info.triangle(*t) for t in triangles]
+    except KeyError as exc:
+        raise StageError(f"{stage} skeleton fails: {exc.args[0]} is not a "
+                         f"triangle of the nerve") from None
+    return _simplex_from_faces(X, info, 3, faces)
 
-    The maps come from the compiled lift plan of the extension, which also
-    checks that every marked simplex of A lands on a marked simplex.
-    """
+
+def _glue(X, ext, tops, stage, name):
+    """Push ext out along maps of its top simplex onto each of tops, built
+    and checked by the compiled lift plan.  Returns (P, X -> P, [B_k -> P],
+    number of gluings); P must have the simplices of X."""
     plan, incl = lifting._compile_plan(ext), ext.inclusion
     xs = [X._idx[plan.m][top] for top in tops]
     good = set(lifting._passing(X, plan.m, xs, plan.domain_marks))
-    out = []
+    gluings = []
     for top, x in zip(tops, xs):
         if x not in good:
             raise StageError(f"{stage}: a marked simplex of {ext.A.name} "
                              f"lands on an unmarked one at {top}")
-        out.append((lifting._part_to_map(X, ext, plan, (x,)), incl))
-    return out
+        gluings.append((lifting._part_to_map(X, ext, plan, (x,)), incl))
+    P, x_to_p, b_maps = tdelta.pushout_family(
+        X, gluings, prefix=f"{stage.lower()}.", name=name)
+    if not X.same_underlying(P):
+        raise StageError(f"{stage} changed the underlying simplicial set")
+    return P, x_to_p, b_maps, len(gluings)
+
+
+def _retract(base_to_p, stage, name, labels=None):
+    """Identify the marks of P = base_to_p.dst (by labels, if given) and
+    check that the quotient Q is a retract of P under the base.  Returns
+    (Q, base -> Q, quotient P -> Q, section Q -> P)."""
+    P, base = base_to_p.dst, base_to_p.src
+    Q, q = tdelta.identify_markings(P, name=name, labels=labels)
+    s = _section_of_collapse(P, Q, q, base)
+    base_to_q = q.compose(base_to_p)
+    if not (q.is_valid() and s.is_valid()):
+        raise StageError(f"{stage}: quotient or section is not a map")
+    if not q.compose(s).equals(tdelta.identity_map(Q)):
+        raise StageError(f"{stage}: collapse retraction fails")
+    if not s.compose(base_to_q).equals(base_to_p):
+        raise StageError(f"{stage}: section does not restrict to {base.name}")
+    return Q, base_to_q, q, s
 
 
 class StageReport:
@@ -96,40 +124,19 @@ def stage_p1(X, info):
         edges = {(0, 1): f, (0, 2): g, (0, 3): f, (0, 4): g}
         wit = {(0, 1, 2): beta, (0, 1, 3): id2(f), (0, 1, 4): beta,
                (0, 2, 3): alpha, (0, 2, 4): id2(g), (0, 3, 4): beta}
-        tri = {}
-        for i in range(5):
-            for j in range(i + 1, 5):
-                for k in range(j + 1, 5):
-                    u = edges.get((i, j), idy)
-                    v = edges.get((j, k), idy)
-                    w = wit.get((i, j, k), id2(idy))
-                    try:
-                        tri[(i, j, k)] = info.triangle(u, v, w)
-                    except KeyError:
-                        raise StageError(
-                            f"2-skeleton of the gluing for {alpha} does not "
-                            f"assemble at ({i},{j},{k})")
-        tets = {}
-        for drop in range(4, -1, -1):
-            vs = [v for v in range(5) if v != drop]
-            faces = []
-            for d in range(4):
-                tri_vs = tuple(v for idx, v in enumerate(vs) if idx != d)
-                faces.append(tri[tri_vs])
-            tets[drop] = _simplex_from_faces(X, 3, faces)
-        tops.append(_simplex_from_faces(X, 4, [tets[d] for d in range(5)]))
-    gluings = _gluings(X, saturation(0), tops, "P1")
-    P1, x_to_p1, _ = tdelta.pushout_family(X, gluings, prefix="p1.",
-                                           name=f"P1({C.name})")
-    _assert_same_underlying(X, P1)
-    report = StageReport("P1", len(gluings), X.counts()["tokens"],
-                         P1.counts()["tokens"])
+
+        def tri(i, j, k):
+            return (edges.get((i, j), idy), edges.get((j, k), idy),
+                    wit.get((i, j, k), id2(idy)))
+
+        def faces(vs):  # the vertex lists of d_0, d_1, ... of the simplex vs
+            return [[v for v in vs if v != w] for w in vs]
+        tets = [_tetrahedron(X, info, "P1", [tri(*t) for t in faces(vs)])
+                for vs in faces(range(5))]
+        tops.append(_simplex_from_faces(X, info, 4, tets))
+    P1, x_to_p1, _, n = _glue(X, saturation(0), tops, "P1", f"P1({C.name})")
+    report = StageReport("P1", n, X.counts()["tokens"], P1.counts()["tokens"])
     return P1, x_to_p1, report
-
-
-def _assert_same_underlying(X, Y):
-    if not X.same_underlying(Y):
-        raise StageError("stage changed the underlying simplicial set")
 
 
 def _section_of_collapse(P, Q, to_q, base):
@@ -157,16 +164,7 @@ def stage_p2(P1, x_to_p1):
     Returns (P2, map rs -> P2, retraction P1 -> P2, section P2 -> P1,
     report).
     """
-    X = x_to_p1.src
-    P2, r = tdelta.identify_markings(P1, name=P1.name.replace("P1", "P2"))
-    s = _section_of_collapse(P1, P2, r, X)
-    x_to_p2 = r.compose(x_to_p1)
-    if not s.is_valid():
-        raise StageError("section of the marking collapse is not a map")
-    if not r.compose(s).equals(tdelta.identity_map(P2)):
-        raise StageError("collapse retraction fails")
-    if not s.compose(x_to_p2).equals(x_to_p1):
-        raise StageError("section does not restrict to the base nerve")
+    P2, x_to_p2, r, s = _retract(x_to_p1, "P2", P1.name.replace("P1", "P2"))
     report = StageReport("P2", 0, P1.counts()["tokens"], P2.counts()["tokens"])
     return P2, x_to_p2, r, s, report
 
@@ -188,20 +186,12 @@ def stage_p3(P2, info):
             z = C.one_cells[g2].tgt
             idz = C.identity_of(z)
             id2 = C.identity2_of
-            try:
-                t3 = info.triangle(g1, g2, id2(tgt))
-                t2 = info.triangle(g1, g2, alpha)
-                t1 = info.triangle(tgt, idz, alpha)
-                t0 = info.triangle(g2, idz, id2(g2))
-            except KeyError:
-                raise StageError(f"P3 skeleton fails for {alpha},{g1},{g2}")
-            tops.append(_simplex_from_faces(P2, 3, [t0, t1, t2, t3]))
-    gluings = _gluings(P2, thinness(2, 3), tops, "P3")
-    P3, p2_to_p3, _ = tdelta.pushout_family(P2, gluings, prefix="p3.",
-                                            name=P2.name.replace("P2", "P3"))
-    _assert_same_underlying(P2, P3)
-    report = StageReport("P3", len(gluings), P2.counts()["tokens"],
-                         P3.counts()["tokens"])
+            tops.append(_tetrahedron(P2, info, "P3", [
+                (g2, idz, id2(g2)), (tgt, idz, alpha), (g1, g2, alpha),
+                (g1, g2, id2(tgt))]))
+    P3, p2_to_p3, _, n = _glue(P2, thinness(2, 3), tops, "P3",
+                               P2.name.replace("P2", "P3"))
+    report = StageReport("P3", n, P2.counts()["tokens"], P3.counts()["tokens"])
     return P3, p2_to_p3, report
 
 
@@ -221,18 +211,11 @@ def stage_p4_and_retract(P3, info):
         x = C.one_cells[f].src
         y = C.one_cells[f].tgt
         id2 = C.identity2_of
-        try:
-            t3 = info.triangle(f, g, eta)
-            t2 = info.triangle(f, C.identity_of(y), id2(f))
-            t1 = info.triangle(C.identity_of(x), f, id2(f))
-            t0 = info.triangle(g, f, inv[eps])
-        except KeyError:
-            raise StageError(f"P4 skeleton fails for {ae}")
-        tops.append(_simplex_from_faces(P3, 3, [t0, t1, t2, t3]))
-    gluings = _gluings(P3, saturation(-1), tops, "P4")
-    P4, p3_to_p4, b_maps = tdelta.pushout_family(
-        P3, gluings, prefix="p4.", name=P3.name.replace("P3", "P4"))
-    _assert_same_underlying(P3, P4)
+        tops.append(_tetrahedron(P3, info, "P4", [
+            (g, f, inv.get(eps)), (C.identity_of(x), f, id2(f)),
+            (f, C.identity_of(y), id2(f)), (f, g, eta)]))
+    P4, p3_to_p4, b_maps, n = _glue(P3, saturation(-1), tops, "P4",
+                                    P3.name.replace("P3", "P4"))
 
     # classify the level-1 tokens of P4 by completion
     cls = {}
@@ -258,17 +241,9 @@ def stage_p4_and_retract(P3, info):
                 raise StageError("conflicting completion classes")
             cls[(1, t)] = completion_token(owner, key)
 
-    Q, q = tdelta.identify_markings(P4, name=P4.name.replace("P4", "Q"),
-                                    labels=cls)
-    s = _section_of_collapse(P4, Q, q, P3)
-    p3_to_q = q.compose(p3_to_p4)
-    if not (q.is_valid() and s.is_valid()):
-        raise StageError("quotient or section is not a map")
-    if not q.compose(s).equals(tdelta.identity_map(Q)):
-        raise StageError("completion-identification retraction fails")
-    if not s.compose(p3_to_q).equals(p3_to_p4):
-        raise StageError("section does not restrict to P3")
-    report = StageReport("P4", len(gluings), P3.counts()["tokens"],
+    Q, p3_to_q, q, s = _retract(p3_to_p4, "P4", P4.name.replace("P4", "Q"),
+                                labels=cls)
+    report = StageReport("P4", n, P3.counts()["tokens"],
                          Q.counts()["tokens"],
                          notes={"p4_tokens": P4.counts()["tokens"]})
     return Q, p3_to_q, P4, p3_to_p4, q, s, report

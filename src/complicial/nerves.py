@@ -26,12 +26,14 @@ from .twocat import InvalidInput
 class NerveInfo:
     """Construction metadata: witness cells behind the simplex ids."""
 
-    __slots__ = ("C", "dim", "two_data", "two_index", "completions")
+    __slots__ = ("C", "dim", "two_data", "two_index", "by_faces",
+                 "completions")
 
     def __init__(self, C, dim):
         self.C, self.dim = C, dim
         self.two_data = {}   # sid -> (u, v, alpha)
         self.two_index = {}  # (u, v, alpha) -> sid
+        self.by_faces = {}   # m >= 3 -> {face-index tuple: simplex index}
         self.completions = {}
 
     def witness(self, sid):
@@ -56,7 +58,7 @@ def _levels(C, N, info):
     """(ids, faces, deg) of the nerve's levels 0..N, each level in the
     string order of its ids: faces[m] holds one tuple (d_0 y, ..., d_m y)
     of level-(m-1) indices per m-simplex y, deg[m][i] the index rows of
-    s_i.  Fills ``info.two_data`` and ``info.two_index``."""
+    s_i.  Fills ``info``'s triangle tables and ``by_faces``."""
     ids = [list(C.objects)]
     faces, deg = [None], []
     if N >= 1:
@@ -93,7 +95,7 @@ def _levels(C, N, info):
         if m == 3:
             tuples = [t for t in tuples
                       if _pastings_agree(C, [two[y] for y in t])]
-        _add_tuple_level(m, tuples, ids, faces, deg)
+        info.by_faces[m] = _add_tuple_level(m, tuples, ids, faces, deg)
     return ids, faces, deg
 
 
@@ -124,7 +126,7 @@ def _compatible_tuples(m, below):
 
 def _add_tuple_level(m, tuples, ids, faces, deg):
     """Append level m, whose simplices are the sorted face tuples, and the
-    degeneracies of level m-1 into it."""
+    degeneracies of level m-1 into it; return {face tuple: index}."""
     level, tuples = _in_id_order(f"W{m}.", tuples)
     at = {t: j for j, t in enumerate(tuples)}
     s = [*deg[m - 2], ()]  # s_{-1} and s_{m-1} are never applied
@@ -134,6 +136,7 @@ def _add_tuple_level(m, tuples, ids, faces, deg):
     deg.append([[at[(*map(s[i - 1].__getitem__, y[:i]), z, z,
                      *map(s[i].__getitem__, y[i + 1:]))]
                  for z, y in enumerate(faces[m - 1])] for i in range(m)])
+    return at
 
 
 def nerve_with_info(C, N=5, marking="street"):

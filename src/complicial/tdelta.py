@@ -224,18 +224,6 @@ class TruncatedTDeltaSet:
                         wit[m + 1][t] = (i, j)
         return wit
 
-    @cached_property
-    def _by_boundary(self):
-        out = [None]
-        for m in range(1, self.dim + 1):
-            d = {}
-            rows = self._face[m]
-            for j in range(len(self._ids[m])):
-                key = tuple(rows[i][j] for i in range(m + 1))
-                d.setdefault(key, []).append(j)
-            out.append(d)
-        return out
-
     # -- checks ----------------------------------------------------------------
 
     def validate(self):

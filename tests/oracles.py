@@ -26,6 +26,20 @@ from complicial.twocat import FiniteTwoCategory, InvalidInput, OneCell, TwoCell
 # -- generic map search ---------------------------------------------------------
 
 _TABLES = weakref.WeakKeyDictionary()  # A -> _lift_tables(A)
+_BOUNDARIES = weakref.WeakKeyDictionary()  # X -> _by_boundary(X)
+
+
+def _by_boundary(X):
+    """Per level m >= 1: the m-simplices of X by their tuple of faces."""
+    if X not in _BOUNDARIES:
+        out = [None]
+        for m in range(1, X.dim + 1):
+            d = {}
+            for j, key in enumerate(zip(*X._face[m])):
+                d.setdefault(key, []).append(j)
+            out.append(d)
+        _BOUNDARIES[X] = out
+    return _BOUNDARIES[X]
 
 
 def _lift_tables(A):
@@ -89,7 +103,7 @@ def _iter_maps(A, X, budget, seed_simp=None, seed_tok=None):
                     slots.append(("tnd", m, j))
 
     x_tokens_over = X._tokens_over_idx
-    x_boundary = X._by_boundary
+    x_boundary = _by_boundary(X)
     dfill, tderive, tcheck = _lift_tables(A)
 
     def candidates(slot):
@@ -403,7 +417,7 @@ def nerve_map(F, C, D, N=5, marking="rs"):
                     for u, v, a in map(infoC.two_data.get, XC._ids[2])])
     for m in range(3, N + 1):  # an m-simplex is the tuple of its faces
         rows, below = XC._face[m], img[m - 1]
-        img.append([XD._by_boundary[m][tuple(below[r[j]] for r in rows)][0]
+        img.append([infoD.by_faces[m][tuple(below[r[j]] for r in rows)]
                     for j in range(len(XC._ids[m]))])
     by_token = {nerves.completion_token(f, ae): (f, ae)
                 for f, aes in infoC.completions.items() for ae in aes}

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from complicial import categorify as cg
 from complicial import factorization as fz
 from complicial import lifting, nerves, tdelta, twocat
 
@@ -120,4 +123,73 @@ def test_gluing_onto_an_unmarked_simplex_raises(catalog):
     X = nerves.duskin_nerve(catalog["chain-3"], 3)  # marks nothing but
     top, = X.nondegenerate_ids(3)                   # the degenerate simplices
     with pytest.raises(fz.StageError, match=f"P4: .* at {top}"):
-        fz._gluings(X, lifting.saturation(-1), [top], "P4")
+        fz._glue(X, lifting.saturation(-1), [top], "P4", "P4")
+
+
+def test_a_boundary_that_no_simplex_has_raises(catalog):
+    X, info = _rs(catalog["inv-oriental-2"])
+    t = X.nondegenerate_ids(2)[0]
+    with pytest.raises(fz.StageError, match="no 3-simplex"):
+        fz._simplex_from_faces(X, info, 3, [t] * 4)
+
+
+def test_a_triple_that_is_no_triangle_raises(catalog):
+    C = catalog["inv-oriental-2"]
+    X, info = _rs(C)
+    f = sorted(C.one_cells)[0]
+    bad = (f, f, "no-such-cell")
+    with pytest.raises(fz.StageError, match="^P3 skeleton fails"):
+        fz._tetrahedron(X, info, "P3", [info.two_data[s] for s in
+                                        X.nondegenerate_ids(2)[:3]] + [bad])
+
+
+def _cyclic_group(n):
+    """Z/n as a category on one object."""
+    arrows = tuple(twocat.OneCell(f"g{a}", "*", "*", a == 0) for a in range(n))
+    comp = {(f"g{b}", f"g{a}"): f"g{(a + b) % n}"
+            for a in range(n) for b in range(n)}
+    return twocat.FiniteCategory(("*",), arrows, tuple(sorted(comp.items())))
+
+
+def _codiscrete(n):
+    """The groupoid on n objects with exactly one arrow between any two."""
+    arrows = tuple(twocat.OneCell(f"a{i}{j}", str(i), str(j), i == j)
+                   for i in range(n) for j in range(n))
+    comp = {(f"a{j}{k}", f"a{i}{j}"): f"a{i}{k}"
+            for i in range(n) for j in range(n) for k in range(n)}
+    return twocat.FiniteCategory(tuple(str(i) for i in range(n)), arrows,
+                                 tuple(sorted(comp.items())))
+
+
+@st.composite
+def invertible_two_categories(draw):
+    """2-categories with non-identity invertible cells: suspended cyclic
+    groups (invertible 2-cells), codiscrete groupoids (invertible 1-cells)
+    and their suspensions (invertible 2-cells between distinct 1-cells)."""
+    kind = draw(st.sampled_from(["susp-cyclic", "codisc", "susp-codisc"]))
+    n = draw(st.integers(1, 4))
+    if kind == "susp-cyclic":
+        return twocat.suspension(_cyclic_group(n), f"{kind}-{n}")
+    if kind == "codisc":
+        return twocat.two_category_from_category(_codiscrete(n), f"{kind}-{n}")
+    return twocat.suspension(_codiscrete(n), f"{kind}-{n}")
+
+
+def test_codiscrete_suspension_glues_in_p1_and_p3():
+    C = twocat.suspension(_codiscrete(3), "susp-codisc-3")
+    *_, report = fz.verify_factorization(C, 4)
+    assert [s["gluings"] for s in report["stages"][:3]] == [6, 0, 6]
+
+
+@given(invertible_two_categories())
+@settings(max_examples=15, deadline=None)
+def test_random_invertible_cells_replay_and_counit(C):
+    """The replay reaches the natural nerve, which is fibrant, and the
+    counit retracts every hom-category embedding."""
+    assert C.validate() == []
+    fz.verify_factorization(C, 4)
+    assert lifting.is_precomplicial(nerves.natural_nerve(C, 4), 2, 4).passed
+    assignment = cg.counit_assignment(C, 4)
+    for x in C.objects:
+        for y in C.objects:
+            assert cg.section_check(C, x, y, 4, assignment).ok, (x, y)

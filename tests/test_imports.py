@@ -59,7 +59,7 @@ MOVED = {
     "rs_fully_faithful_check", "rs_fibrancy_prediction", "one_isomorphisms",
     "is_equivalence", "evaluate_presentation", "evaluate_free",
     "EvaluationRefused", "_one_cell_words", "_detect_inverse_pairs",
-    "_normalize", "_closure_cells", "_UnionFind"}
+    "_normalize", "_closure_cells", "_UnionFind", "_by_boundary"}
 
 
 def test_oracles_stay_out_of_the_engine():
