@@ -44,7 +44,10 @@ class NerveInfo:
 
 
 def completion_token(f, ae):
-    return f"t|{f}|{ae.g}|{ae.eta}|{ae.eps}"
+    """``t|f|g|eta|eps``, where a backslash escapes each backslash and bar
+    of the four ids, so that different completions get different ids."""
+    return "|".join(["t"] + [c.replace("\\", "\\\\").replace("|", "\\|")
+                             for c in (f, ae.g, ae.eta, ae.eps)])
 
 
 def _in_id_order(prefix, items):

@@ -100,16 +100,13 @@ class TruncatedTDeltaSet:
         """
         if dim < 0:
             raise InvalidInput("dimension bound must be >= 0")
-        # shared rows and the tokens built on them are in order, indexed and
-        # valid as built; every other row is checked
+        # shared rows are in order, indexed and valid as built; every other
+        # simplex row and every token row is checked
         shared = (type(ids) is _SharedRows and len(ids) == dim + 1
                   and face is ids.face and deg is ids.deg)
-        trusted = (shared and type(tok_ids) is _SharedTokens and
-                   tok_under is tok_ids.under and zeta is tok_ids.zeta)
         s_ord = [None] * (dim + 1) if shared else [_level_order(level)
                                                    for level in ids]
-        t_ord = [None] * (dim + 1) if trusted else [None] + [
-            _level_order(tok_ids[m]) for m in range(1, dim + 1)]
+        t_ord = [None] + [_level_order(tok_ids[m]) for m in range(1, dim + 1)]
         self.dim = dim
         self.name = name
         self._ids = ids if shared else [_reorder(ids[m], s_ord[m], None)
@@ -118,8 +115,8 @@ class TruncatedTDeltaSet:
             _index(level, "simplex", m) for m, level in enumerate(self._ids)]
         self._tok_ids = [None] + [_reorder(tok_ids[m], t_ord[m], None)
                                   for m in range(1, dim + 1)]
-        self._tok_idx = list(tok_ids.idx) if trusted else [None] + [
-            _index(self._tok_ids[m], "token", m) for m in range(1, dim + 1)]
+        self._tok_idx = [None] + [_index(self._tok_ids[m], "token", m)
+                                  for m in range(1, dim + 1)]
         ids, tok_ids = self._ids, self._tok_ids
         self._face = face = [None] + [
             [_reorder(row, s_ord[m], s_ord[m - 1]) for row in face[m]]
@@ -139,10 +136,10 @@ class TruncatedTDeltaSet:
                     _check(face[m][i], ids[m - 1], f"simplex as d_{i}", ids[m])
                 if m < dim and not shared:
                     _check(deg[m][i], ids[m + 1], f"simplex as s_{i}", ids[m])
-                if m < dim and not trusted:
+                if m < dim:
                     _check(zeta[m][i], tok_ids[m + 1], f"token as zeta_{i}",
                            ids[m])
-            if m and not trusted:
+            if m:
                 _check(tok_under[m], ids[m], "simplex under", tok_ids[m])
 
     # -- id-level accessors --------------------------------------------------
@@ -596,54 +593,27 @@ def _monotone(m, k):
 
 class _SharedRows(list):
     """Id levels in string order with their index dicts, face and degeneracy
-    rows and the tokens over degenerate simplices, built valid: adopted
-    unchecked.  ``key`` is (m, dim) for the rows of Delta[m] at dim."""
+    rows, built valid: adopted unchecked."""
 
-    __slots__ = ("idx", "face", "deg", "degenerate", "key")
-
-
-class _SharedTokens(list):
-    """Token id levels ``t|{id}`` on shared rows in string order with their
-    index dicts, unders and zeta rows, built valid: adopted unchecked."""
-
-    __slots__ = ("idx", "under", "zeta")
+    __slots__ = ("idx", "face", "deg")
 
 
-def _shared_rows(ids, face, deg, key=None):
+def _shared_rows(ids, face, deg):
     """Shared rows on valid face and degeneracy rows; each level of ids
     lists unique strings in string order."""
     rows = _SharedRows(ids)
     rows.idx = [_index(level, "simplex", k) for k, level in enumerate(ids)]
-    rows.face, rows.deg, rows.key = face, deg, key
-    tok_ids, under, zeta = _minimal_tokens(len(ids) - 1, ids, deg,
-                                           [()] * len(ids))
-    rows.degenerate = tokens = _SharedTokens(tok_ids)
-    tokens.under, tokens.zeta = under, zeta
-    tokens.idx = [None] + [{t: i for i, t in enumerate(level)}
-                           for level in tok_ids[1:]]
+    rows.face, rows.deg = face, deg
     return rows
 
 
 def _shape(rows, marks, name):
     """The shape on shared rows with minimal markings and the indices in
-    ``marks[k]`` marked: the tokens of ``rows.degenerate``, and one more
-    over each marked simplex that has none.  A token level that gains
-    nothing is adopted with its zeta rows as it is."""
-    base = rows.degenerate
-    tokens = _SharedTokens(base)
-    tokens.idx, tokens.under = list(base.idx), list(base.under)
-    tokens.zeta = list(base.zeta)
-    for k in range(1, len(rows)):
-        new = {j for j in marks[k] if f"t|{rows[k][j]}" not in base.idx[k]}
-        if new:  # shift: where each old token lands among the new ones
-            tokens.under[k] = under = sorted(base.under[k] + list(new))
-            shift = [t for t, j in enumerate(under) if j not in new]
-            tokens[k] = sorted(base[k] + [f"t|{rows[k][j]}" for j in new])
-            tokens.idx[k] = {t: i for i, t in enumerate(tokens[k])}
-            tokens.zeta[k - 1] = [list(map(shift.__getitem__, row))
-                                  for row in base.zeta[k - 1]]
-    return TruncatedTDeltaSet(len(rows) - 1, rows, rows.face, rows.deg,
-                              tokens, tokens.under, tokens.zeta, name=name)
+    ``marks[k]`` marked."""
+    dim = len(rows) - 1
+    return TruncatedTDeltaSet(dim, rows, rows.face, rows.deg,
+                              *_minimal_tokens(dim, rows, rows.deg, marks),
+                              name=name)
 
 
 @lru_cache(maxsize=(MAX_DIM + 1) ** 2)
@@ -660,7 +630,7 @@ def _delta_tables(m, dim):
     deg = [[[rank[k + 1][s[:i + 1] + s[i:]] for s in rank[k]]
             for i in range(k + 1)] for k in range(dim)] + [None]
     ids = [[sid for sid, _ in level] for level in levels]
-    return rank, _shared_rows(ids, face, deg, key=(m, dim)), face, deg
+    return rank, _shared_rows(ids, face, deg), face, deg
 
 
 def _build_simplicial(m, dim, marked, name, drop=None):
@@ -775,7 +745,6 @@ def join(A, B, out_dim=None, name=None):
     Both inputs must be presented at truncation >= the output truncation so
     that mixed degeneracies stay inside the available levels; the standard
     shape constructors take a ``dim`` argument for exactly this padding.
-    Joins of two Delta[m] shapes share their simplicial rows.
     """
     if not A.is_stratified() or not B.is_stratified():
         raise InvalidInput("join requires stratified inputs")
@@ -783,9 +752,7 @@ def join(A, B, out_dim=None, name=None):
     if A.dim < out_dim or B.dim < out_dim:
         raise InvalidInput("join factors must be padded to the output "
                            "truncation")
-    keys = [getattr(X._ids, "key", None) for X in (A, B)]
-    rows, keys = (_delta_join(*keys, out_dim) if all(keys) else
-                  _join_rows(A, B, out_dim))
+    rows, keys = _join_rows(A, B, out_dim)
 
     def marked(m, p, a, b):
         q = m - 1 - p
@@ -799,14 +766,6 @@ def join(A, B, out_dim=None, name=None):
     marks = [None] + [{j for j, k in enumerate(keys[m]) if marked(m, *k)}
                       for m in range(1, out_dim + 1)]
     return _shape(rows, marks, name or f"{A.name} * {B.name}")
-
-
-@lru_cache(maxsize=4 * (MAX_DIM + 1) ** 2)
-def _delta_join(a, b, out_dim):
-    """``_join_rows`` of Delta[m] and Delta[m'] for a = (m, dim) and b =
-    (m', dim'), built once per process."""
-    return _join_rows(*(_build_simplicial(*k, (), "") for k in (a, b)),
-                      out_dim)
 
 
 def _join_rows(A, B, out_dim):

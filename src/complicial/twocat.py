@@ -540,21 +540,10 @@ def suspension(D, name=""):
     for a in sorted(arrows):
         wl[("iy", f"s_{a}")] = f"s_{a}"
         wr[(f"s_{a}", "ix")] = f"s_{a}"
+    # the identity 2-cell of s_o is s_{the identity arrow of o}
+    ident = {c.src: a for a, c in arrows.items() if c.identity}
     for o in sorted(D.objects):
-        wl[(f"s_{o}", "i2_ix")] = f"i2_s_{o}"
-        wr[("i2_iy", f"s_{o}")] = f"i2_s_{o}"
-    # identity 2-cells on the s_o 1-cells come from identity arrows of D;
-    # rename those entries to the canonical flagged ids
-    two_ids = {c.id for c in two}
-    fix = {}
-    for o in D.objects:
-        ident = next(a for a, c in arrows.items()
-                     if c.identity and c.src == o)
-        fix[f"i2_s_{o}"] = f"s_{ident}"
-    wl = {k: fix.get(v, v) for k, v in wl.items()}
-    wr = {k: fix.get(v, v) for k, v in wr.items()}
-    if not all(v in two_ids for v in wl.values()):
-        raise InvalidInput("suspension: a whiskering leaves the 2-cells")
+        wl[(f"s_{o}", "i2_ix")] = wr[("i2_iy", f"s_{o}")] = f"s_{ident[o]}"
     return FiniteTwoCategory(("x", "y"), one, comp1, two, vcomp, wl, wr,
                              name=name)
 

@@ -142,6 +142,40 @@ def test_counit_check(tmp_path):
     assert doc["passed"] and doc["sections"] == {"*->*": True}
 
 
+def _cyclic_2cells(names):
+    """One object, one 1-cell e and the 2-cells names[a] forming Z/n."""
+    n = len(names)
+    return {"objects": ["*"],
+            "one_cells": [{"id": "e", "src": "*", "tgt": "*",
+                           "identity": True}],
+            "comp1": [{"g": "e", "f": "e", "result": "e"}],
+            "two_cells": [{"id": c, "src": "e", "tgt": "e",
+                           "identity": a == 0} for a, c in enumerate(names)],
+            "vcomp": [[names[b], names[a], names[(a + b) % n]]
+                      for a in range(n) for b in range(n)],
+            "whisker_l": [["e", c, c] for c in names],
+            "whisker_r": [[c, "e", c] for c in names]}
+
+
+def test_completion_tokens_of_ids_with_bars_stay_apart(tmp_path):
+    """The completions (e, e, p, q|r) and (e, e, p|q, r) of Z/5 get two
+    token ids, so every command that builds the natural nerve accepts it."""
+    cat = tmp_path / "C.json"
+    cat.write_text(json.dumps(_cyclic_2cells(["u", "p", "p|q", "r", "q|r"])))
+    nerve, report = tmp_path / "X.json", tmp_path / "r.json"
+    assert run(["nerve", "--input", str(cat), "--marking", "natural",
+                "--dim", "4", "--out", str(nerve)]) == 0
+    level1 = {t["id"] for t in json.loads(nerve.read_text())["tokens"][0]}
+    assert {"t|e|e|p|q\\|r", "t|e|e|p\\|q|r"} <= level1
+    assert run(["check-fibrant", "--input", str(nerve), "--dim", "4",
+                "--report", str(report)]) == 0
+    assert run(["counit-check", "--cat", str(cat), "--dim", "4",
+                "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["passed"]
+    assert run(["factorize", "--input", str(cat), "--dim", "4",
+                "--trace", str(tmp_path / "trace")]) == 0
+
+
 def test_invalid_input_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"objects\": []}")

@@ -259,12 +259,13 @@ def test_shapes_in_any_build_order_match_reference():
 
 def test_constructor_adopts_only_the_shared_delta_rows_unchecked():
     """Every shape on one Delta[m] adopts its rows and index dicts as they
-    are, and the token levels its marks leave as they are; copied simplex
-    rows and token rows given as plain lists are checked."""
+    are; copied simplex rows, and every token row, also on shared rows, are
+    ordered, indexed and checked."""
     X, Y = tdelta.delta(3, dim=4), tdelta.delta_k(1, 3, dim=4)
     assert all(X._idx[m] is Y._idx[m] for m in range(5))
-    assert X._tok_idx[1] is Y._tok_idx[1] and X._zeta[0][0] is Y._zeta[0][0]
-    assert X._tok_idx[2] is not Y._tok_idx[2]
+    assert X._face[4][0] is Y._face[4][0] and X._deg[0][0] is Y._deg[0][0]
+    assert X._tok_idx[1] == Y._tok_idx[1]
+    assert X._tok_idx[1] is not Y._tok_idx[1]
     assert tdelta.horn(1, 3, dim=4)._idx[1] is not X._idx[1]
     assert tdelta._delta_tables(10, 1)[1][0][:4] == ["0", "1", "10", "2"]
     _, ids, face, deg = tdelta._delta_tables(2, 2)
@@ -273,6 +274,15 @@ def test_constructor_adopts_only_the_shared_delta_rows_unchecked():
                                 tok_ids, tok_under, zeta, name="Delta[2]")
     _assert_same(copied, tdelta.delta(2))
     assert copied._idx[1] is not tdelta.delta(2)._idx[1]
+    # token levels in reverse string order on the shared rows are put in order
+    back = [None] + [level[::-1] for level in tok_ids[1:]]
+    flip = [[[len(back[m + 1]) - 1 - t for t in row] for row in zeta[m]]
+            for m in range(2)] + [None]
+    reversed_tokens = TruncatedTDeltaSet(
+        2, ids, face, deg, back, [None] + [u[::-1] for u in tok_under[1:]],
+        flip, name="Delta[2]")
+    _assert_same(reversed_tokens, tdelta.delta(2))
+    assert reversed_tokens._idx[1] is ids.idx[1]
 
     under, z, f, d = map(copy.deepcopy, (tok_under, zeta, face, deg))
     under[1][0] = z[0][0][0] = f[1][0][0] = d[0][0][0] = 99

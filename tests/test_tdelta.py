@@ -1,7 +1,8 @@
+import functools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from complicial import factorization, nerves, tdelta, twocat
@@ -303,6 +304,41 @@ def test_pushout_family_agrees_with_fold_of_pushouts(family, monkeypatch):
         assert any(added)
     else:
         assert P is X
+
+
+@functools.cache
+def _gluing_kinds():
+    """(the rs nerve of chain-2 at dim 3, [(i: A -> B, every map A -> X)])
+    for the horn and thinness extensions and a few identities at dim 3."""
+    X = nerves.rs_nerve(twocat.standard_examples()["chain-2"], 3)
+    pairs = [(horn(k, m, dim=3), delta_k(k, m, dim=3))
+             for m in range(1, 4) for k in range(m + 1)]
+    pairs += [(delta_k_prime(k, m, dim=3), delta_k_dprime(k, m, dim=3))
+              for m in range(2, 4) for k in range(m + 1)]
+    kinds = [inclusion_map(A, B) for A, B in pairs]
+    kinds += [identity_map(delta(m, dim=3)) for m in range(3)]
+    return X, [(i, maps(i.src, X)) for i in kinds]
+
+
+@given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20)),
+                max_size=12))
+@example([(k, k) for k in range(12)])
+@settings(max_examples=25, deadline=None)
+def test_random_pushout_families_agree_with_fold_of_pushouts(picks):
+    """pushout_family is the fold of one pushout per gluing, also for ten
+    or more gluings, whose ids ``g10:`` sort before ``g2:``."""
+    X, kinds = _gluing_kinds()
+    gluings = []
+    for kind, pick in picks:
+        i, fs = kinds[kind % len(kinds)]
+        gluings.append((fs[pick % len(fs)], i))
+    P, x_to_p, b_maps = pushout_family(X, gluings, prefix="g", name="P")
+    Pr, x_to_pr, b_maps_r = fold_of_pushouts(X, gluings, "g", name="P")
+    assert P.same_as(Pr) and P.name == Pr.name
+    assert x_to_p.equals(x_to_pr)
+    assert len(b_maps) == len(b_maps_r) == len(gluings)
+    assert all(b.equals(br) for b, br in zip(b_maps, b_maps_r))
+    assert P.validate() == []
 
 
 def test_identify_markings_rejects_a_class_over_two_simplices():
