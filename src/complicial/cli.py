@@ -130,23 +130,24 @@ def _load(path):
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
 
 
-def _load_two_category(path):
-    C = twocat.FiniteTwoCategory.from_json_dict(_load(path),
-                                                name=os.path.basename(path))
-    errs = C.validate()
+def _valid(what, path, obj):
+    """``obj`` if its ``validate()`` report is empty; else InvalidInput
+    naming the first violation and how many more there are."""
+    errs = obj.validate()
     if errs:
         more = f" (+{len(errs) - 1} more)" if len(errs) > 1 else ""
-        raise InvalidInput(f"invalid 2-category {path}: {errs[0]}{more}")
-    return C
+        raise InvalidInput(f"invalid {what} {path}: {errs[0]}{more}")
+    return obj
+
+
+def _load_two_category(path):
+    return _valid("2-category", path, twocat.FiniteTwoCategory.from_json_dict(
+        _load(path), name=os.path.basename(path)))
 
 
 def _load_tdelta(path):
-    X = tdelta.TruncatedTDeltaSet.from_json_dict(_load(path),
-                                                 name=os.path.basename(path))
-    errs = X.validate()
-    if errs:
-        raise InvalidInput(f"invalid tDelta-set {path}: {errs[0]}")
-    return X
+    return _valid("tDelta-set", path, tdelta.TruncatedTDeltaSet.from_json_dict(
+        _load(path), name=os.path.basename(path)))
 
 
 def cmd_examples(args):

@@ -20,7 +20,7 @@ after construction.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 from .twocat import InvalidInput
 
@@ -56,6 +56,11 @@ def _check(row, targets, what, sources):
     if row and (min(row) < -1 or max(row) >= len(targets)):
         j = next(j for j, v in enumerate(row) if not -1 <= v < len(targets))
         raise InvalidInput(f"unknown {what} of {sources[j]!r}")
+
+
+def _then(row, op):
+    """``row`` followed by the index row ``op``."""
+    return list(map(op.__getitem__, row))
 
 
 def _level_order(level):
@@ -175,8 +180,6 @@ class TruncatedTDeltaSet:
     def counts(self):
         return {
             "simplices": [len(self._ids[m]) for m in range(self.dim + 1)],
-            "nondegenerate": [len(self.nondegenerate_ids(m))
-                              for m in range(self.dim + 1)],
             "tokens": [len(self._tok_ids[m]) for m in range(1, self.dim + 1)],
         }
 
@@ -223,74 +226,57 @@ class TruncatedTDeltaSet:
 
     # -- checks ----------------------------------------------------------------
 
-    def validate(self):
-        """Presheaf relation report; empty means valid."""
-        errs = []
-        add = errs.append
-        for m in range(1, self.dim + 1):
-            for i in range(m + 1):
-                for j, v in enumerate(self._face[m][i]):
-                    if v < 0:
-                        add(f"d_{i} missing on {self._ids[m][j]} (level {m})")
-        for m in range(self.dim):
-            for i in range(m + 1):
-                for j, v in enumerate(self._deg[m][i]):
-                    if v < 0:
-                        add(f"s_{i} missing on {self._ids[m][j]} (level {m})")
-                for j, v in enumerate(self._zeta[m][i]):
-                    if v < 0:
-                        add(f"zeta_{i} missing on {self._ids[m][j]} (level {m})")
-        if errs:
-            return errs
-        for m in range(2, self.dim + 1):
+    def _identities(self):
+        """(text, m, lhs, rhs) for each presheaf identity on level m, in
+        report order; each side is the index rows it applies, first to
+        last, and () is the identity."""
+        d, s, z, u = self._face, self._deg, self._zeta, self._tok_under
+        dim = self.dim
+        for m in range(2, dim + 1):
             for j in range(m + 1):
                 for i in range(j):
-                    for s in range(len(self._ids[m])):
-                        lhs = self._face[m - 1][i][self._face[m][j][s]]
-                        rhs = self._face[m - 1][j - 1][self._face[m][i][s]]
-                        if lhs != rhs:
-                            add(f"d_{i} d_{j} != d_{j-1} d_{i} "
-                                f"at {self._ids[m][s]}")
-        for m in range(self.dim - 1):
+                    yield (f"d_{i} d_{j} != d_{j-1} d_{i}", m,
+                           (d[m][j], d[m-1][i]), (d[m][i], d[m-1][j-1]))
+        for m in range(dim - 1):
             for i in range(m + 1):
                 for j in range(i, m + 1):
-                    for s in range(len(self._ids[m])):
-                        lhs = self._deg[m + 1][i][self._deg[m][j][s]]
-                        rhs = self._deg[m + 1][j + 1][self._deg[m][i][s]]
-                        if lhs != rhs:
-                            add(f"s_{i} s_{j} != s_{j+1} s_{i} "
-                                f"at {self._ids[m][s]}")
-        for m in range(self.dim):
+                    yield (f"s_{i} s_{j} != s_{j+1} s_{i}", m,
+                           (s[m][j], s[m+1][i]), (s[m][i], s[m+1][j+1]))
+        for m in range(dim):  # at m = 0 only i in {j, j + 1} occur
             for j in range(m + 1):
                 for i in range(m + 2):
-                    for s in range(len(self._ids[m])):
-                        got = self._face[m + 1][i][self._deg[m][j][s]]
-                        if i < j:
-                            want = self._deg[m - 1][j - 1][self._face[m][i][s]] \
-                                if m >= 1 else -2
-                        elif i in (j, j + 1):
-                            want = s
-                        else:
-                            want = self._deg[m - 1][j][self._face[m][i - 1][s]] \
-                                if m >= 1 else -2
-                        if got != want:
-                            add(f"d_{i} s_{j} identity fails "
-                                f"at {self._ids[m][s]}")
-        for m in range(self.dim):
+                    yield (f"d_{i} s_{j} identity fails", m,
+                           (s[m][j], d[m+1][i]),
+                           (d[m][i], s[m-1][j-1]) if i < j else
+                           () if i <= j + 1 else (d[m][i-1], s[m-1][j]))
+        for m in range(dim):
             for i in range(m + 1):
-                for s in range(len(self._ids[m])):
-                    t = self._zeta[m][i][s]
-                    if self._tok_under[m + 1][t] != self._deg[m][i][s]:
-                        add(f"u(zeta_{i}) != s_{i} at {self._ids[m][s]}")
-        for m in range(self.dim - 1):
+                yield f"u(zeta_{i}) != s_{i}", m, (z[m][i], u[m+1]), (s[m][i],)
+        for m in range(dim - 1):
             for i in range(m + 1):
                 for j in range(i, m + 1):
-                    for s in range(len(self._ids[m])):
-                        lhs = self._zeta[m + 1][j + 1][self._deg[m][i][s]]
-                        rhs = self._zeta[m + 1][i][self._deg[m][j][s]]
-                        if lhs != rhs:
-                            add(f"zeta_{j+1} s_{i} != zeta_{i} s_{j} "
-                                f"at {self._ids[m][s]}")
+                    yield (f"zeta_{j+1} s_{i} != zeta_{i} s_{j}", m,
+                           (s[m][i], z[m+1][j+1]), (s[m][j], z[m+1][i]))
+
+    def validate(self):
+        """Presheaf relation report; empty means valid."""
+        ids, dim = self._ids, self.dim
+        rows = [(f"d_{i}", m, self._face[m][i])
+                for m in range(1, dim + 1) for i in range(m + 1)]
+        rows += [(f"{op}_{i}", m, table[m][i])
+                 for m in range(dim) for i in range(m + 1)
+                 for op, table in (("s", self._deg), ("zeta", self._zeta))]
+        errs = [f"{op} missing on {ids[m][j]} (level {m})"
+                for op, m, row in rows if row and min(row) < 0
+                for j, v in enumerate(row) if v < 0]
+        if errs:
+            return errs
+        for text, m, lhs, rhs in self._identities():
+            a, b = (reduce(_then, side[1:], side[0]) if side
+                    else list(range(len(ids[m]))) for side in (lhs, rhs))
+            if a != b:
+                errs += [f"{text} at {ids[m][k]}"
+                         for k, (x, y) in enumerate(zip(a, b)) if x != y]
         return errs
 
     def is_stratified(self):
@@ -479,10 +465,8 @@ class TDeltaMap:
         checks += [(simg[m], A._tok_under[m], X._tok_under[m], timg[m])
                    for m in range(1, A.dim + 1)]
         # lhs[a[j]] == x[img[j]] for every j: the square commutes at j
-        return all(
-            (not a or min(a) >= 0) and
-            [lhs[k] for k in a] == [x[k] for k in img]
-            for lhs, a, x, img in checks)
+        return all((not a or min(a) >= 0) and _then(a, lhs) == _then(img, x)
+                   for lhs, a, x, img in checks)
 
     def to_json_dict(self):
         """[level, id, image id] for every non-degenerate simplex and free

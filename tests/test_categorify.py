@@ -1,7 +1,9 @@
+import json
+
 import pytest
 
 from complicial import categorify as cg
-from complicial import nerves, tdelta, twocat
+from complicial import cli, nerves, tdelta, twocat
 from complicial.twocat import InvalidInput
 from complicial.categorify import (Pasting, PastingFactor, TwoPolygraph,
                                    Word, categorify, counit_assignment,
@@ -190,3 +192,23 @@ def test_polygraph_json(catalog):
     doc = P.to_json_dict()
     assert set(doc) == {"zero_gens", "one_gens", "two_gens", "relations"}
     assert len(doc["relations"]) == len(P.relations)
+
+
+def test_free_token_over_a_degenerate_triangle(tmp_path):
+    """A token over the degenerate triangle 001 that no zeta names gets an
+    inverse generator on the edge 01, related to the empty pasting."""
+    doc = tdelta.delta(2).to_json_dict()
+    doc["tokens"][1].append({"id": "extra", "under": "001"})
+    X = tdelta.TruncatedTDeltaSet.from_json_dict(doc)
+    assert X.validate() == []
+    P = categorify(X)
+    edge = Word("0", "1", ("E|01",))
+    assert P.two_gens["Ainv|extra"] == (edge, edge)
+    inverse = Pasting(edge, (PastingFactor((), "Ainv|extra", ()),))
+    assert P.relations == ((Pasting(edge), inverse),)
+    assert P.validate() == []
+    path, out = tmp_path / "X.json", tmp_path / "P.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["categorify", "--input", str(path),
+                     "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == P.to_json_dict()

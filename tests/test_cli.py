@@ -186,6 +186,31 @@ def test_invalid_input_exit_code(tmp_path):
                 str(tmp_path / "o.json")]) == cli.EXIT_INPUT
 
 
+@pytest.mark.parametrize("kind, drop, command, named", [
+    ("tdelta", 2, ["categorify", "--out", "P.json"],
+     "invalid tDelta-set {}: zeta_0 missing on 0 (level 0) (+1 more)"),
+    ("tdelta", 1, ["categorify", "--out", "P.json"],
+     "invalid tDelta-set {}: zeta_0 missing on 0 (level 0)\n"),
+    ("twocat", 1, ["nerve", "--out", "X.json"],
+     "invalid 2-category {}: comp1 missing on composable pair ('f', 'g')\n"),
+], ids=["tdelta-two", "tdelta-one", "twocat-one"])
+def test_loaders_name_the_first_violation_and_count_the_rest(
+        kind, drop, command, named, tmp_path, capsys):
+    from complicial import tdelta, twocat
+    if kind == "tdelta":
+        doc = tdelta.delta_t(2).to_json_dict()
+        del doc["zeta"][:drop]
+    else:
+        doc = twocat.standard_examples()["iso"].to_json_dict()
+        del doc["comp1"][:drop]
+    bad = tmp_path / "in.json"
+    bad.write_text(json.dumps(doc))
+    command[-1] = str(tmp_path / command[-1])
+    assert run([command[0], "--input", str(bad), *command[1:]]) == \
+        cli.EXIT_INPUT
+    assert named.format(bad) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("dim, named", [
     ("-1", "dimension bound must be >= 0"),
     ("7", "nerve dimension capped at 6"),
