@@ -205,8 +205,8 @@ def test_loaders_name_the_first_violation_and_count_the_rest(
         del doc["comp1"][:drop]
     bad = tmp_path / "in.json"
     bad.write_text(json.dumps(doc))
-    command[-1] = str(tmp_path / command[-1])
-    assert run([command[0], "--input", str(bad), *command[1:]]) == \
+    name, flag, out = command
+    assert run([name, "--input", str(bad), flag, str(tmp_path / out)]) == \
         cli.EXIT_INPUT
     assert named.format(bad) in capsys.readouterr().err
 

@@ -83,15 +83,11 @@ TWOCAT_UNREACHED = ("iterated whisker_l fails at ({},{},{})",
                     "whisker order mismatch at ({},{},{})")
 
 
-def _matcher(texts):
-    return [re.compile(re.escape(t).replace(r"\{\}", ".*") + "$")
-            for t in texts]
-
-
 def _fired(texts, reports):
     """The texts that some line of the reports fits; AssertionError on a
     line that fits none."""
-    pats = _matcher(texts)
+    pats = [re.compile(re.escape(t).replace(r"\{\}", ".*") + "$")
+            for t in texts]
     fired = set()
     for line in (line for report in reports for line in report):
         hits = [t for t, p in zip(texts, pats) if p.match(line)]
@@ -164,7 +160,8 @@ def tdelta_reports():
             key = f"tdelta/{source}/{kind}"
             out[key] = [
                 [mutation, TruncatedTDeltaSet.from_json_dict(doc).validate()]
-                for mutation in tdelta_mutations(doc, kind, random.Random(key))]
+                for mutation in tdelta_mutations(doc, kind,
+                                                 random.Random(key))]
     return out
 
 
@@ -248,8 +245,9 @@ def test_twocat_reports_are_pinned():
     reports = twocat_reports()
     assert {k: _sha(v) for k, v in reports.items()} == {
         k: v for k, v in DIGESTS.items() if k.startswith("twocat/")}
-    lines = [r for pairs in reports.values() for _, r in pairs]
-    validated = [r for r in lines if not r or not r[0].startswith("loader: ")]
-    assert len(validated) > len(lines) // 2
+    all_reports = [r for pairs in reports.values() for _, r in pairs]
+    validated = [r for r in all_reports
+                 if not r or not r[0].startswith("loader: ")]
+    assert len(validated) > len(all_reports) // 2
     fired = _fired(TWOCAT_TEXTS + TWOCAT_UNREACHED, validated)
     assert fired == set(TWOCAT_TEXTS)
