@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from complicial import categorify as cg
 from complicial import factorization as fz
 from complicial import lifting, nerves, tdelta, twocat
+from oracles import rs_fibrancy_prediction
+from samples import codiscrete, cyclic_group, strict_two_group
 
 
 @pytest.fixture(scope="module")
@@ -143,24 +145,6 @@ def test_a_triple_that_is_no_triangle_raises(catalog):
                                         X.nondegenerate_ids(2)[:3]] + [bad])
 
 
-def _cyclic_group(n):
-    """Z/n as a category on one object."""
-    arrows = tuple(twocat.OneCell(f"g{a}", "*", "*", a == 0) for a in range(n))
-    comp = {(f"g{b}", f"g{a}"): f"g{(a + b) % n}"
-            for a in range(n) for b in range(n)}
-    return twocat.FiniteCategory(("*",), arrows, tuple(sorted(comp.items())))
-
-
-def _codiscrete(n):
-    """The groupoid on n objects with exactly one arrow between any two."""
-    arrows = tuple(twocat.OneCell(f"a{i}{j}", str(i), str(j), i == j)
-                   for i in range(n) for j in range(n))
-    comp = {(f"a{j}{k}", f"a{i}{j}"): f"a{i}{k}"
-            for i in range(n) for j in range(n) for k in range(n)}
-    return twocat.FiniteCategory(tuple(str(i) for i in range(n)), arrows,
-                                 tuple(sorted(comp.items())))
-
-
 @st.composite
 def invertible_two_categories(draw):
     """2-categories with non-identity invertible cells: suspended cyclic
@@ -169,16 +153,34 @@ def invertible_two_categories(draw):
     kind = draw(st.sampled_from(["susp-cyclic", "codisc", "susp-codisc"]))
     n = draw(st.integers(1, 4))
     if kind == "susp-cyclic":
-        return twocat.suspension(_cyclic_group(n), f"{kind}-{n}")
+        return twocat.suspension(cyclic_group(n), f"{kind}-{n}")
     if kind == "codisc":
-        return twocat.two_category_from_category(_codiscrete(n), f"{kind}-{n}")
-    return twocat.suspension(_codiscrete(n), f"{kind}-{n}")
+        return twocat.two_category_from_category(codiscrete(n), f"{kind}-{n}")
+    return twocat.suspension(codiscrete(n), f"{kind}-{n}")
 
 
 def test_codiscrete_suspension_glues_in_p1_and_p3():
-    C = twocat.suspension(_codiscrete(3), "susp-codisc-3")
+    C = twocat.suspension(codiscrete(3), "susp-codisc-3")
     *_, report = fz.verify_factorization(C, 4)
     assert [s["gluings"] for s in report["stages"][:3]] == [6, 0, 6]
+
+
+def test_strict_two_group_meets_the_paper():
+    """The strict 2-group has invertible 2-cells on ``m``, an equivalence
+    that is no identity: the replay glues in P1, P3 and P4, the counit
+    retracts the hom-category, the natural nerve is 2-precomplicial and
+    the rs nerve fails only the saturations that the criterion predicts."""
+    C = strict_two_group()
+    *_, report = fz.verify_factorization(C, 4)
+    assert [s["gluings"] for s in report["stages"]] == [2, 0, 2, 4]
+    assert cg.section_check(C, "*", "*", 4, cg.counit_assignment(C, 4)).ok
+    assert lifting.is_precomplicial(nerves.natural_nerve(C, 4), 2, 4).passed
+    rs = lifting.is_precomplicial(_rs(C)[0], 2, 4)
+    assert {r.extension.label() for r in rs.failures()} == {
+        "saturation(l=-1)", "saturation(l=0)"}
+    pred = rs_fibrancy_prediction(C)
+    assert pred["fibrant_by_strict_reading"] is False
+    assert pred["fibrant_by_weak_reading"] is False
 
 
 @given(invertible_two_categories())

@@ -10,7 +10,9 @@ still loads:
   rs and natural, and on a few shapes.  A mutation retargets a face,
   degeneracy or zeta entry to another element of its level, drops one
   entry, or moves a token's ``under`` to another simplex of its level.
-- ``FiniteTwoCategory.validate`` runs on catalog 2-categories.  A mutation
+- ``FiniteTwoCategory.validate`` runs on catalog 2-categories and on the
+  strict 2-group of ``samples.py``, whose parallel 2-cells under ``m.m``
+  reach the iterated-whiskering and whisker-order checks.  A mutation
   moves an end of a cell, flips an ``identity`` flag, retargets a result
   or an operand of a table row, or drops a row.  A retarget picks a cell
   with the same boundary more often than not, so that axioms fail on
@@ -28,11 +30,13 @@ import re
 from complicial import nerves, tdelta, twocat
 from complicial.tdelta import TruncatedTDeltaSet
 from complicial.twocat import FiniteTwoCategory, InvalidInput
+from samples import strict_two_group
 
 DIGESTS = json.loads(
     (pathlib.Path(__file__).parent / "validate_digests.json").read_text())
 PER_KIND = 8  # mutations per source and kind of a tDelta-set
-TWOCAT_PER_KIND = 12
+TWOCAT_PER_KIND = 12  # mutations per catalog source and kind
+TWO_GROUP_PER_KIND = 24
 
 TDELTA_NERVES = ("chain-2", "iso", "z2", "sigma-iso", "sigma-parallel",
                  "oriental-2", "inv-oriental-2")
@@ -74,13 +78,10 @@ TWOCAT_TEXTS = (
     "whisker_r[{},{}] of identity not identity",
     "whisker_l not functorial at ({},{},{})",
     "whisker_r not functorial at ({},{},{})",
+    "iterated whisker_l fails at ({},{},{})",
+    "iterated whisker_r fails at ({},{},{})",
+    "whisker order mismatch at ({},{},{})",
     "interchange fails at ({},{})")
-# The last three messages of FiniteTwoCategory.validate need parallel
-# 2-cells under a composite of non-identity 1-cells, which no catalog
-# entry has, so these mutations never make them fire.
-TWOCAT_UNREACHED = ("iterated whisker_l fails at ({},{},{})",
-                    "iterated whisker_r fails at ({},{},{})",
-                    "whisker order mismatch at ({},{},{})")
 
 
 def _fired(texts, reports):
@@ -214,17 +215,24 @@ def twocat_report(doc):
         return [f"loader: {exc}"]
 
 
+def twocat_sources():
+    """(name, document, mutations per kind) of each source."""
+    catalog = twocat.standard_examples()
+    for name in TWOCAT_SOURCES:
+        yield name, catalog[name].to_json_dict(), TWOCAT_PER_KIND
+    C = strict_two_group()
+    yield C.name, C.to_json_dict(), TWO_GROUP_PER_KIND
+
+
 def twocat_reports():
     """{source/kind: [[mutation, report], ...]}."""
-    catalog = twocat.standard_examples()
     out = {}
-    for name in TWOCAT_SOURCES:
-        doc = catalog[name].to_json_dict()
+    for name, doc, per_kind in twocat_sources():
         for kind in TWOCAT_KINDS:
             key = f"twocat/{name}/{kind}"
             rng = random.Random(key)
             pairs = []
-            for _ in range(TWOCAT_PER_KIND):
+            for _ in range(per_kind):
                 mutated, mutation = twocat_mutation(doc, kind, rng)
                 pairs.append([mutation, twocat_report(mutated)])
             out[key] = pairs
@@ -249,5 +257,5 @@ def test_twocat_reports_are_pinned():
     validated = [r for r in all_reports
                  if not r or not r[0].startswith("loader: ")]
     assert len(validated) > len(all_reports) // 2
-    fired = _fired(TWOCAT_TEXTS + TWOCAT_UNREACHED, validated)
-    assert fired == set(TWOCAT_TEXTS)
+    assert len(TWOCAT_TEXTS) == 35
+    assert _fired(TWOCAT_TEXTS, validated) == set(TWOCAT_TEXTS)
