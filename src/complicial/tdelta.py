@@ -328,7 +328,10 @@ class TruncatedTDeltaSet:
 
     @classmethod
     def from_json_dict(cls, doc, name=""):
-        """Load a document; InvalidInput on anything the tables would drop.
+        """Load a document; InvalidInput on anything the tables would drop
+        or misread: ``simplices``, ``tokens``, each of their levels and the
+        face, degeneracy and zeta tables must be lists, and each token an
+        object.
 
         ``dim`` is checked before anything is allocated.
         """
@@ -337,14 +340,18 @@ class TruncatedTDeltaSet:
             if type(dim) is not int or not 0 <= dim <= MAX_DIM:
                 raise InvalidInput(f"tDelta-set dim {dim!r} is not an integer"
                                    f" in 0..{MAX_DIM}")
-            if len(doc["simplices"]) > dim + 1 or len(doc["tokens"]) > dim:
+            simplices = _list(doc["simplices"], "simplices")
+            tokens = _list(doc["tokens"], "tokens")
+            if len(simplices) > dim + 1 or len(tokens) > dim:
                 raise InvalidInput(f"more simplex or token levels than dim "
                                    f"{dim} has")
-            ids = [list(level) for level in doc["simplices"]]
+            ids = [list(_list(level, f"simplices level {m}"))
+                   for m, level in enumerate(simplices)]
             ids += [[] for _ in range(len(ids), dim + 1)]
             idx = [_index(ids[m], "simplex", m) for m in range(dim + 1)]
-            pairs = [None] + [[(d["id"], d["under"]) for d in level]
-                              for level in doc["tokens"]]
+            pairs = [None] + [
+                [_token(d) for d in _list(level, f"tokens level {m}")]
+                for m, level in enumerate(tokens, 1)]
             pairs += [[] for _ in range(len(pairs), dim + 1)]
             tok_ids = [None] + [[t for t, _ in p] for p in pairs[1:]]
             tok_idx = [None] + [_index(tok_ids[m], "token", m)
@@ -359,6 +366,19 @@ class TruncatedTDeltaSet:
         return cls(dim, ids, face, deg, tok_ids, tok_under, zeta, name=name)
 
 
+def _list(v, what):
+    if type(v) is not list:
+        raise InvalidInput(f"tDelta-set {what} {v!r} is not a list")
+    return v
+
+
+def _token(d):
+    """(id, under) of a token entry."""
+    if type(d) is not dict:
+        raise InvalidInput(f"token {d!r} is not an object")
+    return d["id"], d["under"]
+
+
 def _rows(doc, key, idx, lo, hi, to):
     """Index rows of the [m, i, s, v] entries of ``doc[key]``, levels lo..hi:
     rows[m][i] at the index of s is the index of v in ``to[m]``, -2 for an
@@ -366,7 +386,7 @@ def _rows(doc, key, idx, lo, hi, to):
     tables would drop."""
     rows = [[[-1] * len(idx[m]) for _ in range(m + 1)] if lo <= m <= hi
             else None for m in range(len(idx))]
-    for m, i, s, v in doc[key]:
+    for m, i, s, v in _list(doc[key], key):
         ok = type(m) is type(i) is int and lo <= m <= hi and 0 <= i <= m
         j = idx[m].get(s) if ok else None
         if j is None or rows[m][i][j] != -1:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
+from operator import attrgetter
 
 from .record import OrderedRecord, Record
 
@@ -68,19 +69,11 @@ class FiniteTwoCategory:
 
     @cached_property
     def _identity_of(self):
-        out = {}
-        for c in self.one_cells.values():
-            if c.identity:
-                out[c.src] = c.id
-        return out
+        return {c.src: c.id for c in self.one_cells.values() if c.identity}
 
     @cached_property
     def _identity2_of(self):
-        out = {}
-        for c in self.two_cells.values():
-            if c.identity:
-                out[c.src] = c.id
-        return out
+        return {c.src: c.id for c in self.two_cells.values() if c.identity}
 
     def identity_of(self, obj):
         return self._identity_of[obj]
@@ -112,24 +105,14 @@ class FiniteTwoCategory:
 
     @cached_property
     def _hom(self):
-        out = {}
-        for c in self.one_cells.values():
-            out.setdefault((c.src, c.tgt), []).append(c.id)
-        for v in out.values():
-            v.sort()
-        return out
+        return _group(self.one_cells)
 
     def hom(self, x, y):
         return list(self._hom.get((x, y), []))
 
     @cached_property
     def _two_between(self):
-        out = {}
-        for c in self.two_cells.values():
-            out.setdefault((c.src, c.tgt), []).append(c.id)
-        for v in out.values():
-            v.sort()
-        return out
+        return _group(self.two_cells)
 
     def two_cells_between(self, a, b):
         return list(self._two_between.get((a, b), []))
@@ -166,10 +149,7 @@ class FiniteTwoCategory:
                 add(f"1-cell {c.id}: unknown endpoint")
             if c.identity and c.src != c.tgt:
                 add(f"identity 1-cell {c.id} is not an endomorphism")
-        for x in self.objects:
-            ids = [c.id for c in oc.values() if c.identity and c.src == x]
-            if len(ids) != 1:
-                add(f"object {x}: expected one identity 1-cell, got {ids}")
+        errs += _identity_errors(self.objects, oc, "object", "1-cell")
         for c in tc.values():
             if c.src not in oc or c.tgt not in oc:
                 add(f"2-cell {c.id}: unknown boundary 1-cell")
@@ -179,10 +159,7 @@ class FiniteTwoCategory:
                 add(f"2-cell {c.id}: boundary 1-cells not parallel")
             if c.identity and c.src != c.tgt:
                 add(f"identity 2-cell {c.id} is not an endo 2-cell")
-        for f in oc:
-            ids = [c.id for c in tc.values() if c.identity and c.src == f]
-            if len(ids) != 1:
-                add(f"1-cell {f}: expected one identity 2-cell, got {ids}")
+        errs += _identity_errors(oc, tc, "1-cell", "2-cell")
         for key, table, kinds in (("comp1", self.comp1, (oc, oc, oc)),
                                   ("vcomp", self.vcomp, (tc, tc, tc)),
                                   ("whisker_l", self.whisker_l, (oc, tc, tc)),
@@ -193,16 +170,16 @@ class FiniteTwoCategory:
         if errs:
             return errs  # tables below assume well-typed cells
 
-        comp_pairs = {(g, f) for g in oc for f in oc
-                      if oc[f].tgt == oc[g].src}
-        if set(self.comp1) != comp_pairs:
-            for p in sorted(comp_pairs - set(self.comp1)):
-                add(f"comp1 missing on composable pair {p}")
-            for p in sorted(set(self.comp1) - comp_pairs):
-                add(f"comp1 defined on non-composable pair {p}")
-        for (g, f), r in sorted(self.comp1.items()):
-            if (oc[r].src, oc[r].tgt) != (oc[f].src, oc[g].tgt):
-                add(f"comp1[{g},{f}] = {r}: wrong endpoints")
+        # 1-cells by the object they leave or enter, 2-cells by their source
+        leaving = _group(oc, attrgetter("src"))
+        entering = _group(oc, attrgetter("tgt"))
+        above = _group(tc, attrgetter("src"))
+        errs += _domain_errors(
+            "comp1", self.comp1,
+            {(g, f) for f in oc for g in leaving[oc[f].tgt]},
+            "composable pair ", "pair ")
+        errs += _ends_errors("comp1", self.comp1, oc,
+                             lambda g, f: (oc[f].src, oc[g].tgt), "endpoints")
         if errs:
             return errs
 
@@ -214,47 +191,30 @@ class FiniteTwoCategory:
             if self.comp(iy, f) != f:
                 add(f"left unit fails at {f}")
         for (g, f) in sorted(self.comp1):
-            for h in sorted(oc):
-                if oc[h].src == oc[g].tgt:
-                    if self.comp(h, self.comp(g, f)) != \
-                            self.comp(self.comp(h, g), f):
-                        add(f"comp1 associativity fails at ({h},{g},{f})")
+            for h in leaving[oc[g].tgt]:
+                if self.comp(h, self.comp(g, f)) != \
+                        self.comp(self.comp(h, g), f):
+                    add(f"comp1 associativity fails at ({h},{g},{f})")
 
-        vpairs = {(b, a) for b in tc for a in tc
-                  if tc[a].tgt == tc[b].src}
-        if set(self.vcomp) != vpairs:
-            for p in sorted(vpairs - set(self.vcomp)):
-                add(f"vcomp missing on pair {p}")
-            for p in sorted(set(self.vcomp) - vpairs):
-                add(f"vcomp defined on non-composable pair {p}")
-        for (b, a), r in sorted(self.vcomp.items()):
-            if (tc[r].src, tc[r].tgt) != (tc[a].src, tc[b].tgt):
-                add(f"vcomp[{b},{a}] = {r}: wrong boundary")
-        lpairs = {(c, a) for c in oc for a in tc
-                  if self.tgt_obj(a) == oc[c].src}
-        if set(self.whisker_l) != lpairs:
-            for p in sorted(lpairs - set(self.whisker_l)):
-                add(f"whisker_l missing on {p}")
-            for p in sorted(set(self.whisker_l) - lpairs):
-                add(f"whisker_l defined on non-composable {p}")
-        rpairs = {(a, c) for c in oc for a in tc
-                  if self.src_obj(a) == oc[c].tgt}
-        if set(self.whisker_r) != rpairs:
-            for p in sorted(rpairs - set(self.whisker_r)):
-                add(f"whisker_r missing on {p}")
-            for p in sorted(set(self.whisker_r) - rpairs):
-                add(f"whisker_r defined on non-composable {p}")
+        errs += _domain_errors(
+            "vcomp", self.vcomp,
+            {(b, a) for a in tc for b in above[tc[a].tgt]},
+            "pair ", "pair ")
+        errs += _ends_errors("vcomp", self.vcomp, tc,
+                             lambda b, a: (tc[a].src, tc[b].tgt))
+        errs += _domain_errors(
+            "whisker_l", self.whisker_l,
+            {(c, a) for a in tc for c in leaving[self.tgt_obj(a)]})
+        errs += _domain_errors(
+            "whisker_r", self.whisker_r,
+            {(a, c) for a in tc for c in entering[self.src_obj(a)]})
         if errs:
             return errs
 
-        for (c, a), r in sorted(self.whisker_l.items()):
-            want = (self.comp(c, tc[a].src), self.comp(c, tc[a].tgt))
-            if (tc[r].src, tc[r].tgt) != want:
-                add(f"whisker_l[{c},{a}] = {r}: wrong boundary")
-        for (a, c), r in sorted(self.whisker_r.items()):
-            want = (self.comp(tc[a].src, c), self.comp(tc[a].tgt, c))
-            if (tc[r].src, tc[r].tgt) != want:
-                add(f"whisker_r[{a},{c}] = {r}: wrong boundary")
+        errs += _ends_errors("whisker_l", self.whisker_l, tc, lambda c, a: (
+            self.comp(c, tc[a].src), self.comp(c, tc[a].tgt)))
+        errs += _ends_errors("whisker_r", self.whisker_r, tc, lambda a, c: (
+            self.comp(tc[a].src, c), self.comp(tc[a].tgt, c)))
         if errs:
             return errs
 
@@ -264,11 +224,10 @@ class FiniteTwoCategory:
             if self.vert(a, i_s) != a or self.vert(i_t, a) != a:
                 add(f"vertical unit fails at {a}")
         for (b, a) in sorted(self.vcomp):
-            for c in sorted(tc):
-                if tc[c].src == tc[b].tgt:
-                    if self.vert(c, self.vert(b, a)) != \
-                            self.vert(self.vert(c, b), a):
-                        add(f"vcomp associativity fails at ({c},{b},{a})")
+            for c in above[tc[b].tgt]:
+                if self.vert(c, self.vert(b, a)) != \
+                        self.vert(self.vert(c, b), a):
+                    add(f"vcomp associativity fails at ({c},{b},{a})")
 
         for (c, a), r in sorted(self.whisker_l.items()):
             if self.one_cells[c].identity and r != a:
@@ -299,17 +258,14 @@ class FiniteTwoCategory:
                     if self.wr(a, self.comp(g, f)) != self.wr(self.wr(a, g), f):
                         add(f"iterated whisker_r fails at ({a},{g},{f})")
         for a in sorted(tc):
-            for c in sorted(oc):
-                for e in sorted(oc):
-                    if oc[c].src == self.tgt_obj(a) and \
-                            oc[e].tgt == self.src_obj(a):
-                        if self.wr(self.wl(c, a), e) != self.wl(c, self.wr(a, e)):
-                            add(f"whisker order mismatch at ({c},{a},{e})")
+            for c in leaving[self.tgt_obj(a)]:
+                for e in entering[self.src_obj(a)]:
+                    if self.wr(self.wl(c, a), e) != self.wl(c, self.wr(a, e)):
+                        add(f"whisker order mismatch at ({c},{a},{e})")
 
+        from_obj = _group(tc, lambda c: oc[c.src].src)
         for a in sorted(tc):
-            for b in sorted(tc):
-                if self.tgt_obj(a) != self.src_obj(b):
-                    continue
+            for b in from_obj[self.tgt_obj(a)]:
                 lhs = self.vert(self.wr(b, tc[a].tgt), self.wl(tc[b].src, a))
                 rhs = self.vert(self.wl(tc[b].tgt, a), self.wr(b, tc[a].src))
                 if lhs != rhs:
@@ -353,6 +309,41 @@ class FiniteTwoCategory:
         except (KeyError, TypeError) as exc:
             raise InvalidInput(f"bad 2-category document: {exc}") from exc
         return cls(objects, one, comp1, two, vcomp, wl, wr, name=name)
+
+
+def _group(cells, key=attrgetter("src", "tgt")):
+    """{key(cell): the ids of the cells with that key, in id order}."""
+    out = {}
+    for k in sorted(cells):
+        out.setdefault(key(cells[k]), []).append(k)
+    return out
+
+
+def _identity_errors(bases, cells, base, kind):
+    """Each base that is not the source of exactly one identity cell."""
+    ids = {x: [] for x in bases}
+    for c in cells.values():
+        if c.identity and c.src in ids:
+            ids[c.src].append(c.id)
+    return [f"{base} {x}: expected one identity {kind}, got {i}"
+            for x, i in ids.items() if len(i) != 1]
+
+
+def _domain_errors(key, table, pairs, missing="", extra=""):
+    """Where ``table`` is not defined on exactly its composable ``pairs``:
+    the missing pairs, then the extra ones."""
+    return ([f"{key} missing on {missing}{p}"
+             for p in sorted(pairs - table.keys())] +
+            [f"{key} defined on non-composable {extra}{p}"
+             for p in sorted(table.keys() - pairs)])
+
+
+def _ends_errors(key, table, cells, ends, what="boundary"):
+    """The rows ``(p, q) -> r`` of ``table`` whose result ``r`` has other
+    ends than ``ends(p, q)``."""
+    return [f"{key}[{p},{q}] = {r}: wrong {what}"
+            for (p, q), r in sorted(table.items())
+            if (cells[r].src, cells[r].tgt) != ends(p, q)]
 
 
 def _string(v, what):
@@ -459,18 +450,13 @@ class FiniteCategory(Record):
 
 def chain_category(m):
     """The totally ordered set [m] as a category; m = -1 gives the empty one."""
-    objs = [str(i) for i in range(m + 1)]
-    arrows = []
-    comp = {}
-    for i in range(m + 1):
-        for j in range(i, m + 1):
-            ident = i == j
-            arrows.append(OneCell(f"c{i}{j}", str(i), str(j), ident))
-    for i in range(m + 1):
-        for j in range(i, m + 1):
-            for k in range(j, m + 1):
-                comp[(f"c{j}{k}", f"c{i}{j}")] = f"c{i}{k}"
-    return FiniteCategory(tuple(objs), tuple(arrows), tuple(sorted(comp.items())))
+    n = range(m + 1)
+    arrows = tuple(OneCell(f"c{i}{j}", str(i), str(j), i == j)
+                   for i in n for j in n[i:])
+    comp = {(f"c{j}{k}", f"c{i}{j}"): f"c{i}{k}"
+            for i in n for j in n[i:] for k in n[j:]}
+    return FiniteCategory(tuple(map(str, n)), arrows,
+                          tuple(sorted(comp.items())))
 
 
 def iso_category():
@@ -500,52 +486,50 @@ def parallel_pair_category():
     return FiniteCategory(("x", "y"), arrows, tuple(sorted(comp.items())))
 
 
+def _with_units(objects, one, comp1, two, vcomp, wl, wr, name):
+    """The 2-category of the given cells and tables, with every entry that
+    the unit laws fix added to the tables: composites with identity
+    1-cells, vertical composites with identity 2-cells, whiskerings by
+    identity 1-cells and whiskerings of identity 2-cells.  An entry that
+    is given already stays as given."""
+    id1 = {c.src: c.id for c in one if c.identity}
+    id2 = {c.src: c.id for c in two if c.identity}
+    ends = {c.id: (c.src, c.tgt) for c in one}
+    for f in one:
+        comp1.setdefault((f.id, id1[f.src]), f.id)
+        comp1.setdefault((id1[f.tgt], f.id), f.id)
+    for a in two:
+        x, y = ends[a.src]
+        vcomp.setdefault((a.id, id2[a.src]), a.id)
+        vcomp.setdefault((id2[a.tgt], a.id), a.id)
+        wl.setdefault((id1[y], a.id), a.id)
+        wr.setdefault((a.id, id1[x]), a.id)
+    for (g, f), r in comp1.items():
+        wl.setdefault((g, id2[f]), id2[r])
+        wr.setdefault((id2[g], f), id2[r])
+    return FiniteTwoCategory(objects, one, comp1, two, vcomp, wl, wr,
+                             name=name)
+
+
 def two_category_from_category(D, name=""):
     """Read a 1-category as a locally discrete 2-category."""
-    arrows = D.arrow_map()
-    two = [TwoCell(f"i2_{f}", f, f, True) for f in sorted(arrows)]
-    vcomp = {(f"i2_{f}", f"i2_{f}"): f"i2_{f}" for f in arrows}
-    wl, wr = {}, {}
-    comp = D.comp_map()
-    for c in arrows.values():
-        for f in arrows.values():
-            if f.tgt == c.src:
-                wl[(c.id, f"i2_{f.id}")] = f"i2_{comp[(c.id, f.id)]}"
-            if f.src == c.tgt:
-                wr[(f"i2_{f.id}", c.id)] = f"i2_{comp[(f.id, c.id)]}"
-    return FiniteTwoCategory(D.objects, list(D.arrows), comp, two, vcomp,
-                             wl, wr, name=name)
+    two = [TwoCell(f"i2_{f}", f, f, True) for f in sorted(D.arrow_map())]
+    return _with_units(D.objects, list(D.arrows), D.comp_map(), two, {}, {},
+                       {}, name)
 
 
 def suspension(D, name=""):
     """Two objects x, y with hom(x, y) = D and no other non-identity cells."""
     arrows = D.arrow_map()
-    comp = D.comp_map()
     one = [OneCell("ix", "x", "x", True), OneCell("iy", "y", "y", True)]
     one += [OneCell(f"s_{o}", "x", "y") for o in sorted(D.objects)]
     two = [TwoCell("i2_ix", "ix", "ix", True), TwoCell("i2_iy", "iy", "iy", True)]
-    for a in sorted(arrows):
-        cell = arrows[a]
-        two.append(TwoCell(f"s_{a}", f"s_{cell.src}", f"s_{cell.tgt}",
-                           cell.identity))
-    comp1 = {("ix", "ix"): "ix", ("iy", "iy"): "iy"}
-    for o in D.objects:
-        comp1[(f"s_{o}", "ix")] = f"s_{o}"
-        comp1[("iy", f"s_{o}")] = f"s_{o}"
-    vcomp = {("i2_ix", "i2_ix"): "i2_ix", ("i2_iy", "i2_iy"): "i2_iy"}
-    for (b, a), r in comp.items():
-        vcomp[(f"s_{b}", f"s_{a}")] = f"s_{r}"
-    wl = {("ix", "i2_ix"): "i2_ix", ("iy", "i2_iy"): "i2_iy"}
-    wr = {("i2_ix", "ix"): "i2_ix", ("i2_iy", "iy"): "i2_iy"}
-    for a in sorted(arrows):
-        wl[("iy", f"s_{a}")] = f"s_{a}"
-        wr[(f"s_{a}", "ix")] = f"s_{a}"
     # the identity 2-cell of s_o is s_{the identity arrow of o}
-    ident = {c.src: a for a, c in arrows.items() if c.identity}
-    for o in sorted(D.objects):
-        wl[(f"s_{o}", "i2_ix")] = wr[("i2_iy", f"s_{o}")] = f"s_{ident[o]}"
-    return FiniteTwoCategory(("x", "y"), one, comp1, two, vcomp, wl, wr,
-                             name=name)
+    two += [TwoCell(f"s_{a}", f"s_{c.src}", f"s_{c.tgt}", c.identity)
+            for a, c in sorted(arrows.items())]
+    vcomp = {(f"s_{b}", f"s_{a}"): f"s_{r}" for (b, a), r in D.comp
+             if not (arrows[a].identity or arrows[b].identity)}
+    return _with_units(("x", "y"), one, {}, two, vcomp, {}, {}, name)
 
 
 def oriental2(m):
@@ -557,7 +541,6 @@ def oriental2(m):
     """
     if not 0 <= m <= 6:
         raise InvalidInput("oriental2 supports 0 <= m <= 6")
-    objs = [str(i) for i in range(m + 1)]
     paths = []  # tuples of vertices, len >= 2
     for i in range(m + 1):
         for j in range(i + 1, m + 1):
@@ -567,85 +550,46 @@ def oriental2(m):
     pid = lambda p: "f" + "".join(map(str, p))
     one = [OneCell(f"e{i}", str(i), str(i), True) for i in range(m + 1)]
     one += [OneCell(pid(p), str(p[0]), str(p[-1])) for p in sorted(paths)]
-    comp1 = {}
-    for i in range(m + 1):
-        comp1[(f"e{i}", f"e{i}")] = f"e{i}"
-    for p in paths:
-        comp1[(pid(p), f"e{p[0]}")] = pid(p)
-        comp1[(f"e{p[-1]}", pid(p))] = pid(p)
-        for q in paths:
-            if q[0] == p[-1]:
-                comp1[(pid(q), pid(p))] = pid(p + q[1:])
-    two = []
-    vcomp, wl, wr = {}, {}, {}
+    comp1 = {(pid(q), pid(p)): pid(p + q[1:])
+             for p in paths for q in paths if q[0] == p[-1]}
     # 2-cells: P => Q between parallel paths with interior(P) <= interior(Q)
-    cells2 = []
-    for p in paths:
-        for q in paths:
-            if (p[0], p[-1]) == (q[0], q[-1]) and set(p) <= set(q):
-                cells2.append((p, q))
+    cells2 = [(p, q) for p in paths for q in paths
+              if (p[0], p[-1]) == (q[0], q[-1]) and set(p) <= set(q)]
     aid = lambda p, q: f"a{''.join(map(str, p))}>{''.join(map(str, q))}"
-    for p, q in sorted(cells2):
-        two.append(TwoCell(aid(p, q), pid(p), pid(q), p == q))
+    two = [TwoCell(aid(p, q), pid(p), pid(q), p == q)
+           for p, q in sorted(cells2)]
     two += [TwoCell(f"ie{i}", f"e{i}", f"e{i}", True) for i in range(m + 1)]
-    for i in range(m + 1):
-        vcomp[(f"ie{i}", f"ie{i}")] = f"ie{i}"
-    for p, q in cells2:
-        for q2, r in cells2:
-            if q2 == q:
-                vcomp[(aid(q, r), aid(p, q))] = aid(p, r)
-    for p, q in cells2:
-        a = aid(p, q)
-        wl[(f"e{p[-1]}", a)] = a
-        wr[(a, f"e{p[0]}")] = a
+    proper = [(p, q) for p, q in cells2 if p != q]
+    vcomp = {(aid(q, r), aid(p, q)): aid(p, r)
+             for p, q in proper for q2, r in proper if q2 == q}
+    wl, wr = {}, {}
+    for p, q in proper:
         for c in paths:
             if c[0] == p[-1]:
-                wl[(pid(c), a)] = aid(p + c[1:], q + c[1:])
+                wl[(pid(c), aid(p, q))] = aid(p + c[1:], q + c[1:])
             if c[-1] == p[0]:
-                wr[(a, pid(c))] = aid(c + p[1:], c + q[1:])
-    for i in range(m + 1):
-        for c in paths:
-            if c[0] == i:
-                wl[(pid(c), f"ie{i}")] = aid(c, c)
-            if c[-1] == i:
-                wr[(f"ie{i}", pid(c))] = aid(c, c)
-        wl[(f"e{i}", f"ie{i}")] = f"ie{i}"
-        wr[(f"ie{i}", f"e{i}")] = f"ie{i}"
-    return FiniteTwoCategory(objs, one, comp1, two, vcomp, wl, wr,
-                             name=f"O2[{m}]")
+                wr[(aid(p, q), pid(c))] = aid(c + p[1:], c + q[1:])
+    return _with_units([str(i) for i in range(m + 1)], one, comp1, two,
+                       vcomp, wl, wr, f"O2[{m}]")
 
 
 def inverted_oriental2():
     """O2[2] with a strict inverse adjoined to its unique non-identity 2-cell."""
     C = oriental2(2)
-    two = list(C.two_cells.values())
-    alpha = "a02>012"
-    beta = "b012>02"
-    two.append(TwoCell(beta, "f012", "f02"))
-    vcomp = dict(C.vcomp)
-    id_a, id_c = "a02>02", "a012>012"
-    vcomp[(beta, alpha)] = id_a
-    vcomp[(alpha, beta)] = id_c
-    vcomp[(beta, id_c)] = beta
-    vcomp[(id_a, beta)] = beta
-    wl = dict(C.whisker_l)
-    wr = dict(C.whisker_r)
-    wl[("e2", beta)] = beta
-    wr[(beta, "e0")] = beta
-    return FiniteTwoCategory(C.objects, list(C.one_cells.values()), dict(C.comp1),
-                             two, vcomp, wl, wr, name="IO2[2]")
+    alpha, beta = "a02>012", "b012>02"
+    two = [*C.two_cells.values(), TwoCell(beta, "f012", "f02")]
+    vcomp = {**C.vcomp, (beta, alpha): "a02>02", (alpha, beta): "a012>012"}
+    return _with_units(C.objects, list(C.one_cells.values()), dict(C.comp1),
+                       two, vcomp, dict(C.whisker_l), dict(C.whisker_r),
+                       "IO2[2]")
 
 
 def z2_two_cell_group():
     """One object, one 1-cell, 2-cell group {1, sigma} with sigma^2 = 1."""
     one = [OneCell("e", "*", "*", True)]
     two = [TwoCell("u", "e", "e", True), TwoCell("sg", "e", "e")]
-    comp1 = {("e", "e"): "e"}
-    vcomp = {("u", "u"): "u", ("u", "sg"): "sg",
-             ("sg", "u"): "sg", ("sg", "sg"): "u"}
-    wl = {("e", "u"): "u", ("e", "sg"): "sg"}
-    wr = {("u", "e"): "u", ("sg", "e"): "sg"}
-    return FiniteTwoCategory(("*",), one, comp1, two, vcomp, wl, wr, name="Z2")
+    return _with_units(("*",), one, {}, two, {("sg", "sg"): "u"}, {}, {},
+                       "Z2")
 
 
 def standard_examples():

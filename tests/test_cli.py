@@ -284,6 +284,32 @@ def test_tdelta_loader_rejects_what_it_would_drop(mutate, named, tmp_path,
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change, named", [
+    ({"simplices": ["xyz"]},
+     "tDelta-set simplices level 0 'xyz' is not a list"),
+    ({"simplices": [{"p": 1, "q": 2}]},
+     "tDelta-set simplices level 0 {'p': 1, 'q': 2} is not a list"),
+    ({"tokens": ""}, "tDelta-set tokens '' is not a list"),
+    ({"zeta": {}}, "tDelta-set zeta {} is not a list"),
+    ({"dim": 1, "tokens": [{}]}, "tDelta-set tokens level 1 {} is not a list"),
+    ({"dim": 1, "tokens": [[["t", "0"]]]},
+     "token ['t', '0'] is not an object"),
+], ids=["simplex-level-str", "simplex-level-object", "tokens-str",
+        "zeta-object", "token-level-object", "token-list"])
+def test_tdelta_loader_rejects_what_it_would_misread(change, named, tmp_path,
+                                                     capsys):
+    """A string or an object where a list belongs would be iterated as its
+    characters or keys: ``["xyz"]`` would load as three vertices."""
+    doc = {"dim": 0, "simplices": [["0"]], "faces": [], "degeneracies": [],
+           "tokens": [], "zeta": [], **change}
+    bad = tmp_path / "X.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["categorify", "--input", str(bad),
+                "--out", str(tmp_path / "P.json")]) == cli.EXIT_INPUT
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "P.json").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["examples", "--name", "iso", "--out", "{tmp}/missing/C.json"],
     ["nerve", "--input", "{cat}", "--dim", "2", "--out", "{tmp}/missing/X.json"],
