@@ -92,7 +92,8 @@ class TruncatedTDeltaSet:
                  name=""):
         """The tDelta-set on these ids and index rows: every level is put
         in the string order of its ids, the rows are remapped to match,
-        checked and adopted.
+        checked and adopted (a row that needs no remapping is adopted as
+        it is, so the shapes on one Delta[m] share its rows).
 
         ``ids[m]`` and ``tok_ids[m]`` list unique string ids in any order;
         ``face[m][i]``, ``deg[m][i]`` and ``zeta[m][i]`` give per simplex of
@@ -105,19 +106,13 @@ class TruncatedTDeltaSet:
         """
         if dim < 0:
             raise InvalidInput("dimension bound must be >= 0")
-        # shared rows are in order, indexed and valid as built; every other
-        # simplex row and every token row is checked
-        shared = (type(ids) is _SharedRows and len(ids) == dim + 1
-                  and face is ids.face and deg is ids.deg)
-        s_ord = [None] * (dim + 1) if shared else [_level_order(level)
-                                                   for level in ids]
+        s_ord = [_level_order(level) for level in ids]
         t_ord = [None] + [_level_order(tok_ids[m]) for m in range(1, dim + 1)]
         self.dim = dim
         self.name = name
-        self._ids = ids if shared else [_reorder(ids[m], s_ord[m], None)
-                                        for m in range(dim + 1)]
-        self._idx = list(ids.idx) if shared else [
-            _index(level, "simplex", m) for m, level in enumerate(self._ids)]
+        self._ids = [_reorder(ids[m], s_ord[m], None) for m in range(dim + 1)]
+        self._idx = [_index(level, "simplex", m)
+                     for m, level in enumerate(self._ids)]
         self._tok_ids = [None] + [_reorder(tok_ids[m], t_ord[m], None)
                                   for m in range(1, dim + 1)]
         self._tok_idx = [None] + [_index(self._tok_ids[m], "token", m)
@@ -137,11 +132,10 @@ class TruncatedTDeltaSet:
             for m in range(1, dim + 1)]
         for m in range(dim + 1):
             for i in range(m + 1):
-                if m and not shared:
+                if m:
                     _check(face[m][i], ids[m - 1], f"simplex as d_{i}", ids[m])
-                if m < dim and not shared:
-                    _check(deg[m][i], ids[m + 1], f"simplex as s_{i}", ids[m])
                 if m < dim:
+                    _check(deg[m][i], ids[m + 1], f"simplex as s_{i}", ids[m])
                     _check(zeta[m][i], tok_ids[m + 1], f"token as zeta_{i}",
                            ids[m])
             if m:
@@ -595,37 +589,22 @@ def _monotone(m, k):
     return list(itertools.combinations_with_replacement(range(m + 1), k + 1))
 
 
-class _SharedRows(list):
-    """Id levels in string order with their index dicts, face and degeneracy
-    rows, built valid: adopted unchecked."""
-
-    __slots__ = ("idx", "face", "deg")
-
-
-def _shared_rows(ids, face, deg):
-    """Shared rows on valid face and degeneracy rows; each level of ids
-    lists unique strings in string order."""
-    rows = _SharedRows(ids)
-    rows.idx = [_index(level, "simplex", k) for k, level in enumerate(ids)]
-    rows.face, rows.deg = face, deg
-    return rows
-
-
-def _shape(rows, marks, name):
-    """The shape on shared rows with minimal markings and the indices in
-    ``marks[k]`` marked."""
-    dim = len(rows) - 1
-    return TruncatedTDeltaSet(dim, rows, rows.face, rows.deg,
-                              *_minimal_tokens(dim, rows, rows.deg, marks),
+def _shape(ids, face, deg, marks, name):
+    """The shape on these simplex rows with minimal markings and the indices
+    in ``marks[k]`` marked."""
+    dim = len(ids) - 1
+    return TruncatedTDeltaSet(dim, ids, face, deg,
+                              *_minimal_tokens(dim, ids, deg, marks),
                               name=name)
 
 
 @lru_cache(maxsize=(MAX_DIM + 1) ** 2)
 def _delta_tables(m, dim):
-    """(rank, rows, face, deg) of Delta[m] truncated at dim, shared by every
+    """(rank, ids, face, deg) of Delta[m] truncated at dim, shared by every
     shape on it and never written to: per level the index of each monotone
     vertex sequence in the string order of the ids (not the vertex order
-    from m = 10 on), the shared rows, and their face and degeneracy rows."""
+    from m = 10 on), the ids in that order, and their face and degeneracy
+    rows."""
     levels = [sorted((_seq_id(s), s) for s in _monotone(m, k))
               for k in range(dim + 1)]
     rank = [{s: j for j, (_, s) in enumerate(level)} for level in levels]
@@ -633,15 +612,14 @@ def _delta_tables(m, dim):
                       for i in range(k + 1)] for k in range(1, dim + 1)]
     deg = [[[rank[k + 1][s[:i + 1] + s[i:]] for s in rank[k]]
             for i in range(k + 1)] for k in range(dim)] + [None]
-    ids = [[sid for sid, _ in level] for level in levels]
-    return rank, _shared_rows(ids, face, deg), face, deg
+    return rank, [[sid for sid, _ in level] for level in levels], face, deg
 
 
 def _build_simplicial(m, dim, marked, name, drop=None):
     """Stratified object on Delta[m] truncated at dim, or on its simplices
     that miss a vertex of ``drop``, with minimal markings and the vertex
     tuples in ``marked`` marked on top."""
-    rank, rows, face, deg = _delta_tables(m, dim)
+    rank, ids, face, deg = _delta_tables(m, dim)
     marks = [{rank[k][s] for s in marked if s in rank[k]}
              for k in range(dim + 1)]
     if drop is not None:  # restrict the rows of Delta[m] and renumber
@@ -654,9 +632,8 @@ def _build_simplicial(m, dim, marked, name, drop=None):
                for k in range(dim)] + [None]
         marks = [{place[k][j] for j in marks[k] & place[k].keys()}
                  for k in range(dim + 1)]
-        rows = _shared_rows([[rows[k][j] for j in place[k]]
-                             for k in range(dim + 1)], face, deg)
-    return _shape(rows, marks, name)
+        ids = [[ids[k][j] for j in place[k]] for k in range(dim + 1)]
+    return _shape(ids, face, deg, marks, name)
 
 
 def delta(m, dim=None, marked=(), name=None):
@@ -756,7 +733,7 @@ def join(A, B, out_dim=None, name=None):
     if A.dim < out_dim or B.dim < out_dim:
         raise InvalidInput("join factors must be padded to the output "
                            "truncation")
-    rows, keys = _join_rows(A, B, out_dim)
+    ids, face, deg, keys = _join_rows(A, B, out_dim)
 
     def marked(m, p, a, b):
         q = m - 1 - p
@@ -769,11 +746,11 @@ def join(A, B, out_dim=None, name=None):
                         for X in (A, B))
     marks = [None] + [{j for j, k in enumerate(keys[m]) if marked(m, *k)}
                       for m in range(1, out_dim + 1)]
-    return _shape(rows, marks, name or f"{A.name} * {B.name}")
+    return _shape(ids, face, deg, marks, name or f"{A.name} * {B.name}")
 
 
 def _join_rows(A, B, out_dim):
-    """(shared rows, keys) of the join of the simplicial sets under A and B:
+    """(ids, face, deg, keys) of the join of the simplicial sets under A and B:
     a simplex a*b of level m is keyed (p, a, b), a of level p in A and b of
     level q = m - 1 - p in B by index, where the side of level -1 is empty
     (index -1), so (m, a, -1) is a* and (-1, -1, b) is *b; each level in the
@@ -806,7 +783,7 @@ def _join_rows(A, B, out_dim):
                       for i in range(m + 1)] for m in range(1, out_dim + 1)]
     deg = [[[rank[m + 1][deg_key(m, i, *k)] for k in keys[m]]
             for i in range(m + 1)] for m in range(out_dim)] + [None]
-    return _shared_rows(ids, face, deg), keys
+    return ids, face, deg, keys
 
 
 # -- colimit-style operations ----------------------------------------------------

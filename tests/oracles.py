@@ -7,7 +7,7 @@ properties of the constructions; the 2-functor count and ``nerve_map``
 check nerve sizes and that the nerve is fully faithful;
 ``rs_fibrancy_prediction`` predicts the fibrancy of identity-marked nerves;
 ``evaluate_presentation`` checks categorification against the 2-category
-it came from.
+it came from; ``opposite`` checks the lift search against its mirror image.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from complicial import nerves, twocat
 from complicial.categorify import PastingFactor, Word
 from complicial.lifting import ExtensionResult
 from complicial.record import Record
-from complicial.tdelta import (BudgetExceeded, get_budget, map_on_generators,
-                               _images_along)
+from complicial.tdelta import (BudgetExceeded, TruncatedTDeltaSet,
+                               get_budget, map_on_generators, _images_along)
 from complicial.twocat import FiniteTwoCategory, InvalidInput, OneCell, TwoCell
 
 
@@ -275,6 +275,18 @@ def check_extension_generic(X, ext, budget=None):
         if find_lift(LiftingProblem(ext, f), budget=budget) is None:
             return ExtensionResult(ext, checked, f)
     return ExtensionResult(ext, checked, None)
+
+
+# -- duality ---------------------------------------------------------------------
+
+def opposite(X):
+    """X with the order of the vertices reversed: the face, degeneracy and
+    zeta rows i of level m become the rows m - i; ids and tokens stay."""
+    face = [None] + [X._face[m][::-1] for m in range(1, X.dim + 1)]
+    deg, zeta = ([rows[m][::-1] for m in range(X.dim)] + [None]
+                 for rows in (X._deg, X._zeta))
+    return TruncatedTDeltaSet(X.dim, X._ids, face, deg, X._tok_ids,
+                              X._tok_under, zeta, name=f"{X.name}^op")
 
 
 # -- nerve oracles ----------------------------------------------------------------

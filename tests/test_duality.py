@@ -1,0 +1,77 @@
+"""Duality as an oracle for the lift search.
+
+Reversing the order of the vertices is an isomorphism from a tDelta-set X
+onto ``opposite(X)`` read backwards.  It sends horn(k, m) to horn(m - k, m)
+and thinness(k, m) to thinness(m - k, m), and it fixes the triviality
+extensions and saturation(-1).  So the check of X against an extension and
+the check of ``opposite(X)`` against its dual reach the same verdict, and
+count the same maps when both pass, although the lift search walks the two
+in mirrored slot orders.  saturation(l) for l >= 0 is left out: its dual,
+Delta[3]_eq * Delta[l], is not in the library.
+"""
+
+import pytest
+
+from complicial import nerves, twocat
+from complicial.lifting import anodyne_library, check_extension
+from complicial.tdelta import TDeltaMap
+from oracles import opposite
+
+DIM = 4
+LIBRARY = anodyne_library(2, DIM)
+CATALOG = twocat.standard_examples()
+
+
+def _dual(ext):
+    """The extension of LIBRARY opposite to ext, or None if it has none."""
+    p = dict(ext.params)
+    if ext.family in ("horn", "thinness"):
+        params = (("k", p["m"] - p["k"]), ("m", p["m"]))
+    elif ext.family == "triviality" or p == {"l": -1}:
+        params = ext.params
+    else:
+        return None
+    return next(e for e in LIBRARY
+                if e.family == ext.family and e.params == params)
+
+
+PAIRS = [(e, d) for e in LIBRARY if (d := _dual(e)) is not None]
+
+
+def _reversal(X, Y, m):
+    """The map opposite(X) -> Y of two shapes on Delta[m] that sends the
+    vertex tuple of each simplex and token to its mirror image."""
+    def mirror(sid):
+        return "".join(str(m - int(v)) for v in reversed(sid))
+
+    simg = [[Y._idx[k][mirror(s)] for s in level]
+            for k, level in enumerate(X._ids)]
+    timg = [None] + [[Y._tok_idx[k]["t|" + mirror(t[2:])] for t in level]
+                     for k, level in enumerate(X._tok_ids[1:], 1)]
+    return TDeltaMap(opposite(X), Y, simg, timg)
+
+
+def test_dual_extensions_are_the_opposite_shapes():
+    assert [e.label() for e in LIBRARY if _dual(e) is None] == [
+        "saturation(l=0)"]
+    for e, d in PAIRS:
+        assert _dual(d) is e
+        m = len(e.B._ids[0]) - 1
+        for X, Y in ((e.A, d.A), (e.B, d.B)):
+            f = _reversal(X, Y, m)
+            assert f.src.validate() == [] and opposite(f.src).same_as(X)
+            assert f.is_valid() and f.is_mono(), (e.label(), d.label())
+            assert f.src.counts() == Y.counts()
+
+
+@pytest.mark.parametrize("marking", ["natural", "rs"])
+@pytest.mark.parametrize("entry", sorted(CATALOG))
+def test_lift_search_agrees_with_its_mirror_image(entry, marking):
+    X = nerves.nerve_with_info(CATALOG[entry], DIM, marking)[0]
+    op = opposite(X)
+    assert op.validate() == []
+    for e, d in PAIRS:
+        r, s = check_extension(X, e), check_extension(op, d)
+        assert r.passed == s.passed, (e.label(), d.label())
+        if r.passed:
+            assert r.maps_checked == s.maps_checked, (e.label(), d.label())

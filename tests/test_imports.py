@@ -2,9 +2,9 @@
 
 Every command starts a fresh interpreter, so the modules that
 ``import complicial.cli`` pulls in are paid for by each of them.  These
-tests check which modules are loaded, never how long that takes, and that
+tests check which modules are loaded, never how long that takes, that
 the code in ``src/`` is what the commands run: the oracles stay in
-``tests/oracles.py``.
+``tests/oracles.py``, and that no module keeps a name that nothing uses.
 """
 
 import ast
@@ -16,7 +16,8 @@ import sys
 
 import oracles
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 # heavy standard modules that no engine module needs: dataclasses alone
 # brings in inspect, ast, dis and tokenize
@@ -38,6 +39,59 @@ def _source_nodes():
     for path in sorted((SRC / "complicial").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             yield path.name, node
+
+
+def _modules(*dirs):
+    """(path, tree) for every Python file under these directories of the
+    repository."""
+    for d in dirs:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            yield path, ast.parse(path.read_text(), str(path))
+
+
+def _named(node):
+    """The identifiers that the code under node names: variables,
+    attributes and imported names (comments and strings do not count)."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.rpartition(".")[2])
+    return out
+
+
+def test_every_imported_name_is_used():
+    for path, tree in _modules("src", "tests", "stretch"):
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.partition(".")[0]
+                         for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused = [b for b in bound if b not in used]
+            assert not unused, (path.relative_to(ROOT), unused)
+
+
+def test_every_engine_definition_is_named_elsewhere():
+    """Each module-level function and class of src/complicial is named,
+    outside its own definition, by some module of src/, tests/, stretch/
+    or bench/."""
+    modules = list(_modules("src", "tests", "stretch", "bench"))
+    named = [(stmt, _named(stmt)) for _, tree in modules for stmt in tree.body]
+    for path, tree in modules:
+        if path.parent != SRC / "complicial":
+            continue
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                assert any(stmt.name in names for other, names in named
+                           if other is not stmt), (path.name, stmt.name)
 
 
 def test_no_source_file_imports_dataclasses():

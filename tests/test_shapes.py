@@ -257,24 +257,29 @@ def test_shapes_in_any_build_order_match_reference():
     assert built[0]._face[4][0] is built[2]._face[4][0] is built[5]._face[4][0]
 
 
-def test_constructor_adopts_only_the_shared_delta_rows_unchecked():
-    """Every shape on one Delta[m] adopts its rows and index dicts as they
-    are; copied simplex rows, and every token row, also on shared rows, are
-    ordered, indexed and checked."""
+def test_constructor_checks_every_row_and_shares_the_delta_rows():
+    """The shapes on one Delta[m] share its id, face and degeneracy row
+    objects, since the constructor adopts every row it need not reorder;
+    each shape indexes its own levels, and every row handed in, also beside
+    the cached Delta[m] ids, is ordered and checked."""
     X, Y = tdelta.delta(3, dim=4), tdelta.delta_k(1, 3, dim=4)
-    assert all(X._idx[m] is Y._idx[m] for m in range(5))
-    assert X._face[4][0] is Y._face[4][0] and X._deg[0][0] is Y._deg[0][0]
+    H = tdelta.horn(1, 3, dim=4)
+    _, ids, face, deg = tdelta._delta_tables(3, 4)
+    assert all(X._ids[m] is Y._ids[m] is ids[m] for m in range(5))
+    assert X._face[4][0] is Y._face[4][0] is face[4][0]
+    assert X._deg[0][0] is Y._deg[0][0] is deg[0][0]
+    assert all(X._idx[m] == Y._idx[m] for m in range(5))
+    assert not any(X._idx[m] is Y._idx[m] or X._idx[m] is H._idx[m]
+                   for m in range(5))
     assert X._tok_idx[1] == Y._tok_idx[1]
     assert X._tok_idx[1] is not Y._tok_idx[1]
-    assert tdelta.horn(1, 3, dim=4)._idx[1] is not X._idx[1]
     assert tdelta._delta_tables(10, 1)[1][0][:4] == ["0", "1", "10", "2"]
     _, ids, face, deg = tdelta._delta_tables(2, 2)
     tok_ids, tok_under, zeta = tdelta._minimal_tokens(2, ids, deg, [set()] * 3)
     copied = TruncatedTDeltaSet(2, [list(level) for level in ids], face, deg,
                                 tok_ids, tok_under, zeta, name="Delta[2]")
     _assert_same(copied, tdelta.delta(2))
-    assert copied._idx[1] is not tdelta.delta(2)._idx[1]
-    # token levels in reverse string order on the shared rows are put in order
+    # token levels in reverse string order on the cached rows are put in order
     back = [None] + [level[::-1] for level in tok_ids[1:]]
     flip = [[[len(back[m + 1]) - 1 - t for t in row] for row in zeta[m]]
             for m in range(2)] + [None]
@@ -282,14 +287,15 @@ def test_constructor_adopts_only_the_shared_delta_rows_unchecked():
         2, ids, face, deg, back, [None] + [u[::-1] for u in tok_under[1:]],
         flip, name="Delta[2]")
     _assert_same(reversed_tokens, tdelta.delta(2))
-    assert reversed_tokens._idx[1] is ids.idx[1]
 
     under, z, f, d = map(copy.deepcopy, (tok_under, zeta, face, deg))
     under[1][0] = z[0][0][0] = f[1][0][0] = d[0][0][0] = 99
     cases = [((ids, face, deg, tok_ids, under, zeta), "unknown simplex under"),
              ((ids, face, deg, tok_ids, tok_under, z), "unknown token as zeta_0"),
              ((ids, f, deg, tok_ids, tok_under, zeta), "unknown simplex as d_0"),
-             ((ids, face, d, tok_ids, tok_under, zeta), "unknown simplex as s_0")]
+             ((ids, face, d, tok_ids, tok_under, zeta), "unknown simplex as s_0"),
+             (([ids[0], [ids[1][0]] * len(ids[1]), ids[2]], face, deg,
+               tok_ids, tok_under, zeta), "duplicate simplex ids at level 1")]
     for args, message in cases:
         with pytest.raises(InvalidInput, match=message):
             TruncatedTDeltaSet(2, *args)
