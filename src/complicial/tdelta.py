@@ -788,43 +788,6 @@ def _join_rows(A, B, out_dim):
 
 # -- colimit-style operations ----------------------------------------------------
 
-def coproduct(parts, name=""):
-    """Disjoint union, ids prefixed by the part index.
-
-    A part of lower dimension than the largest leaves the degeneracies and
-    zeta of its top level undefined.
-    """
-    if not parts:
-        raise InvalidInput("empty coproduct needs an explicit dimension")
-    dim = max(P.dim for P in parts)
-    # full-size tables; the constructor reads only the levels that exist
-    ids, tok_ids, tok_under = ([[] for _ in range(dim + 1)] for _ in range(3))
-    face, deg, zeta = ([[[] for _ in range(m + 1)] for m in range(dim + 1)]
-                       for _ in range(3))
-    for k, P in enumerate(parts):
-        at, tok_at = ([len(level) for level in x] for x in (ids, tok_ids))
-        for m in range(P.dim + 1):
-            ids[m] += [f"{k}:{s}" for s in P._ids[m]]
-            if m:
-                tok_ids[m] += [f"{k}:{t}" for t in P._tok_ids[m]]
-                tok_under[m] += _shift(P._tok_under[m], at[m])
-            for i in range(m + 1):
-                if m:
-                    face[m][i] += _shift(P._face[m][i], at[m - 1])
-                if m < P.dim:
-                    deg[m][i] += _shift(P._deg[m][i], at[m + 1])
-                    zeta[m][i] += _shift(P._zeta[m][i], tok_at[m + 1])
-                elif m < dim:
-                    deg[m][i] += [-1] * len(P._ids[m])
-                    zeta[m][i] += [-1] * len(P._ids[m])
-    return TruncatedTDeltaSet(dim, ids, face, deg, tok_ids, tok_under, zeta,
-                              name)
-
-
-def _shift(row, by):
-    return [v + by if v >= 0 else v for v in row]
-
-
 def _images_along(f, i):
     """For f: A -> X and i: A -> B, the (simplex, token) rows that give, per
     level of B, the index in X of f(a) at i(a), and -1 off the image of i."""
@@ -906,47 +869,19 @@ def pushout(f, i, prefix="B.", name=""):
 
 
 def pushout_family(X, gluings, prefix="g", name=""):
-    """Simultaneous pushout of a finite family of (f_k: A_k -> X, i_k: A_k -> B_k).
+    """Pushout of a finite family of (f_k: A_k -> X, i_k: A_k -> B_k).
 
-    One pushout of the copairing of the f_k along the coproduct of the i_k.
-    The coproducts tag ids with the family index, so an element of B_k
-    outside the image of i_k enters P as ``{prefix}{k}:{id}``.  Returns
-    (P, X -> P, [B_k -> P]).
+    One ``pushout`` per gluing, each glued onto the result of the one
+    before, so an element of B_k outside the image of i_k enters P as
+    ``{prefix}{k}:{id}``.  Returns (P, X -> P, [B_k -> P]).
     """
-    if not gluings:
-        return X, identity_map(X), []
-    A = coproduct([f.src for f, _ in gluings])
-    B = coproduct([i.dst for _, i in gluings])
-    f = _on_summands([f for f, _ in gluings], A, X, tag_values=False)
-    i = _on_summands([i for _, i in gluings], A, B, tag_values=True)
-    P, x_to_p, b_to_p = pushout(f, i, prefix=prefix, name=name)
-    return P, x_to_p, [b_to_p.compose(_injection(B, k, ik.dst))
-                       for k, (_, ik) in enumerate(gluings)]
-
-
-def _injection(C, k, part):
-    """The injection of the k-th summand ``part`` into the coproduct C."""
-    return TDeltaMap(part, C, [[C._idx[m][f"{k}:{s}"] for s in part._ids[m]]
-                               for m in range(part.dim + 1)],
-                     [None] + [[C._tok_idx[m][f"{k}:{t}"]
-                                for t in part._tok_ids[m]]
-                               for m in range(1, part.dim + 1)])
-
-
-def _on_summands(maps, src, dst, tag_values):
-    """The map out of the coproduct src that is maps[k] on its k-th summand;
-    with tag_values, into the k-th summand of the coproduct dst."""
-    simg, timg = _undefined(src)
-    for k, f in enumerate(maps):
-        if tag_values:
-            f = _injection(dst, k, f.dst).compose(f)
-        at = _injection(src, k, f.src)
-        for rows, at_rows, f_rows in ((simg, at._simg, f._simg),
-                                      (timg, at._timg, f._timg)):
-            for row, a, values in zip(rows, at_rows, f_rows):
-                for j, v in zip(a or (), values or ()):
-                    row[j] = v
-    return map_on_generators(src, dst, simg, timg)
+    P, x_to_p, b_maps = X, identity_map(X), []
+    for k, (f, i) in enumerate(gluings):
+        P, step, b = pushout(x_to_p.compose(f), i, prefix=f"{prefix}{k}:",
+                             name=name)
+        x_to_p = step.compose(x_to_p)
+        b_maps = [step.compose(c) for c in b_maps] + [b]
+    return P, x_to_p, b_maps
 
 
 def identify_markings(X, name=None, labels=None):

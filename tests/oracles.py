@@ -7,7 +7,9 @@ properties of the constructions; the 2-functor count and ``nerve_map``
 check nerve sizes and that the nerve is fully faithful;
 ``rs_fibrancy_prediction`` predicts the fibrancy of identity-marked nerves;
 ``evaluate_presentation`` checks categorification against the 2-category
-it came from; ``opposite`` checks the lift search against its mirror image.
+it came from; the string-keyed ``ref_pushout`` and ``ref_coproduct`` check
+the gluings built on index tables; ``opposite`` and ``opposite_category``
+check the lift search and the nerve against their mirror images.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from complicial.categorify import PastingFactor, Word
 from complicial.lifting import ExtensionResult
 from complicial.record import Record
 from complicial.tdelta import (BudgetExceeded, TruncatedTDeltaSet,
-                               get_budget, map_on_generators, _images_along)
+                               get_budget, identity_map, inclusion_map,
+                               map_from_json_dict, map_on_generators,
+                               _images_along)
 from complicial.twocat import FiniteTwoCategory, InvalidInput, OneCell, TwoCell
 
 
@@ -277,6 +281,150 @@ def check_extension_generic(X, ext, budget=None):
     return ExtensionResult(ext, checked, None)
 
 
+# -- string-keyed constructions ---------------------------------------------------
+
+def tdelta_from_dicts(dim, simplices, faces, degs, tokens, zeta, name=""):
+    """The tDelta-set of id-keyed dicts, written as a document and loaded:
+    ``simplices[m]`` lists ids, ``tokens[m]`` (id, under) pairs, and the
+    other dicts map (m, i, id) to an id."""
+    def rows(d):
+        return [[m, i, s, v] for (m, i, s), v in d.items()]
+    return TruncatedTDeltaSet.from_json_dict({
+        "dim": dim,
+        "simplices": [list(simplices.get(m, ())) for m in range(dim + 1)],
+        "tokens": [[{"id": t, "under": u} for t, u in tokens.get(m, ())]
+                   for m in range(1, dim + 1)],
+        "faces": rows(faces), "degeneracies": rows(degs), "zeta": rows(zeta),
+    }, name=name)
+
+
+def degeneracy_of(X, m, i, sid):
+    j = X._deg[m][i][X._idx[m][sid]]
+    if j < 0:
+        raise InvalidInput(f"degeneracy s_{i} undefined on {sid!r}")
+    return X._ids[m + 1][j]
+
+
+def zeta_of(X, m, i, sid):
+    j = X._zeta[m][i][X._idx[m][sid]]
+    if j < 0:
+        raise InvalidInput(f"zeta_{i} undefined on {sid!r}")
+    return X._tok_ids[m + 1][j]
+
+
+def ref_coproduct(parts, name=""):
+    """Disjoint union, ids prefixed by the part index."""
+    if not parts:
+        raise InvalidInput("empty coproduct needs an explicit dimension")
+    dim = max(p.dim for p in parts)
+    simplices = {m: [] for m in range(dim + 1)}
+    faces, degs, zeta = {}, {}, {}
+    tokens = {m: [] for m in range(1, dim + 1)}
+    for idx, P in enumerate(parts):
+        tag = lambda s: f"{idx}:{s}"
+        for m in range(P.dim + 1):
+            simplices[m] += [tag(s) for s in P.simplex_ids(m)]
+            for s in P.simplex_ids(m):
+                for i in range(m + 1):
+                    if m >= 1:
+                        faces[(m, i, tag(s))] = tag(P.face_of(m, i, s))
+                    if m < P.dim:
+                        degs[(m, i, tag(s))] = tag(degeneracy_of(P, m, i, s))
+                        zeta[(m, i, tag(s))] = tag(zeta_of(P, m, i, s))
+        for m in range(1, P.dim + 1):
+            tokens[m] += [(tag(t), tag(P.under_of(m, t)))
+                          for t in P.token_ids(m)]
+    return tdelta_from_dicts(dim, simplices, faces, degs, tokens, zeta,
+                             name=name)
+
+
+def ref_pushout(f, i, prefix="B.", name=""):
+    """Pushout of f: A -> X along a monomorphism i: A -> B.
+
+    Returns (P, X -> P, B -> P).  X keeps its ids; elements of B outside the
+    image of i enter with the given prefix.  Unlike ``pushout`` it does not
+    reject the dimensions where P comes out wrong.
+    """
+    A, X, B = f.src, f.dst, i.dst
+    if not i.is_mono():
+        raise InvalidInput("pushout implemented along monomorphisms only")
+    dim = X.dim
+    if B.dim > dim:
+        raise InvalidInput("pushout target truncation too small")
+
+    s_img = {}  # (m, B-id) -> (m, P-id) for the image of i
+    for m in range(A.dim + 1):
+        for s in A.simplex_ids(m):
+            s_img[(m, i.apply_simplex(m, s))] = f.apply_simplex(m, s)
+    t_img = {}
+    for m in range(1, A.dim + 1):
+        for t in A.token_ids(m):
+            t_img[(m, i.apply_token(m, t))] = f.apply_token(m, t)
+
+    def new_sid(m, b):
+        return s_img.get((m, b)) or f"{prefix}{b}"
+
+    def new_tid(m, t):
+        return t_img.get((m, t)) or f"{prefix}{t}"
+
+    simplices = {m: list(X.simplex_ids(m)) for m in range(dim + 1)}
+    faces, degs, zeta = {}, {}, {}
+    tokens = {m: [(t, X.under_of(m, t)) for t in X.token_ids(m)]
+              for m in range(1, dim + 1)}
+    for m in range(1, dim + 1):
+        for s in X.simplex_ids(m):
+            for k in range(m + 1):
+                faces[(m, k, s)] = X.face_of(m, k, s)
+    for m in range(dim):
+        for s in X.simplex_ids(m):
+            for k in range(m + 1):
+                degs[(m, k, s)] = degeneracy_of(X, m, k, s)
+                zeta[(m, k, s)] = zeta_of(X, m, k, s)
+
+    for m in range(B.dim + 1):
+        for b in B.simplex_ids(m):
+            if (m, b) in s_img:
+                continue
+            sid = new_sid(m, b)
+            simplices[m].append(sid)
+            for k in range(m + 1):
+                if m >= 1:
+                    faces[(m, k, sid)] = new_sid(m - 1, B.face_of(m, k, b))
+                if m < B.dim:
+                    degs[(m, k, sid)] = new_sid(m + 1, degeneracy_of(B, m, k, b))
+                    zeta[(m, k, sid)] = new_tid(m + 1, zeta_of(B, m, k, b))
+    for m in range(1, B.dim + 1):
+        for t in B.token_ids(m):
+            if (m, t) in t_img:
+                continue
+            tokens[m].append((new_tid(m, t), new_sid(m, B.under_of(m, t))))
+
+    P = tdelta_from_dicts(dim, simplices, faces, degs, tokens, zeta, name=name)
+    x_to_p = inclusion_map(X, P)
+    b_simp = [[m, b, new_sid(m, b)] for m in range(B.dim + 1)
+              for b in B.nondegenerate_ids(m)]
+    b_tok = []
+    for m in range(1, B.dim + 1):
+        wit = B._zeta_wit[m]
+        b_tok += [[m, t, new_tid(m, t)]
+                  for k, t in enumerate(B._tok_ids[m]) if wit[k] is None]
+    b_to_p = map_from_json_dict(B, P, {"simplices": b_simp, "tokens": b_tok})
+    return P, x_to_p, b_to_p
+
+
+def fold_of_ref_pushouts(X, gluings, prefix, name=""):
+    """The family of gluings onto X through ``ref_pushout``: one pushout
+    per gluing, each glued onto the result of the one before; the elements
+    of B_k enter with the prefix ``{prefix}{k}:``."""
+    P, x_to_p, b_maps = X, identity_map(X), []
+    for k, (fk, ik) in enumerate(gluings):
+        P, step, bk = ref_pushout(x_to_p.compose(fk), ik,
+                                  prefix=f"{prefix}{k}:", name=name)
+        x_to_p = step.compose(x_to_p)
+        b_maps = [step.compose(b) for b in b_maps] + [bk]
+    return P, x_to_p, b_maps
+
+
 # -- duality ---------------------------------------------------------------------
 
 def opposite(X):
@@ -287,6 +435,19 @@ def opposite(X):
                  for rows in (X._deg, X._zeta))
     return TruncatedTDeltaSet(X.dim, X._ids, face, deg, X._tok_ids,
                               X._tok_under, zeta, name=f"{X.name}^op")
+
+
+def opposite_category(C):
+    """C with its 1-cells reversed: comp1 takes its two 1-cells in the other
+    order, whisker_l and whisker_r trade places, and the 2-cells and their
+    vertical composition stay as they are."""
+    one = [OneCell(c.id, c.tgt, c.src, c.identity)
+           for c in C.one_cells.values()]
+    comp1 = {(f, g): h for (g, f), h in C.comp1.items()}
+    wl = {(c, a): v for (a, c), v in C.whisker_r.items()}
+    wr = {(a, c): v for (c, a), v in C.whisker_l.items()}
+    return FiniteTwoCategory(C.objects, one, comp1, C.two_cells.values(),
+                             C.vcomp, wl, wr, name=f"{C.name}^op")
 
 
 # -- nerve oracles ----------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Constructions on index tables against the string-keyed code they replaced.
 
-``coproduct``, ``pushout`` and ``join`` build their results straight from the
-index tables of their inputs.  The ``ref_`` functions below are the
-constructions they replaced: every simplex and token is copied through its
-string id and the per-id lookups into id-keyed dicts, which reach a
-tDelta-set as a document, through the loader.  They are kept here as the
-oracle, on random inputs and on the shapes of the anodyne library: the
-results must agree table for table, with the same names, the same maps and
-``validate() == []``.
+``pushout`` and ``join`` build their results straight from the index tables
+of their inputs, and ``pushout_family`` is a fold of ``pushout``.  The
+``ref_`` functions are the constructions they replaced: every simplex and
+token is copied through its string id and the per-id lookups into id-keyed
+dicts, which reach a tDelta-set as a document, through the loader.
+``ref_join`` is below; ``ref_pushout`` and its fold live in
+``tests/oracles.py``.  They are kept as the oracle, on random inputs and on
+the shapes of the anodyne library: the results must agree table for table,
+with the same names, the same maps and ``validate() == []``.
 """
 
 import functools
@@ -17,29 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from complicial import lifting, nerves, tdelta, twocat
-from complicial.tdelta import (boundary, coproduct, delta, delta3_eq,
-                               delta3_sharp, delta_k, delta_k_dprime,
-                               delta_k_prime, delta_t, horn, identity_map,
-                               inclusion_map, join, pushout,
+from complicial import lifting, nerves, twocat
+from complicial.tdelta import (boundary, delta, delta3_eq, delta3_sharp,
+                               delta_k, delta_k_dprime, delta_k_prime,
+                               delta_t, horn, inclusion_map, join, pushout,
                                pushout_family)
 from complicial.twocat import InvalidInput
-from oracles import iter_maps
-from test_shapes import tdelta_from_dicts
-
-
-def degeneracy_of(X, m, i, sid):
-    j = X._deg[m][i][X._idx[m][sid]]
-    if j < 0:
-        raise InvalidInput(f"degeneracy s_{i} undefined on {sid!r}")
-    return X._ids[m + 1][j]
-
-
-def zeta_of(X, m, i, sid):
-    j = X._zeta[m][i][X._idx[m][sid]]
-    if j < 0:
-        raise InvalidInput(f"zeta_{i} undefined on {sid!r}")
-    return X._tok_ids[m + 1][j]
+from oracles import (degeneracy_of, fold_of_ref_pushouts, iter_maps,
+                     ref_pushout, tdelta_from_dicts)
 
 
 def ref_join(A, B, out_dim=None, name=None):
@@ -149,131 +135,7 @@ def ref_tokens_from_marks(dim, simplices, faces, degs, marked, name):
                              name=name)
 
 
-def ref_coproduct(parts, name=""):
-    """Disjoint union, ids prefixed by the part index."""
-    if not parts:
-        raise InvalidInput("empty coproduct needs an explicit dimension")
-    dim = max(p.dim for p in parts)
-    simplices = {m: [] for m in range(dim + 1)}
-    faces, degs, zeta = {}, {}, {}
-    tokens = {m: [] for m in range(1, dim + 1)}
-    for idx, P in enumerate(parts):
-        tag = lambda s: f"{idx}:{s}"
-        for m in range(P.dim + 1):
-            simplices[m] += [tag(s) for s in P.simplex_ids(m)]
-            for s in P.simplex_ids(m):
-                for i in range(m + 1):
-                    if m >= 1:
-                        faces[(m, i, tag(s))] = tag(P.face_of(m, i, s))
-                    if m < P.dim:
-                        degs[(m, i, tag(s))] = tag(degeneracy_of(P, m, i, s))
-                        zeta[(m, i, tag(s))] = tag(zeta_of(P, m, i, s))
-        for m in range(1, P.dim + 1):
-            tokens[m] += [(tag(t), tag(P.under_of(m, t)))
-                          for t in P.token_ids(m)]
-    return tdelta_from_dicts(dim, simplices, faces, degs, tokens, zeta,
-                             name=name)
-
-
-def ref_pushout(f, i, prefix="B.", name=""):
-    """Pushout of f: A -> X along a monomorphism i: A -> B.
-
-    Returns (P, X -> P, B -> P).  X keeps its ids; elements of B outside the
-    image of i enter with the given prefix.  Unlike ``pushout`` it does not
-    reject the dimensions where P comes out wrong.
-    """
-    A, X, B = f.src, f.dst, i.dst
-    if not i.is_mono():
-        raise InvalidInput("pushout implemented along monomorphisms only")
-    dim = X.dim
-    if B.dim > dim:
-        raise InvalidInput("pushout target truncation too small")
-
-    s_img = {}  # (m, B-id) -> (m, P-id) for the image of i
-    for m in range(A.dim + 1):
-        for s in A.simplex_ids(m):
-            s_img[(m, i.apply_simplex(m, s))] = f.apply_simplex(m, s)
-    t_img = {}
-    for m in range(1, A.dim + 1):
-        for t in A.token_ids(m):
-            t_img[(m, i.apply_token(m, t))] = f.apply_token(m, t)
-
-    def new_sid(m, b):
-        return s_img.get((m, b)) or f"{prefix}{b}"
-
-    def new_tid(m, t):
-        return t_img.get((m, t)) or f"{prefix}{t}"
-
-    simplices = {m: list(X.simplex_ids(m)) for m in range(dim + 1)}
-    faces, degs, zeta = {}, {}, {}
-    tokens = {m: [(t, X.under_of(m, t)) for t in X.token_ids(m)]
-              for m in range(1, dim + 1)}
-    for m in range(1, dim + 1):
-        for s in X.simplex_ids(m):
-            for k in range(m + 1):
-                faces[(m, k, s)] = X.face_of(m, k, s)
-    for m in range(dim):
-        for s in X.simplex_ids(m):
-            for k in range(m + 1):
-                degs[(m, k, s)] = degeneracy_of(X, m, k, s)
-                zeta[(m, k, s)] = zeta_of(X, m, k, s)
-
-    for m in range(B.dim + 1):
-        for b in B.simplex_ids(m):
-            if (m, b) in s_img:
-                continue
-            sid = new_sid(m, b)
-            simplices[m].append(sid)
-            for k in range(m + 1):
-                if m >= 1:
-                    faces[(m, k, sid)] = new_sid(m - 1, B.face_of(m, k, b))
-                if m < B.dim:
-                    degs[(m, k, sid)] = new_sid(m + 1, degeneracy_of(B, m, k, b))
-                    zeta[(m, k, sid)] = new_tid(m + 1, zeta_of(B, m, k, b))
-    for m in range(1, B.dim + 1):
-        for t in B.token_ids(m):
-            if (m, t) in t_img:
-                continue
-            tokens[m].append((new_tid(m, t), new_sid(m, B.under_of(m, t))))
-
-    P = tdelta_from_dicts(dim, simplices, faces, degs, tokens, zeta, name=name)
-    x_to_p = inclusion_map(X, P)
-    b_simp = [[m, b, new_sid(m, b)] for m in range(B.dim + 1)
-              for b in B.nondegenerate_ids(m)]
-    b_tok = []
-    for m in range(1, B.dim + 1):
-        wit = B._zeta_wit[m]
-        b_tok += [[m, t, new_tid(m, t)]
-                  for k, t in enumerate(B._tok_ids[m]) if wit[k] is None]
-    b_to_p = tdelta.map_from_json_dict(B, P, {"simplices": b_simp,
-                                              "tokens": b_tok})
-    return P, x_to_p, b_to_p
-
-
-
-
 # -- inputs -----------------------------------------------------------------------
-
-SHAPE_BUILDERS = {
-    "delta": lambda k, m, dim: delta(m, dim),
-    "delta_t": lambda k, m, dim: delta_t(m, dim),
-    "boundary": lambda k, m, dim: boundary(m, dim),
-    "horn": lambda k, m, dim: horn(k, m, dim),
-    "delta_k": lambda k, m, dim: delta_k(k, m, dim),
-    "delta_k_prime": lambda k, m, dim: delta_k_prime(k, m, dim),
-}
-
-
-@st.composite
-def standard_shapes(draw, dim=None, max_dim=3):
-    """A standard shape on at most max_dim + 1 vertices, presented at
-    ``dim``, or else at a drawn dimension no lower than its own."""
-    m = draw(st.integers(0, max_dim if dim is None else min(dim, max_dim)))
-    k = draw(st.integers(0, m))
-    dim = draw(st.integers(m, max_dim)) if dim is None else dim
-    return SHAPE_BUILDERS[draw(st.sampled_from(sorted(SHAPE_BUILDERS)))](
-        k, m, dim)
-
 
 @st.composite
 def join_factors(draw, out_dim):
@@ -341,28 +203,6 @@ def assert_same(T, R):
     assert T.validate() == []
 
 
-# -- coproduct ------------------------------------------------------------------
-
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_coproduct_matches_dict_oracle(data):
-    padded = data.draw(st.booleans())
-    dim = data.draw(st.integers(0, 3)) if padded else None
-    parts = data.draw(st.lists(standard_shapes(dim), min_size=1,
-                               max_size=12))
-    C, R = coproduct(parts, name="C"), ref_coproduct(parts, name="C")
-    assert C.same_as(R) and C.name == R.name
-    if len({P.dim for P in parts}) == 1:
-        assert C.validate() == []
-
-
-def test_coproduct_of_twelve_parts_orders_ids_as_strings():
-    parts = [delta(m % 3, dim=2) for m in range(12)]
-    C, R = coproduct(parts, name="C"), ref_coproduct(parts, name="C")
-    assert_same(C, R)
-    assert C.simplex_ids(0)[:5] == ["0:0", "10:0", "10:1", "11:0", "11:1"]
-
-
 # -- join -------------------------------------------------------------------------
 
 @given(st.data())
@@ -403,16 +243,6 @@ def test_pushout_matches_dict_oracle(key, data):
     R, x_to_r, b_to_r = ref_pushout(f, i, prefix="g.", name="P")
     assert_same(P, R)
     assert x_to_p.equals(x_to_r) and b_to_p.equals(b_to_r)
-
-
-def fold_of_ref_pushouts(X, gluings, prefix, name=""):
-    P, x_to_p, b_maps = X, identity_map(X), []
-    for k, (fk, ik) in enumerate(gluings):
-        P, step, bk = ref_pushout(x_to_p.compose(fk), ik,
-                                  prefix=f"{prefix}{k}:", name=name)
-        x_to_p = step.compose(x_to_p)
-        b_maps = [step.compose(b) for b in b_maps] + [bk]
-    return P, x_to_p, b_maps
 
 
 @given(nerve_keys, st.integers(1, 3), st.data())

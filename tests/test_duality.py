@@ -8,6 +8,11 @@ the check of ``opposite(X)`` against its dual reach the same verdict, and
 count the same maps when both pass, although the lift search walks the two
 in mirrored slot orders.  saturation(l) for l >= 0 is left out: its dual,
 Delta[3]_eq * Delta[l], is not in the library.
+
+The same holds one level up: the nerve of ``opposite_category(C)``, the
+2-category with its 1-cells reversed and its 2-cells kept, is isomorphic to
+``opposite`` of the nerve of C.  So the two have the same level sizes, and
+every extension of the library reaches the same verdict and count on both.
 """
 
 import pytest
@@ -15,7 +20,7 @@ import pytest
 from complicial import nerves, twocat
 from complicial.lifting import anodyne_library, check_extension
 from complicial.tdelta import TDeltaMap
-from oracles import opposite
+from oracles import opposite, opposite_category
 
 DIM = 4
 LIBRARY = anodyne_library(2, DIM)
@@ -75,3 +80,19 @@ def test_lift_search_agrees_with_its_mirror_image(entry, marking):
         assert r.passed == s.passed, (e.label(), d.label())
         if r.passed:
             assert r.maps_checked == s.maps_checked, (e.label(), d.label())
+
+
+@pytest.mark.parametrize("marking", ["natural", "rs"])
+@pytest.mark.parametrize("entry", sorted(CATALOG))
+def test_nerve_of_the_opposite_category_is_the_opposite_nerve(entry, marking):
+    C = CATALOG[entry]
+    op = opposite_category(C)
+    assert op.validate() == []
+    X = nerves.nerve_with_info(op, DIM, marking)[0]
+    Y = opposite(nerves.nerve_with_info(C, DIM, marking)[0])
+    assert X.counts() == Y.counts()
+    for e in LIBRARY:
+        r, s = check_extension(X, e), check_extension(Y, e)
+        assert r.passed == s.passed, e.label()
+        if r.passed:
+            assert r.maps_checked == s.maps_checked, e.label()

@@ -18,21 +18,7 @@ import pytest
 from complicial import lifting, tdelta
 from complicial.tdelta import TruncatedTDeltaSet
 from complicial.twocat import InvalidInput
-
-
-def tdelta_from_dicts(dim, simplices, faces, degs, tokens, zeta, name=""):
-    """The tDelta-set of id-keyed dicts, written as a document and loaded:
-    ``simplices[m]`` lists ids, ``tokens[m]`` (id, under) pairs, and the
-    other dicts map (m, i, id) to an id."""
-    def rows(d):
-        return [[m, i, s, v] for (m, i, s), v in d.items()]
-    return TruncatedTDeltaSet.from_json_dict({
-        "dim": dim,
-        "simplices": [list(simplices.get(m, ())) for m in range(dim + 1)],
-        "tokens": [[{"id": t, "under": u} for t, u in tokens.get(m, ())]
-                   for m in range(1, dim + 1)],
-        "faces": rows(faces), "degeneracies": rows(degs), "zeta": rows(zeta),
-    }, name=name)
+from oracles import tdelta_from_dicts
 
 
 @functools.cache

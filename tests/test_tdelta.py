@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from complicial import factorization, nerves, tdelta, twocat
 from complicial.tdelta import (BudgetExceeded, TruncatedTDeltaSet, boundary,
-                               coproduct, delta, delta3_eq, delta3_sharp,
-                               delta_k, delta_k_dprime, delta_k_prime, delta_t,
-                               horn, identify_markings, identity_map,
-                               inclusion_map, join, pushout, pushout_family)
-from oracles import find_isomorphism, maps
+                               delta, delta3_eq, delta3_sharp, delta_k,
+                               delta_k_dprime, delta_k_prime, delta_t, horn,
+                               identify_markings, identity_map, inclusion_map,
+                               join, pushout, pushout_family)
+from oracles import find_isomorphism, fold_of_ref_pushouts, maps, ref_coproduct
 
 
 SHAPES = [delta(0), delta(2), delta_t(2), boundary(2), boundary(3),
@@ -189,7 +189,7 @@ def test_pushout_of_empty_is_coproduct():
     i = tdelta.map_from_json_dict(empty, B, nothing)
     P, _, _ = pushout(f, i)
     assert len(P.simplex_ids(0)) == 2
-    C = coproduct([A, B])
+    C = ref_coproduct([A, B])
     assert find_isomorphism(P, C) is not None
 
 
@@ -234,29 +234,33 @@ def test_pushout_rejects_a_truncated_below_b():
 
 
 def test_pushout_family_rejects_a_lower_part_that_adds_top_simplices():
-    """In the coproduct of the B_k, a part of lower dimension leaves the
-    degeneracies of its top level undefined; a simplex it adds there would
-    have none in P."""
+    """B_k of lower dimension than X may add only tokens at its top level:
+    the first gluing adds the edge '01' at level 1 of a dim-1 part, which
+    would have no degeneracies in P.  A second gluing at X's dimension does
+    not hide it."""
     X = delta(0, dim=2)
     A1, B1 = delta(0, dim=1), delta(1, dim=1)
     i1 = next(m for m in maps(A1, B1) if m.apply_simplex(0, "0") == "0")
     A2 = delta(0, dim=2)
     gluings = [(maps(A1, X)[0], i1), (maps(A2, X)[0], identity_map(A2))]
     with pytest.raises(twocat.InvalidInput,
-                       match="B leaves an operator undefined on '0:01'"):
+                       match="'01' of B's top level 1 would lack degeneracies"):
         pushout_family(X, gluings)
 
 
-def fold_of_pushouts(X, gluings, prefix, name=""):
-    """The oracle of pushout_family: one pushout per gluing, each glued
-    onto the result of the one before."""
-    P, x_to_p, b_maps = X, identity_map(X), []
-    for k, (fk, ik) in enumerate(gluings):
-        P, step, bk = pushout(x_to_p.compose(fk), ik, prefix=f"{prefix}{k}:",
-                              name=name)
-        x_to_p = step.compose(x_to_p)
-        b_maps = [step.compose(b) for b in b_maps] + [bk]
-    return P, x_to_p, b_maps
+def test_pushout_family_rejects_a_part_truncated_below_its_b():
+    """A_0 of dim 1 glued into B_0 = X of dim 2 would enter the degenerate
+    triangle 000 of B_0 again, as a second, non-degenerate copy g0:000.
+    The one gluing alone is refused by pushout; a second part of dim 2 in
+    the family must not hide that."""
+    X, A, B = delta(1, dim=2), delta(0, dim=1), delta(1, dim=2)
+    f, i = (next(m for m in maps(A, Y) if m.apply_simplex(0, "0") == "0")
+            for Y in (X, B))
+    A1 = delta(0, dim=2)
+    gluings = [(f, i), (maps(A1, X)[0], identity_map(A1))]
+    with pytest.raises(twocat.InvalidInput,
+                       match=r"A \(dim 1\) is truncated below B \(dim 2\)"):
+        pushout_family(X, gluings)
 
 
 def _p4_gluings_of_sigma_iso(monkeypatch):
@@ -290,7 +294,7 @@ def test_pushout_family_agrees_with_fold_of_pushouts(family, monkeypatch):
     else:
         X, gluings = delta_t(2), []
     P, x_to_p, b_maps = pushout_family(X, gluings, prefix="g.", name="P")
-    Pr, x_to_pr, b_maps_r = fold_of_pushouts(X, gluings, "g.", name="P")
+    Pr, x_to_pr, b_maps_r = fold_of_ref_pushouts(X, gluings, "g.", name="P")
     assert P.same_as(Pr) and P.name == Pr.name
     assert x_to_p.equals(x_to_pr)
     assert len(b_maps) == len(b_maps_r) == len(gluings)
@@ -333,7 +337,7 @@ def test_random_pushout_families_agree_with_fold_of_pushouts(picks):
         i, fs = kinds[kind % len(kinds)]
         gluings.append((fs[pick % len(fs)], i))
     P, x_to_p, b_maps = pushout_family(X, gluings, prefix="g", name="P")
-    Pr, x_to_pr, b_maps_r = fold_of_pushouts(X, gluings, "g", name="P")
+    Pr, x_to_pr, b_maps_r = fold_of_ref_pushouts(X, gluings, "g", name="P")
     assert P.same_as(Pr) and P.name == Pr.name
     assert x_to_p.equals(x_to_pr)
     assert len(b_maps) == len(b_maps_r) == len(gluings)
