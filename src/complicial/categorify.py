@@ -300,19 +300,16 @@ class SectionResult(Record):
         return self.ok
 
 
-def section_check(C, x, y, N=4, assignment=None):
+def section_check(assignment, x, y):
     """Check that the counit retracts the hom-category embedding at (x, y).
 
-    The embedding sends a 1-cell to its generator word and a 2-cell
-    phi: a => b to the triangle generator over (id_x, b; phi); applying the
-    counit assignment must give back exactly the cells of C.
+    ``assignment`` is ``counit_assignment(C, N)``; C and the nerve are read
+    off it.  The embedding sends a 1-cell to its generator word and a
+    2-cell phi: a => b to the triangle generator over (id_x, b; phi);
+    applying the counit assignment must give back exactly the cells of C.
     """
-    if assignment is None:
-        assignment = counit_assignment(C, N)
     X, info = assignment.nerve, assignment.info
-    if info.C is not C or info.dim != N:
-        raise InvalidInput(f"counit assignment built for {info.C.name} at "
-                           f"N = {info.dim}, not for {C.name} at N = {N}")
+    C = info.C
     on_one, on_two = assignment.on_one, assignment.on_two
     mismatches = []
     idx = C.identity_of(x)

@@ -220,7 +220,7 @@ def cmd_counit_check(args):
     ok = True
     for x in C.objects:
         for y in C.objects:
-            res = categorify_mod.section_check(C, x, y, args.dim, assignment)
+            res = categorify_mod.section_check(assignment, x, y)
             sections[f"{x}->{y}"] = bool(res)
             ok = ok and bool(res)
     doc = {

@@ -800,79 +800,49 @@ def _images_along(f, i):
 
 
 def pushout(f, i, prefix="B.", name=""):
-    """Pushout of f: A -> X along a monomorphism i: A -> B.
+    """Pushout of f: A -> X along a monomorphism i: A -> B that is onto on
+    simplices, so that B only adds marks to A.
 
-    Returns (P, X -> P, B -> P).  P keeps X's elements and ids and appends
-    the elements of B outside the image of i, which enter with the given
-    prefix.  A must be presented at B's dimension unless it is empty, and
-    B at X's dimension unless its top level lies in the image of i;
-    otherwise P would repeat degeneracies or lack them, and InvalidInput
-    is raised.
+    Returns (P, X -> P, B -> P).  P is built on X's own simplex rows and
+    zeta; its tokens are X's and, for each token t of B outside the image
+    of i, ``prefix + t`` over f of t's simplex.  InvalidInput if i is not
+    mono, B is truncated above X, or B adds a simplex.
     """
-    A, X, B = f.src, f.dst, i.dst
+    X, B = f.dst, i.dst
     if not i.is_mono():
         raise InvalidInput("pushout implemented along monomorphisms only")
-    dim = X.dim
-    if B.dim > dim:
+    if B.dim > X.dim:
         raise InvalidInput("pushout target truncation too small")
-    if A.dim < B.dim and any(A._ids):
-        raise InvalidInput(f"pushout: A (dim {A.dim}) is truncated below B "
-                           f"(dim {B.dim}), so P would repeat degeneracies")
-    # where the simplices (k = 0) and tokens (k = 1) of B land in P: f(a) on
-    # the image of i, else the next index after X's; new[k][m] lists the
-    # elements of B that P gains at level m
-    land, new = _images_along(f, i), ([], [None])
-    for k, x_ids in ((0, X._ids), (1, X._tok_ids)):
-        for m in range(k, dim + 1):
-            row = land[k][m] if m <= B.dim else []
-            new[k].append([b for b, x in enumerate(row) if x < 0])
-            for n, b in enumerate(new[k][m], len(x_ids[m])):
-                row[b] = n
-    (s_land, t_land), (s_new, t_new) = land, new
-    if B.dim < dim and s_new[B.dim]:
-        raise InvalidInput(f"pushout: {B._ids[B.dim][s_new[B.dim][0]]!r} of "
-                           f"B's top level {B.dim} would lack degeneracies")
-
-    def grow(x_op, b_op, lands, m, up):
-        """X's rows of one operator at level m, with the rows of B's new
-        simplices appended, their values landed through lands[m + up]."""
-        if not s_new[m]:
-            return x_op[m]
-        bad = [b for b in s_new[m] if min(r[b] for r in b_op[m]) < 0]
-        if bad:
-            raise InvalidInput(f"pushout: B leaves an operator undefined on "
-                               f"{B._ids[m][bad[0]]!r}")
-        to = lands[m + up]
-        return [x + [to[r[b]] for b in s_new[m]]
-                for x, r in zip(x_op[m], b_op[m])]
-
-    ids = [X._ids[m] + [prefix + B._ids[m][b] for b in s_new[m]]
-           for m in range(dim + 1)]
-    tok_ids = [None] + [X._tok_ids[m] + [prefix + B._tok_ids[m][t]
-                                         for t in t_new[m]]
-                        for m in range(1, dim + 1)]
-    face = [None] + [grow(X._face, B._face, s_land, m, -1)
-                     for m in range(1, dim + 1)]
-    deg = [grow(X._deg, B._deg, s_land, m, 1) for m in range(dim)] + [None]
-    zeta = [grow(X._zeta, B._zeta, t_land, m, 1) for m in range(dim)] + [None]
-    tok_under = [None] + [X._tok_under[m] + [s_land[m][B._tok_under[m][t]]
-                                             for t in t_new[m]]
-                          for m in range(1, dim + 1)]
-    P = TruncatedTDeltaSet(dim, ids, face, deg, tok_ids, tok_under, zeta,
-                           name)
-    # P's constructor put each level in id order: land in it through the ids
-    b_rows = ([[P._idx[m][ids[m][n]] for n in s_land[m]]
-               for m in range(B.dim + 1)],
-              [None] + [[P._tok_idx[m][tok_ids[m][n]] for n in t_land[m]]
-                        for m in range(1, B.dim + 1)])
-    return P, inclusion_map(X, P), map_on_generators(B, P, *b_rows)
+    # where the simplices and tokens of B land: f(a) on the image of i; a
+    # new token lands on the index it is appended at, after X's tokens
+    s_land, t_land = _images_along(f, i)
+    for m, row in enumerate(s_land):
+        if -1 in row:
+            raise InvalidInput(f"pushout: B adds the simplex "
+                               f"{B._ids[m][row.index(-1)]!r}")
+    tok_ids, tok_under = [None], [None]
+    for m in range(1, X.dim + 1):
+        ids, under = list(X._tok_ids[m]), list(X._tok_under[m])
+        for t, x in enumerate(t_land[m] if m <= B.dim else ()):
+            if x < 0:
+                t_land[m][t] = len(ids)
+                ids.append(prefix + B._tok_ids[m][t])
+                under.append(s_land[m][B._tok_under[m][t]])
+        tok_ids.append(ids)
+        tok_under.append(under)
+    P = TruncatedTDeltaSet(X.dim, X._ids, X._face, X._deg, tok_ids,
+                           tok_under, X._zeta, name)
+    # P's constructor put each token level in id order: land through the ids
+    timg = [None] + [[P._tok_idx[m][tok_ids[m][n]] for n in t_land[m]]
+                     for m in range(1, B.dim + 1)]
+    return P, inclusion_map(X, P), map_on_generators(B, P, s_land, timg)
 
 
 def pushout_family(X, gluings, prefix="g", name=""):
     """Pushout of a finite family of (f_k: A_k -> X, i_k: A_k -> B_k).
 
     One ``pushout`` per gluing, each glued onto the result of the one
-    before, so an element of B_k outside the image of i_k enters P as
+    before, so a token of B_k outside the image of i_k enters P as
     ``{prefix}{k}:{id}``.  Returns (P, X -> P, [B_k -> P]).
     """
     P, x_to_p, b_maps = X, identity_map(X), []

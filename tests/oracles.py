@@ -7,8 +7,9 @@ properties of the constructions; the 2-functor count and ``nerve_map``
 check nerve sizes and that the nerve is fully faithful;
 ``rs_fibrancy_prediction`` predicts the fibrancy of identity-marked nerves;
 ``evaluate_presentation`` checks categorification against the 2-category
-it came from; the string-keyed ``ref_pushout`` and ``ref_coproduct`` check
-the gluings built on index tables; ``opposite`` and ``opposite_category``
+it came from; the string-keyed general pushout ``ref_pushout`` (which may
+append simplices) and its fold ``fold_of_ref_pushouts`` check the gluings
+of marks built on index tables; ``opposite`` and ``opposite_category``
 check the lift search and the nerve against their mirror images.
 """
 
@@ -299,6 +300,7 @@ def tdelta_from_dicts(dim, simplices, faces, degs, tokens, zeta, name=""):
 
 
 def degeneracy_of(X, m, i, sid):
+    """The id of s_i(sid), read off X's tables."""
     j = X._deg[m][i][X._idx[m][sid]]
     if j < 0:
         raise InvalidInput(f"degeneracy s_{i} undefined on {sid!r}")
@@ -306,44 +308,20 @@ def degeneracy_of(X, m, i, sid):
 
 
 def zeta_of(X, m, i, sid):
+    """The id of zeta_i(sid), read off X's tables."""
     j = X._zeta[m][i][X._idx[m][sid]]
     if j < 0:
         raise InvalidInput(f"zeta_{i} undefined on {sid!r}")
     return X._tok_ids[m + 1][j]
 
 
-def ref_coproduct(parts, name=""):
-    """Disjoint union, ids prefixed by the part index."""
-    if not parts:
-        raise InvalidInput("empty coproduct needs an explicit dimension")
-    dim = max(p.dim for p in parts)
-    simplices = {m: [] for m in range(dim + 1)}
-    faces, degs, zeta = {}, {}, {}
-    tokens = {m: [] for m in range(1, dim + 1)}
-    for idx, P in enumerate(parts):
-        tag = lambda s: f"{idx}:{s}"
-        for m in range(P.dim + 1):
-            simplices[m] += [tag(s) for s in P.simplex_ids(m)]
-            for s in P.simplex_ids(m):
-                for i in range(m + 1):
-                    if m >= 1:
-                        faces[(m, i, tag(s))] = tag(P.face_of(m, i, s))
-                    if m < P.dim:
-                        degs[(m, i, tag(s))] = tag(degeneracy_of(P, m, i, s))
-                        zeta[(m, i, tag(s))] = tag(zeta_of(P, m, i, s))
-        for m in range(1, P.dim + 1):
-            tokens[m] += [(tag(t), tag(P.under_of(m, t)))
-                          for t in P.token_ids(m)]
-    return tdelta_from_dicts(dim, simplices, faces, degs, tokens, zeta,
-                             name=name)
-
-
 def ref_pushout(f, i, prefix="B.", name=""):
     """Pushout of f: A -> X along a monomorphism i: A -> B.
 
     Returns (P, X -> P, B -> P).  X keeps its ids; elements of B outside the
-    image of i enter with the given prefix.  Unlike ``pushout`` it does not
-    reject the dimensions where P comes out wrong.
+    image of i enter with the given prefix.  Unlike ``pushout`` it accepts
+    a B that adds simplices, and it does not reject the dimensions where P
+    comes out wrong.
     """
     A, X, B = f.src, f.dst, i.dst
     if not i.is_mono():

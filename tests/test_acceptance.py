@@ -211,7 +211,7 @@ def test_criterion_08_counit_section():
             continue
         for x in C.objects:
             for y in C.objects:
-                if not cg.section_check(C, x, y, 4, assignment):
+                if not cg.section_check(assignment, x, y):
                     ok = False
     elapsed = time.time() - t0
     _report(8, ok, "counit relations hold and the section identity passes "

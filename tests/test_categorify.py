@@ -4,7 +4,6 @@ import pytest
 
 from complicial import categorify as cg
 from complicial import cli, nerves, tdelta, twocat
-from complicial.twocat import InvalidInput
 from complicial.categorify import (Pasting, PastingFactor, TwoPolygraph,
                                    Word, categorify, counit_assignment,
                                    section_check)
@@ -158,10 +157,9 @@ def test_counit_detects_broken_transcription(catalog):
 
 
 def test_section_check_parallel_pair(catalog):
-    C = catalog["sigma-parallel"]
-    res = section_check(C, "x", "y", 4)
-    assert res.ok
-    assert section_check(C, "x", "x", 4).ok
+    assignment = counit_assignment(catalog["sigma-parallel"], 4)
+    assert section_check(assignment, "x", "y").ok
+    assert section_check(assignment, "x", "x").ok
 
 
 def test_section_check_inverted_oriental(catalog):
@@ -169,22 +167,7 @@ def test_section_check_inverted_oriental(catalog):
     assignment = counit_assignment(C, 4)
     for x in C.objects:
         for y in C.objects:
-            assert section_check(C, x, y, 4, assignment).ok
-
-
-def test_section_check_rejects_assignment_of_other_dimension(catalog):
-    C = catalog["iso"]
-    assignment = counit_assignment(C, 4)
-    with pytest.raises(InvalidInput, match="for I at N = 4, not for I at N = 3"):
-        section_check(C, "x", "y", 3, assignment)
-    assert section_check(C, "x", "y", 4, assignment).ok
-
-
-def test_section_check_rejects_assignment_of_other_category(catalog):
-    assignment = counit_assignment(catalog["iso"], 4)
-    with pytest.raises(InvalidInput, match="for I at N = 4, not for "
-                                           "Sigma parallel at N = 4"):
-        section_check(catalog["sigma-parallel"], "x", "y", 4, assignment)
+            assert section_check(assignment, x, y).ok
 
 
 def test_polygraph_json(catalog):

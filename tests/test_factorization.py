@@ -173,7 +173,7 @@ def test_strict_two_group_meets_the_paper():
     C = strict_two_group()
     *_, report = fz.verify_factorization(C, 4)
     assert [s["gluings"] for s in report["stages"]] == [2, 0, 2, 4]
-    assert cg.section_check(C, "*", "*", 4, cg.counit_assignment(C, 4)).ok
+    assert cg.section_check(cg.counit_assignment(C, 4), "*", "*").ok
     assert lifting.is_precomplicial(nerves.natural_nerve(C, 4), 2, 4).passed
     rs = lifting.is_precomplicial(_rs(C)[0], 2, 4)
     assert {r.extension.label() for r in rs.failures()} == {
@@ -194,4 +194,4 @@ def test_random_invertible_cells_replay_and_counit(C):
     assignment = cg.counit_assignment(C, 4)
     for x in C.objects:
         for y in C.objects:
-            assert cg.section_check(C, x, y, 4, assignment).ok, (x, y)
+            assert cg.section_check(assignment, x, y).ok, (x, y)

@@ -20,22 +20,7 @@ import pytest
 from complicial import factorization as fz
 from complicial import lifting, nerves, tdelta, twocat
 from complicial.twocat import InvalidInput
-
-
-def degeneracy_of(X, m, i, sid):
-    """The id of s_i(sid), read off X's tables."""
-    j = X._deg[m][i][X._idx[m][sid]]
-    if j < 0:
-        raise InvalidInput(f"degeneracy s_{i} undefined on {sid!r}")
-    return X._ids[m + 1][j]
-
-
-def zeta_of(X, m, i, sid):
-    """The id of zeta_i(sid), read off X's tables."""
-    j = X._zeta[m][i][X._idx[m][sid]]
-    if j < 0:
-        raise InvalidInput(f"zeta_{i} undefined on {sid!r}")
-    return X._tok_ids[m + 1][j]
+from oracles import degeneracy_of, zeta_of
 
 
 _GENERATORS = weakref.WeakKeyDictionary()

@@ -11,7 +11,7 @@ from complicial.tdelta import (BudgetExceeded, TruncatedTDeltaSet, boundary,
                                delta_k_dprime, delta_k_prime, delta_t, horn,
                                identify_markings, identity_map, inclusion_map,
                                join, pushout, pushout_family)
-from oracles import find_isomorphism, fold_of_ref_pushouts, maps, ref_coproduct
+from oracles import find_isomorphism, fold_of_ref_pushouts, maps
 
 
 SHAPES = [delta(0), delta(2), delta_t(2), boundary(2), boundary(3),
@@ -180,86 +180,71 @@ def test_pushout_adds_marking_token():
     assert find_isomorphism(P, D2t) is not None
 
 
-def test_pushout_of_empty_is_coproduct():
-    empty = boundary(0)
-    A = delta(0)
-    nothing = {"simplices": [], "tokens": []}
-    f = tdelta.map_from_json_dict(empty, A, nothing)
-    B = delta(0)
-    i = tdelta.map_from_json_dict(empty, B, nothing)
-    P, _, _ = pushout(f, i)
-    assert len(P.simplex_ids(0)) == 2
-    C = ref_coproduct([A, B])
-    assert find_isomorphism(P, C) is not None
-
-
 def test_pushout_universal_property_small():
-    """Every cocone factors uniquely through the pushout."""
-    A = delta(0, dim=1)
-    X = delta(1, dim=1)
-    B = delta(1, dim=1)
-    f = [m for m in maps(A, X)][0]          # vertex 0 of X
-    i = [m for m in maps(A, B) if m.apply_simplex(0, "0") == "0"][0]
+    """Every cocone factors uniquely through the pushout: the edge 01 of
+    Delta[2] marked along Delta[1] -> Delta[1]_t."""
+    A, X, B = delta(1), delta(2), delta_t(1)
+    f = next(m for m in maps(A, X) if m.apply_simplex(1, "01") == "01")
+    i = inclusion_map(A, B)
     P, xp, bp = pushout(f, i)
-    T = delta(2)
-    cocones = [(u, v) for u in maps(X, T) for v in maps(B, T)
-               if u.compose(f).to_json_dict() == v.compose(i).to_json_dict()]
-    assert len(cocones) == 14
-    for u, v in cocones:
-        throughs = [w for w in maps(P, T)
-                    if w.compose(xp).equals(u) and w.compose(bp).equals(v)]
-        assert len(throughs) == 1
+    for T, count in ((delta(2, marked={(0, 1)}), 8),
+                     (delta(2, marked={(0, 1), (1, 2)}), 9),
+                     (delta_t(2), 6)):
+        cocones = [(u, v) for u in maps(X, T) for v in maps(B, T)
+                   if u.compose(f).to_json_dict() ==
+                   v.compose(i).to_json_dict()]
+        assert len(cocones) == count, T.name
+        for u, v in cocones:
+            throughs = [w for w in maps(P, T)
+                        if w.compose(xp).equals(u) and w.compose(bp).equals(v)]
+            assert len(throughs) == 1
 
 
-def test_pushout_rejects_new_top_simplices_of_a_lower_b():
-    """B of lower dimension than X may add only tokens at its top level: a
-    new simplex there would have no degeneracies in P ("s_0 missing on
-    B.01")."""
+def _lower_b_adds_an_edge():
+    """B = Delta[1] of lower dimension than X adds the edge 01 (and its
+    vertex 1) to a point, and a second part of dim 2 adds nothing."""
     A, B, X = delta(0, dim=1), delta(1), delta(0, dim=2)
-    f, = maps(A, X)
     i = next(m for m in maps(A, B) if m.apply_simplex(0, "0") == "0")
-    with pytest.raises(twocat.InvalidInput, match="'01' of B's top level 1"):
-        pushout(f, i)
+    A1 = delta(0, dim=2)
+    return X, [(maps(A, X)[0], i), (maps(A1, X)[0], identity_map(A1))]
 
 
-def test_pushout_rejects_a_truncated_below_b():
-    """A of lower dimension than B: the degeneracies of A's simplices in B
-    would enter P again, as a non-degenerate loop B.00."""
+def _a_truncated_below_b():
     A, B = delta(0), delta(1, dim=1)
-    f = maps(A, B)[0]
     i = next(m for m in maps(A, B) if m.apply_simplex(0, "0") == "0")
-    with pytest.raises(twocat.InvalidInput,
-                       match=r"A \(dim 0\) is truncated below B \(dim 1\)"):
-        pushout(f, i)
+    return B, [(maps(A, B)[0], i)]
 
 
-def test_pushout_family_rejects_a_lower_part_that_adds_top_simplices():
-    """B_k of lower dimension than X may add only tokens at its top level:
-    the first gluing adds the edge '01' at level 1 of a dim-1 part, which
-    would have no degeneracies in P.  A second gluing at X's dimension does
-    not hide it."""
-    X = delta(0, dim=2)
-    A1, B1 = delta(0, dim=1), delta(1, dim=1)
-    i1 = next(m for m in maps(A1, B1) if m.apply_simplex(0, "0") == "0")
-    A2 = delta(0, dim=2)
-    gluings = [(maps(A1, X)[0], i1), (maps(A2, X)[0], identity_map(A2))]
-    with pytest.raises(twocat.InvalidInput,
-                       match="'01' of B's top level 1 would lack degeneracies"):
-        pushout_family(X, gluings)
-
-
-def test_pushout_family_rejects_a_part_truncated_below_its_b():
-    """A_0 of dim 1 glued into B_0 = X of dim 2 would enter the degenerate
-    triangle 000 of B_0 again, as a second, non-degenerate copy g0:000.
-    The one gluing alone is refused by pushout; a second part of dim 2 in
-    the family must not hide that."""
+def _a_part_truncated_below_its_b():
+    """A_0 of dim 1 into B_0 = X of dim 2, and a second part of dim 2 that
+    adds nothing."""
     X, A, B = delta(1, dim=2), delta(0, dim=1), delta(1, dim=2)
     f, i = (next(m for m in maps(A, Y) if m.apply_simplex(0, "0") == "0")
             for Y in (X, B))
     A1 = delta(0, dim=2)
-    gluings = [(f, i), (maps(A1, X)[0], identity_map(A1))]
-    with pytest.raises(twocat.InvalidInput,
-                       match=r"A \(dim 1\) is truncated below B \(dim 2\)"):
+    return X, [(f, i), (maps(A1, X)[0], identity_map(A1))]
+
+
+def _horn_fillings_of_chain_2():
+    X = nerves.rs_nerve(twocat.standard_examples()["chain-2"], 3)
+    A, B = horn(1, 2, dim=3), delta_k(1, 2, dim=3)
+    return X, [(f, inclusion_map(A, B)) for f in maps(A, X)[:3]]
+
+
+@pytest.mark.parametrize("family, added", [
+    (_lower_b_adds_an_edge, "1"), (_a_truncated_below_b, "1"),
+    (_a_part_truncated_below_its_b, "1"), (_horn_fillings_of_chain_2, "02")],
+    ids=["lower-b-adds-an-edge", "a-truncated-below-b",
+         "part-truncated-below-its-b", "horn-fillings"])
+def test_pushout_rejects_a_gluing_that_adds_a_simplex(family, added):
+    """pushout glues marks only: B must add no simplex to the image of A,
+    neither alone nor in a family whose other parts add nothing; the first
+    simplex of B outside the image, level by level, is named."""
+    X, gluings = family()
+    match = f"B adds the simplex '{added}'"
+    with pytest.raises(twocat.InvalidInput, match=match):
+        pushout(*gluings[0])
+    with pytest.raises(twocat.InvalidInput, match=match):
         pushout_family(X, gluings)
 
 
@@ -279,18 +264,10 @@ def _p4_gluings_of_sigma_iso(monkeypatch):
     return X, gluings
 
 
-def _horn_fillings_of_chain_2():
-    X = nerves.rs_nerve(twocat.standard_examples()["chain-2"], 3)
-    A, B = horn(1, 2, dim=3), delta_k(1, 2, dim=3)
-    return X, [(f, inclusion_map(A, B)) for f in maps(A, X)[:3]]
-
-
-@pytest.mark.parametrize("family", ["p4-sigma-iso", "horn-fillings", "empty"])
+@pytest.mark.parametrize("family", ["p4-sigma-iso", "empty"])
 def test_pushout_family_agrees_with_fold_of_pushouts(family, monkeypatch):
     if family == "p4-sigma-iso":
         X, gluings = _p4_gluings_of_sigma_iso(monkeypatch)
-    elif family == "horn-fillings":
-        X, gluings = _horn_fillings_of_chain_2()
     else:
         X, gluings = delta_t(2), []
     P, x_to_p, b_maps = pushout_family(X, gluings, prefix="g.", name="P")
@@ -304,22 +281,31 @@ def test_pushout_family_agrees_with_fold_of_pushouts(family, monkeypatch):
              for m in range(X.dim + 1)]
     if family == "p4-sigma-iso":
         assert not any(added) and P.counts() != X.counts()
-    elif family == "horn-fillings":
-        assert any(added)
     else:
         assert P is X
+
+
+def test_pushout_is_built_on_the_simplex_rows_of_x(monkeypatch):
+    """P, and so every stage of the fold, holds X's own id, face and
+    degeneracy rows: a gluing cannot change the simplicial set."""
+    X, gluings = _p4_gluings_of_sigma_iso(monkeypatch)
+    for P in (pushout(*gluings[0])[0], pushout_family(X, gluings)[0]):
+        assert all(P._ids[m] is X._ids[m] for m in range(X.dim + 1))
+        assert all(P._face[m][i] is X._face[m][i]
+                   for m in range(1, X.dim + 1) for i in range(m + 1))
+        assert all(P._deg[m][i] is X._deg[m][i]
+                   for m in range(X.dim) for i in range(m + 1))
+        assert X.same_underlying(P) and P.counts() != X.counts()
 
 
 @functools.cache
 def _gluing_kinds():
     """(the rs nerve of chain-2 at dim 3, [(i: A -> B, every map A -> X)])
-    for the horn and thinness extensions and a few identities at dim 3."""
+    for the thinness extensions and a few identities at dim 3."""
     X = nerves.rs_nerve(twocat.standard_examples()["chain-2"], 3)
-    pairs = [(horn(k, m, dim=3), delta_k(k, m, dim=3))
-             for m in range(1, 4) for k in range(m + 1)]
-    pairs += [(delta_k_prime(k, m, dim=3), delta_k_dprime(k, m, dim=3))
-              for m in range(2, 4) for k in range(m + 1)]
-    kinds = [inclusion_map(A, B) for A, B in pairs]
+    kinds = [inclusion_map(delta_k_prime(k, m, dim=3),
+                           delta_k_dprime(k, m, dim=3))
+             for m in range(2, 4) for k in range(m + 1)]
     kinds += [identity_map(delta(m, dim=3)) for m in range(3)]
     return X, [(i, maps(i.src, X)) for i in kinds]
 
