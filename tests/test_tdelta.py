@@ -200,13 +200,28 @@ def test_pushout_universal_property_small():
             assert len(throughs) == 1
 
 
-def _lower_b_adds_an_edge():
-    """B = Delta[1] of lower dimension than X adds the edge 01 (and its
-    vertex 1) to a point, and a second part of dim 2 adds nothing."""
+def test_pushout_rejects_new_top_simplices_of_a_lower_b():
+    """B = Delta[1] of lower dimension than X adds the edge 01, and with it
+    the vertex 1, to a point; pushout glues marks only and names the first
+    simplex of B outside the image, level by level."""
     A, B, X = delta(0, dim=1), delta(1), delta(0, dim=2)
+    f, = maps(A, X)
     i = next(m for m in maps(A, B) if m.apply_simplex(0, "0") == "0")
-    A1 = delta(0, dim=2)
-    return X, [(maps(A, X)[0], i), (maps(A1, X)[0], identity_map(A1))]
+    with pytest.raises(twocat.InvalidInput, match="B adds the simplex '1'"):
+        pushout(f, i)
+
+
+def test_pushout_family_rejects_a_lower_part_that_adds_top_simplices():
+    """The first gluing of a dim-1 part adds the edge 01 (and its vertex 1)
+    to a point; a second gluing at X's dimension that adds nothing does not
+    hide it."""
+    X = delta(0, dim=2)
+    A1, B1 = delta(0, dim=1), delta(1, dim=1)
+    i1 = next(m for m in maps(A1, B1) if m.apply_simplex(0, "0") == "0")
+    A2 = delta(0, dim=2)
+    gluings = [(maps(A1, X)[0], i1), (maps(A2, X)[0], identity_map(A2))]
+    with pytest.raises(twocat.InvalidInput, match="B adds the simplex '1'"):
+        pushout_family(X, gluings)
 
 
 def _a_truncated_below_b():
@@ -232,10 +247,10 @@ def _horn_fillings_of_chain_2():
 
 
 @pytest.mark.parametrize("family, added", [
-    (_lower_b_adds_an_edge, "1"), (_a_truncated_below_b, "1"),
-    (_a_part_truncated_below_its_b, "1"), (_horn_fillings_of_chain_2, "02")],
-    ids=["lower-b-adds-an-edge", "a-truncated-below-b",
-         "part-truncated-below-its-b", "horn-fillings"])
+    (_a_truncated_below_b, "1"), (_a_part_truncated_below_its_b, "1"),
+    (_horn_fillings_of_chain_2, "02")],
+    ids=["a-truncated-below-b", "part-truncated-below-its-b",
+         "horn-fillings"])
 def test_pushout_rejects_a_gluing_that_adds_a_simplex(family, added):
     """pushout glues marks only: B must add no simplex to the image of A,
     neither alone nor in a family whose other parts add nothing; the first
