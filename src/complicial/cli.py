@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import os
 import shutil
@@ -313,5 +314,25 @@ def main(argv=None):
         return EXIT_MATH
 
 
+def run():
+    """The process entry point of ``python -m complicial.cli`` and of the
+    ``complicial`` console script; ``main(argv)`` is the in-process one.
+
+    The cyclic collector stays off for the whole command, and the process
+    ends with ``os._exit`` once both streams are flushed, so the interpreter
+    neither collects nor tears down the command's tables on the way out.
+    What the collector would have freed is the argument parser's objects,
+    the same few hundred for every input, so nothing grows with the input.
+    """
+    gc.disable()
+    status = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:  # a closed pipe: the interpreter's exit reports it
+        sys.exit(status)
+    os._exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

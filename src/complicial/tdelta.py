@@ -329,6 +329,8 @@ class TruncatedTDeltaSet:
 
         ``dim`` is checked before anything is allocated.
         """
+        if type(doc) is not dict:
+            raise InvalidInput("tDelta-set document is not a JSON object")
         try:
             dim = doc["dim"]
             if type(dim) is not int or not 0 <= dim <= MAX_DIM:
@@ -355,6 +357,8 @@ class TruncatedTDeltaSet:
             face = _rows(doc, "faces", idx, 1, dim, [None] + idx)
             deg = _rows(doc, "degeneracies", idx, 0, dim - 1, idx[1:])
             zeta = _rows(doc, "zeta", idx, 0, dim - 1, tok_idx[1:])
+        except InvalidInput:
+            raise
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInput(f"bad tDelta-set document: {exc}") from exc
         return cls(dim, ids, face, deg, tok_ids, tok_under, zeta, name=name)

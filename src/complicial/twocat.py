@@ -297,6 +297,8 @@ class FiniteTwoCategory:
         boundary and result is a string, every ``identity`` a JSON bool and
         every row of ``vcomp``/``whisker_l``/``whisker_r`` a triple, and no
         table gives a pair twice."""
+        if type(doc) is not dict:
+            raise InvalidInput("2-category document is not a JSON object")
         try:
             objects = [_string(x, "object") for x in _list(doc, "objects")]
             one = [OneCell(*_cell(d, "1-cell")) for d in _list(doc, "one_cells")]

@@ -1,6 +1,8 @@
 import copy
 import functools
+import gc
 import json
+import os
 import subprocess
 import sys
 
@@ -238,6 +240,16 @@ def test_non_string_ids_exit_code(tmp_path, capsys, where):
     assert "input error" in capsys.readouterr().err
 
 
+def _mutated(doc, mutate):
+    """``doc`` after ``mutate`` changed it in place, or the document that
+    ``mutate`` returns instead."""
+    replaced = mutate(doc)
+    return doc if replaced is None else replaced
+
+
+NOT_OBJECTS = [[], "x", 3]
+
+
 @pytest.mark.parametrize("mutate, named", [
     (lambda d: d.update(dim=2.5), "dim 2.5 is not an integer in 0..6"),
     (lambda d: d.update(dim="2"), "dim '2' is not an integer in 0..6"),
@@ -267,21 +279,44 @@ def test_non_string_ids_exit_code(tmp_path, capsys, where):
      "faces entry [True, 0, '00', '0'] would be dropped"),
     (lambda d: d["faces"][0].__setitem__(1, False),
      "faces entry [1, False, '00', '0'] would be dropped"),
+    *[(lambda d, v=v: v, "input error: tDelta-set document is not a JSON "
+       "object\n") for v in NOT_OBJECTS],
 ], ids=["dim-float", "dim-str", "dim-bool", "dim-negative", "dim-7",
         "dim-huge", "extra-simplex-level", "extra-token-level",
         "face-level-5", "face-level-0", "degeneracy-level-2", "zeta-level--1",
         "face-index-2", "unknown-simplex", "repeated-zeta", "face-level-true",
-        "face-index-false"])
+        "face-index-false", "array-document", "string-document",
+        "number-document"])
 def test_tdelta_loader_rejects_what_it_would_drop(mutate, named, tmp_path,
                                                   capsys):
     from complicial import tdelta
-    doc = tdelta.delta_t(2).to_json_dict()
-    mutate(doc)
+    doc = _mutated(tdelta.delta_t(2).to_json_dict(), mutate)
     bad = tmp_path / "X.json"
     bad.write_text(json.dumps(doc))
     assert run(["check-fibrant", "--input", str(bad),
                 "--dim", "2"]) == cli.EXIT_INPUT
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: d.update(dim=True),
+     "tDelta-set dim True is not an integer in 0..6"),
+    (lambda d: d["simplices"][0].__setitem__(0, 7),
+     "simplex ids at level 0 must be strings"),
+    (lambda d: d["simplices"][0].append("0"),
+     "duplicate simplex ids at level 0"),
+], ids=["dim-bool", "int-simplex-id", "repeated-simplex-id"])
+def test_tdelta_loader_reports_its_own_refusals_once(mutate, message,
+                                                     tmp_path, capsys):
+    """The loader's own refusals are not wrapped again as a bad document:
+    the whole of stderr is the one message."""
+    from complicial import tdelta
+    doc = _mutated(tdelta.delta_t(2).to_json_dict(), mutate)
+    bad = tmp_path / "X.json"
+    bad.write_text(json.dumps(doc))
+    assert run(["check-fibrant", "--input", str(bad),
+                "--dim", "2"]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == f"input error: {message}\n"
 
 
 @pytest.mark.parametrize("change, named", [
@@ -404,14 +439,16 @@ def _set(path, value):
     (lambda d: d["vcomp"].append(list(d["vcomp"][0])),
      "vcomp gives the pair (i2_f, i2_f) twice"),
     (lambda d: d["objects"].append("x"), "duplicate object ids"),
+    *[(lambda d, v=v: v, "input error: 2-category document is not a JSON "
+       "object\n") for v in NOT_OBJECTS],
 ], ids=["vcomp-pair", "whisker-quadruple", "int-object", "list-cell-id",
         "unknown-whisker-result", "string-identity", "repeated-comp1",
-        "repeated-vcomp", "repeated-object"])
+        "repeated-vcomp", "repeated-object", "array-document",
+        "string-document", "number-document"])
 def test_two_category_loader_rejects_bad_documents(mutate, named, tmp_path,
                                                    capsys):
     from complicial import twocat
-    doc = twocat.standard_examples()["iso"].to_json_dict()
-    mutate(doc)
+    doc = _mutated(twocat.standard_examples()["iso"].to_json_dict(), mutate)
     bad = tmp_path / "C.json"
     bad.write_text(json.dumps(doc))
     assert run(["nerve", "--input", str(bad), "--dim", "3",
@@ -561,12 +598,124 @@ def test_check_fibrant_out_of_range_exits_input(extra, named, chain1_nerve,
     assert named in capsys.readouterr().err
 
 
-def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "complicial.cli", "examples", "--list"],
-        capture_output=True, text=True, timeout=120)
+# A child process imports this copy of complicial from any working directory,
+# and its stdout is block-buffered, as it is by default on a pipe, so an output
+# that is not flushed before ``os._exit`` is lost.
+CHILD_ENV = {**{k: v for k, v in os.environ.items()
+                if k != "PYTHONUNBUFFERED"},
+             "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+
+
+def _process(argv, cwd, **kwargs):
+    """``python -m complicial.cli`` with ``argv``, run in ``cwd``."""
+    return subprocess.run([sys.executable, "-m", "complicial.cli", *argv],
+                          cwd=cwd, env=CHILD_ENV, timeout=120, **kwargs)
+
+
+def test_console_entry_point(tmp_path):
+    """Every name reaches stdout: ``cli.run`` flushes it before
+    ``os._exit``."""
+    from complicial import twocat
+    proc = _process(["examples", "--list"], tmp_path, capture_output=True,
+                    text=True)
     assert proc.returncode == 0
-    assert "inv-oriental-2" in proc.stdout
+    assert proc.stdout.split() == sorted(twocat.standard_examples())
+    assert len(proc.stdout.split()) == 16
+
+
+def test_entry_point_exit_codes(chain1_nerve, tmp_path):
+    cases = [
+        (["examples", "--name", "iso", "--out", "C.json"], cli.EXIT_OK,
+         "wrote iso to C.json\n", ""),
+        (["check-fibrant", "--input", chain1_nerve, "--dim", "4",
+          "--budget", "3"], cli.EXIT_BUDGET, "",
+         "budget exhausted: horn(k=0,m=2): 4 domain nodes\n"),
+        (["examples", "--name", "nope", "--out", "C.json"], cli.EXIT_INPUT,
+         "", "input error: unknown example 'nope'\n"),
+    ]
+    for argv, code, out, err in cases:
+        proc = _process(argv, tmp_path, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def test_entry_point_writes_what_main_writes(tmp_path, capsys):
+    cat = tmp_path / "C.json"
+    assert run(["examples", "--name", "sigma-iso", "--out", str(cat)]) == 0
+    sides = {side: tmp_path / side for side in ("main", "process")}
+    for side, where in sides.items():
+        where.mkdir()
+        for argv in (["nerve", "--input", str(cat), "--dim", "4",
+                      "--out", str(where / "X.json")],
+                     ["check-fibrant", "--input", str(where / "X.json"),
+                      "--dim", "4", "--report", str(where / "R.json")]):
+            if side == "main":
+                assert run(argv) == 0
+            else:
+                assert _process(argv, where).returncode == 0
+    capsys.readouterr()
+    for name in ("X.json", "R.json"):
+        assert (sides["process"] / name).read_bytes() == \
+            (sides["main"] / name).read_bytes()
+
+
+def test_entry_point_on_a_closed_pipe_ends_as_the_interpreter_does(
+        tmp_path):
+    """A summary line that cannot be flushed is reported once, by the
+    interpreter's own exit, as for any script that prints to a closed
+    pipe, and not as a traceback of ``cli.run``."""
+    def closed_pipe(*argv):
+        r, w = os.pipe()
+        os.close(r)
+        try:
+            proc = subprocess.run([sys.executable, *argv], cwd=tmp_path,
+                                  env=CHILD_ENV, stdout=w,
+                                  stderr=subprocess.PIPE, timeout=120)
+        finally:
+            os.close(w)
+        return proc.returncode, proc.stderr
+
+    got = closed_pipe("-m", "complicial.cli", "examples", "--name", "iso",
+                      "--out", "C.json")
+    assert got == closed_pipe("-c", "print('wrote iso to C.json')")
+    assert got[0] != 0 and b"Traceback" not in got[1]
+
+
+@pytest.mark.parametrize("command", [
+    ["examples", "--name", "{name}", "--out", "{tmp}/out.json"],
+    ["nerve", "--input", "{tmp}/{name}.json", "--dim", "4",
+     "--out", "{tmp}/out.json"],
+    ["check-fibrant", "--input", "{tmp}/{name}-X.json", "--dim", "4",
+     "--report", "{tmp}/out.json"],
+    ["factorize", "--input", "{tmp}/{name}.json", "--dim", "4",
+     "--trace", "{tmp}/T"],
+    ["categorify", "--input", "{tmp}/{name}-X.json",
+     "--out", "{tmp}/out.json"],
+    ["counit-check", "--cat", "{tmp}/{name}.json", "--dim", "4",
+     "--report", "{tmp}/out.json"],
+], ids=lambda argv: argv[0])
+def test_cyclic_garbage_of_a_command_does_not_grow_with_its_input(
+        command, tmp_path, capsys):
+    """``cli.run`` turns the cyclic collector off for the whole command.  That
+    is safe while the objects only the collector could free are a fixed few,
+    the same for ``chain-1`` as for ``oriental-3``."""
+    for name in ("chain-1", "oriental-3"):
+        assert run(["examples", "--name", name,
+                    "--out", str(tmp_path / f"{name}.json")]) == 0
+        assert run(["nerve", "--input", str(tmp_path / f"{name}.json"),
+                    "--dim", "4", "--out", str(tmp_path / f"{name}-X.json")]) \
+            == 0
+    unreachable = []
+    for name in ("chain-1", "oriental-3"):
+        argv = [a.format(tmp=tmp_path, name=name) for a in command]
+        gc.collect()
+        gc.disable()
+        try:
+            assert run(argv) == 0
+            unreachable.append(gc.collect())
+        finally:
+            gc.enable()
+    capsys.readouterr()
+    assert unreachable[0] == unreachable[1] < 1000
 
 
 def test_witness_in_report_replays(tmp_path):
