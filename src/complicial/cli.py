@@ -123,32 +123,21 @@ def _dump_tdelta(path, X, prev=None):
     return path, X, offset
 
 
-def _load(path):
+def _read(cls, what, path):
+    """The ``cls`` that the document at ``path`` holds; InvalidInput where
+    the file cannot be read or parsed, and where its ``validate()`` report is
+    not empty, naming the first violation and how many more there are."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            doc = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
         raise InvalidInput(f"cannot read {path}: {exc}") from exc
-
-
-def _valid(what, path, obj):
-    """``obj`` if its ``validate()`` report is empty; else InvalidInput
-    naming the first violation and how many more there are."""
+    obj = cls.from_json_dict(doc, name=os.path.basename(path))
     errs = obj.validate()
     if errs:
         more = f" (+{len(errs) - 1} more)" if len(errs) > 1 else ""
         raise InvalidInput(f"invalid {what} {path}: {errs[0]}{more}")
     return obj
-
-
-def _load_two_category(path):
-    return _valid("2-category", path, twocat.FiniteTwoCategory.from_json_dict(
-        _load(path), name=os.path.basename(path)))
-
-
-def _load_tdelta(path):
-    return _valid("tDelta-set", path, tdelta.TruncatedTDeltaSet.from_json_dict(
-        _load(path), name=os.path.basename(path)))
 
 
 def cmd_examples(args):
@@ -167,7 +156,7 @@ def cmd_examples(args):
 
 
 def cmd_nerve(args):
-    C = _load_two_category(args.input)
+    C = _read(twocat.FiniteTwoCategory, "2-category", args.input)
     X = nerves.nerve_with_info(C, args.dim, args.marking)[0]
     _dump_tdelta(args.out, X)
     counts = X.counts()
@@ -177,7 +166,7 @@ def cmd_nerve(args):
 
 
 def cmd_check_fibrant(args):
-    X = _load_tdelta(args.input)
+    X = _read(tdelta.TruncatedTDeltaSet, "tDelta-set", args.input)
     report = lifting.is_precomplicial(X, n=args.n, N=args.dim,
                                       budget=args.budget)
     doc = report.to_json_dict()
@@ -194,7 +183,7 @@ def cmd_check_fibrant(args):
 
 
 def cmd_factorize(args):
-    C = _load_two_category(args.input)
+    C = _read(twocat.FiniteTwoCategory, "2-category", args.input)
     *stages, summary = factorization.verify_factorization(C, args.dim)
     with _output(args.trace):
         os.makedirs(args.trace, exist_ok=True)
@@ -207,7 +196,7 @@ def cmd_factorize(args):
 
 
 def cmd_categorify(args):
-    X = _load_tdelta(args.input)
+    X = _read(tdelta.TruncatedTDeltaSet, "tDelta-set", args.input)
     P = categorify_mod.categorify(X)
     _dump(args.out, P.to_json_dict())
     print(f"presentation {P.counts()} -> {args.out}")
@@ -215,7 +204,7 @@ def cmd_categorify(args):
 
 
 def cmd_counit_check(args):
-    C = _load_two_category(args.cat)
+    C = _read(twocat.FiniteTwoCategory, "2-category", args.cat)
     assignment = categorify_mod.counit_assignment(C, args.dim)
     sections = {}
     ok = True

@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property, lru_cache, reduce
+from operator import itemgetter
 
-from .twocat import InvalidInput
+from .twocat import InvalidInput, read_document, typed
 
 
 DEFAULT_BUDGET = 50_000_000
@@ -323,15 +324,13 @@ class TruncatedTDeltaSet:
     @classmethod
     def from_json_dict(cls, doc, name=""):
         """Load a document; InvalidInput on anything the tables would drop
-        or misread: ``simplices``, ``tokens``, each of their levels and the
-        face, degeneracy and zeta tables must be lists, and each token an
-        object.
+        or misread: ``simplices``, ``tokens``, each of their levels, the
+        face, degeneracy and zeta tables and each of their entries must be
+        lists, and each token an object.
 
         ``dim`` is checked before anything is allocated.
         """
-        if type(doc) is not dict:
-            raise InvalidInput("tDelta-set document is not a JSON object")
-        try:
+        def read(doc):
             dim = doc["dim"]
             if type(dim) is not int or not 0 <= dim <= MAX_DIM:
                 raise InvalidInput(f"tDelta-set dim {dim!r} is not an integer"
@@ -345,8 +344,10 @@ class TruncatedTDeltaSet:
                    for m, level in enumerate(simplices)]
             ids += [[] for _ in range(len(ids), dim + 1)]
             idx = [_index(ids[m], "simplex", m) for m in range(dim + 1)]
+            token = itemgetter("id", "under")
             pairs = [None] + [
-                [_token(d) for d in _list(level, f"tokens level {m}")]
+                [token(typed(d, dict, "token"))
+                 for d in _list(level, f"tokens level {m}")]
                 for m, level in enumerate(tokens, 1)]
             pairs += [[] for _ in range(len(pairs), dim + 1)]
             tok_ids = [None] + [[t for t, _ in p] for p in pairs[1:]]
@@ -357,24 +358,12 @@ class TruncatedTDeltaSet:
             face = _rows(doc, "faces", idx, 1, dim, [None] + idx)
             deg = _rows(doc, "degeneracies", idx, 0, dim - 1, idx[1:])
             zeta = _rows(doc, "zeta", idx, 0, dim - 1, tok_idx[1:])
-        except InvalidInput:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInput(f"bad tDelta-set document: {exc}") from exc
-        return cls(dim, ids, face, deg, tok_ids, tok_under, zeta, name=name)
+            return dim, ids, face, deg, tok_ids, tok_under, zeta
+        return cls(*read_document("tDelta-set", doc, read), name=name)
 
 
 def _list(v, what):
-    if type(v) is not list:
-        raise InvalidInput(f"tDelta-set {what} {v!r} is not a list")
-    return v
-
-
-def _token(d):
-    """(id, under) of a token entry."""
-    if type(d) is not dict:
-        raise InvalidInput(f"token {d!r} is not an object")
-    return d["id"], d["under"]
+    return typed(v, list, f"tDelta-set {what}")
 
 
 def _rows(doc, key, idx, lo, hi, to):
@@ -384,7 +373,8 @@ def _rows(doc, key, idx, lo, hi, to):
     tables would drop."""
     rows = [[[-1] * len(idx[m]) for _ in range(m + 1)] if lo <= m <= hi
             else None for m in range(len(idx))]
-    for m, i, s, v in _list(doc[key], key):
+    for entry in _list(doc[key], key):
+        m, i, s, v = typed(entry, list, f"{key} entry")
         ok = type(m) is type(i) is int and lo <= m <= hi and 0 <= i <= m
         j = idx[m].get(s) if ok else None
         if j is None or rows[m][i][j] != -1:
@@ -520,18 +510,20 @@ def map_on_generators(A, X, simg, timg):
 
 
 def map_from_json_dict(src, dst, doc):
-    """Load a map document; InvalidInput on any entry it would drop: a level
-    that is not an integer or that one side lacks, an id that is not a
-    non-degenerate simplex or free token of src, a target id that dst lacks
-    at that level, or a source given twice.  Generators the document leaves
-    out stay undefined."""
-    rows = _undefined(src)
-    try:
+    """Load a map document; InvalidInput unless it is an object whose
+    ``simplices`` and ``tokens`` and their entries are lists, and on any
+    entry it would drop: a level that is not an integer or that one side
+    lacks, an id that is not a non-degenerate simplex or free token of src,
+    a target id that dst lacks at that level, or a source given twice.
+    Generators the document leaves out stay undefined."""
+    def read(doc):
+        rows = _undefined(src)
         for k, key, lo, src_idx, wits, dst_idx in (
                 (0, "simplices", 0, src._idx, src._deg_wit, dst._idx),
                 (1, "tokens", 1, src._tok_idx, src._zeta_wit,
                  dst._tok_idx)):
-            for m, s, v in doc[key]:
+            for entry in typed(doc[key], list, f"map {key}"):
+                m, s, v = typed(entry, list, f"{key} entry")
                 ok = type(m) is int and lo <= m <= min(src.dim, dst.dim)
                 j = src_idx[m].get(s) if ok else None
                 ok = j is not None and wits[m][j] is None
@@ -542,9 +534,8 @@ def map_from_json_dict(src, dst, doc):
                         f"the source, an element of the target at that "
                         f"level, and no repeat")
                 rows[k][m][j] = dst_idx[m][v]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidInput(f"bad map document: {exc}") from exc
-    return map_on_generators(src, dst, *rows)
+        return rows
+    return map_on_generators(src, dst, *read_document("map", doc, read))
 
 
 def _undefined(A):

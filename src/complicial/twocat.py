@@ -30,6 +30,29 @@ class InvalidInput(ValueError):
     """Malformed constructor data or JSON document."""
 
 
+def read_document(kind, doc, read):
+    """``read(doc)``; InvalidInput unless ``doc`` is a JSON object.
+    ``read``'s own InvalidInput passes unchanged, and any KeyError,
+    TypeError or ValueError it raises is wrapped once as a bad document."""
+    if type(doc) is not dict:
+        raise InvalidInput(f"{kind} document is not a JSON object")
+    try:
+        return read(doc)
+    except InvalidInput:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidInput(f"bad {kind} document: {exc}") from exc
+
+
+def typed(v, kind, what):
+    """``v`` if its type is exactly ``kind`` (str, list or dict); else
+    InvalidInput naming ``what`` and ``v``."""
+    if type(v) is not kind:
+        name = {str: "a string", list: "a list", dict: "an object"}[kind]
+        raise InvalidInput(f"{what} {v!r} is not {name}")
+    return v
+
+
 class OneCell(OrderedRecord):
     __slots__ = ("id", "src", "tgt", "identity")
     _defaults = (False,)
@@ -294,23 +317,26 @@ class FiniteTwoCategory:
     @classmethod
     def from_json_dict(cls, doc, name=""):
         """Load a document; InvalidInput unless every object, cell id,
-        boundary and result is a string, every ``identity`` a JSON bool and
-        every row of ``vcomp``/``whisker_l``/``whisker_r`` a triple, and no
-        table gives a pair twice."""
-        if type(doc) is not dict:
-            raise InvalidInput("2-category document is not a JSON object")
-        try:
-            objects = [_string(x, "object") for x in _list(doc, "objects")]
-            one = [OneCell(*_cell(d, "1-cell")) for d in _list(doc, "one_cells")]
-            two = [TwoCell(*_cell(d, "2-cell")) for d in _list(doc, "two_cells")]
+        boundary and result is a string, every cell and ``comp1`` entry an
+        object, every ``identity`` a JSON bool and every row of
+        ``vcomp``/``whisker_l``/``whisker_r`` a triple, and no table gives a
+        pair twice."""
+        def read(doc):
+            objects = [typed(x, str, "object")
+                       for x in _list(doc, "objects")]
+            one = [OneCell(*_cell(d, "1-cell"))
+                   for d in _list(doc, "one_cells")]
+            two = [TwoCell(*_cell(d, "2-cell"))
+                   for d in _list(doc, "two_cells")]
+            entries = (typed(d, dict, "comp1 entry")
+                       for d in _list(doc, "comp1"))
             comp1 = _table("comp1", (
-                [_string(d[k], f"comp1 {k}") for k in ("g", "f", "result")]
-                for d in _list(doc, "comp1")))
+                [typed(d[k], str, f"comp1 {k}") for k in ("g", "f", "result")]
+                for d in entries))
             vcomp, wl, wr = (_table(key, _triples(doc, key))
                              for key in ("vcomp", "whisker_l", "whisker_r"))
-        except (KeyError, TypeError) as exc:
-            raise InvalidInput(f"bad 2-category document: {exc}") from exc
-        return cls(objects, one, comp1, two, vcomp, wl, wr, name=name)
+            return objects, one, comp1, two, vcomp, wl, wr
+        return cls(*read_document("2-category", doc, read), name=name)
 
 
 def _group(cells, key=attrgetter("src", "tgt")):
@@ -348,28 +374,17 @@ def _ends_errors(key, table, cells, ends, what="boundary"):
             if (cells[r].src, cells[r].tgt) != ends(p, q)]
 
 
-def _string(v, what):
-    if type(v) is not str:
-        raise InvalidInput(f"{what} {v!r} is not a string")
-    return v
-
-
 def _list(doc, key):
-    v = doc[key]
-    if type(v) is not list:
-        raise InvalidInput(f"2-category {key} {v!r} is not a list")
-    return v
+    return typed(doc[key], list, f"2-category {key}")
 
 
 def _cell(d, what):
     """(id, src, tgt, identity) of a cell entry; ``identity`` defaults to
     false."""
-    if type(d) is not dict:
-        raise InvalidInput(f"{what} {d!r} is not an object")
-    identity = d.get("identity", False)
+    identity = typed(d, dict, what).get("identity", False)
     if type(identity) is not bool:
         raise InvalidInput(f"{what} identity {identity!r} is not a bool")
-    return (*(_string(d[k], f"{what} {k}") for k in ("id", "src", "tgt")),
+    return (*(typed(d[k], str, f"{what} {k}") for k in ("id", "src", "tgt")),
             identity)
 
 
@@ -388,7 +403,7 @@ def _triples(doc, key):
     for row in _list(doc, key):
         if type(row) is not list or len(row) != 3:
             raise InvalidInput(f"{key} row {row!r} is not a triple")
-        yield tuple(_string(v, f"{key} entry") for v in row)
+        yield tuple(typed(v, str, f"{key} entry") for v in row)
 
 
 # -- derived cell searches ---------------------------------------------------

@@ -125,12 +125,40 @@ def test_factorize_trace_file_that_is_a_directory(blocked, tmp_path):
     cat, trace = tmp_path / "C.json", tmp_path / "T"
     assert run(["examples", "--name", "oriental-3", "--out", str(cat)]) == 0
     (trace / blocked).mkdir(parents=True)
-    proc = subprocess.run(
-        [sys.executable, "-m", "complicial.cli", "factorize", "--input",
-         str(cat), "--dim", "4", "--trace", str(trace)],
-        capture_output=True, text=True, timeout=120)
+    proc = _process(["factorize", "--input", str(cat), "--dim", "4",
+                     "--trace", str(trace)], tmp_path, capture_output=True,
+                    text=True)
     assert proc.returncode == cli.EXIT_INPUT
     assert f"input error: cannot write {trace / blocked}" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+# (content, the start of stderr): with PYTHONINTMAXSTRDIGITS=0 the long
+# literal parses, and the loader refuses it with its own message
+UNREADABLE = {
+    "not-utf8": (b"\xff\xfe{}", "input error: cannot read {}: "),
+    "nested-past-the-limit": (b"[" * 100000 + b"]" * 100000,
+                              "input error: cannot read {}: "),
+    "past-the-digit-limit": (b"9" * 5000, "input error: "),
+}
+
+
+@pytest.mark.parametrize("content, prefix", UNREADABLE.values(),
+                         ids=UNREADABLE)
+@pytest.mark.parametrize("argv", [
+    ["check-fibrant", "--input"],
+    ["nerve", "--out", "X.json", "--input"],
+], ids=["tdelta-loader", "two-category-loader"])
+def test_unreadable_input_exits_input(argv, content, prefix, tmp_path):
+    """A file that is not UTF-8, JSON nested past the interpreter's limit
+    and an integer literal past its digit limit each end in exit 3 with a
+    message, not in a traceback."""
+    bad = tmp_path / "in.json"
+    bad.write_bytes(content)
+    proc = _process([*argv, str(bad)], tmp_path, capture_output=True,
+                    text=True)
+    assert proc.returncode == cli.EXIT_INPUT
+    assert proc.stderr.startswith(prefix.format(bad))
     assert "Traceback" not in proc.stderr
 
 
@@ -329,8 +357,12 @@ def test_tdelta_loader_reports_its_own_refusals_once(mutate, message,
     ({"dim": 1, "tokens": [{}]}, "tDelta-set tokens level 1 {} is not a list"),
     ({"dim": 1, "tokens": [[["t", "0"]]]},
      "token ['t', '0'] is not an object"),
+    ({"faces": ["abcd"]}, "input error: faces entry 'abcd' is not a list\n"),
+    ({"zeta": [{"a": 1}]},
+     "input error: zeta entry {'a': 1} is not a list\n"),
 ], ids=["simplex-level-str", "simplex-level-object", "tokens-str",
-        "zeta-object", "token-level-object", "token-list"])
+        "zeta-object", "token-level-object", "token-list", "face-entry-str",
+        "zeta-entry-object"])
 def test_tdelta_loader_rejects_what_it_would_misread(change, named, tmp_path,
                                                      capsys):
     """A string or an object where a list belongs would be iterated as its
@@ -392,8 +424,7 @@ def test_unwritable_output_fails_before_any_work(argv, tmp_path, capsys,
     def never(*args, **kwargs):
         raise AssertionError("work started before the output was checked")
 
-    for name in ("_load", "_load_two_category", "_load_tdelta"):
-        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(cli, "_read", never)
     monkeypatch.setattr(cli.lifting, "is_precomplicial", never)
     monkeypatch.setattr(cli.factorization, "verify_factorization", never)
     argv = [a.format(tmp=tmp_path, cat=cat, nerve=nerve) for a in argv]
@@ -439,12 +470,14 @@ def _set(path, value):
     (lambda d: d["vcomp"].append(list(d["vcomp"][0])),
      "vcomp gives the pair (i2_f, i2_f) twice"),
     (lambda d: d["objects"].append("x"), "duplicate object ids"),
+    (_set(("comp1", 0), ["g", "f", "ix"]),
+     "input error: comp1 entry ['g', 'f', 'ix'] is not an object\n"),
     *[(lambda d, v=v: v, "input error: 2-category document is not a JSON "
        "object\n") for v in NOT_OBJECTS],
 ], ids=["vcomp-pair", "whisker-quadruple", "int-object", "list-cell-id",
         "unknown-whisker-result", "string-identity", "repeated-comp1",
-        "repeated-vcomp", "repeated-object", "array-document",
-        "string-document", "number-document"])
+        "repeated-vcomp", "repeated-object", "list-comp1-entry",
+        "array-document", "string-document", "number-document"])
 def test_two_category_loader_rejects_bad_documents(mutate, named, tmp_path,
                                                    capsys):
     from complicial import twocat

@@ -427,6 +427,34 @@ def test_map_loader_rejects_what_it_would_drop(mutate):
         tdelta.map_from_json_dict(A, X, doc)
 
 
+DROPPED = ("would be dropped: it needs a level both sides have, a generator "
+           "of the source, an element of the target at that level, and no "
+           "repeat")
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"simplices": [[9, "0", "0"]], "tokens": []},
+     f"simplices entry [9, '0', '0'] {DROPPED}"),
+    *[(v, "map document is not a JSON object") for v in ([], "x", 3)],
+    ({"simplices": "ab", "tokens": []}, "map simplices 'ab' is not a list"),
+    ({"simplices": [], "tokens": {}}, "map tokens {} is not a list"),
+    ({"simplices": ["abc"], "tokens": []},
+     "simplices entry 'abc' is not a list"),
+    ({"simplices": [], "tokens": [{"a": 1}]},
+     "tokens entry {'a': 1} is not a list"),
+], ids=["dropped-entry", "array-document", "string-document",
+        "number-document", "simplices-str", "tokens-object",
+        "simplices-entry-str", "tokens-entry-object"])
+def test_map_loader_refuses_with_one_message(doc, message):
+    """The whole message: the loader's own refusals are not wrapped again
+    as a bad map document, and a string or an object is not read as its
+    characters or keys."""
+    A, X, _ = _edge_map_document()
+    with pytest.raises(twocat.InvalidInput) as info:
+        tdelta.map_from_json_dict(A, X, doc)
+    assert str(info.value) == message
+
+
 def test_map_loader_rejects_a_level_the_target_lacks():
     A, X = delta(2), delta(1)
     doc = {"simplices": [[0, "0", "0"], [0, "1", "0"], [0, "2", "1"],
