@@ -1,9 +1,11 @@
+import hashlib
 import json
+import pathlib
 
 import pytest
 
 from complicial import categorify as cg
-from complicial import cli, nerves, tdelta, twocat
+from complicial import cli, lifting, nerves, tdelta, twocat
 from complicial.categorify import (Pasting, PastingFactor, TwoPolygraph,
                                    Word, categorify, counit_assignment,
                                    section_check)
@@ -177,11 +179,18 @@ def test_polygraph_json(catalog):
     assert len(doc["relations"]) == len(P.relations)
 
 
+def _with_free_token(m, under):
+    """The document of Delta[m] with one more token, "extra", over the
+    simplex ``under`` of level m; no zeta names it."""
+    doc = tdelta.delta(m).to_json_dict()
+    doc["tokens"][m - 1].append({"id": "extra", "under": under})
+    return doc
+
+
 def test_free_token_over_a_degenerate_triangle(tmp_path):
     """A token over the degenerate triangle 001 that no zeta names gets an
     inverse generator on the edge 01, related to the empty pasting."""
-    doc = tdelta.delta(2).to_json_dict()
-    doc["tokens"][1].append({"id": "extra", "under": "001"})
+    doc = _with_free_token(2, "001")
     X = tdelta.TruncatedTDeltaSet.from_json_dict(doc)
     assert X.validate() == []
     P = categorify(X)
@@ -195,3 +204,44 @@ def test_free_token_over_a_degenerate_triangle(tmp_path):
     assert cli.main(["categorify", "--input", str(path),
                      "--out", str(out)]) == 0
     assert json.loads(out.read_text()) == P.to_json_dict()
+
+
+# -- every presentation pinned by digest ---------------------------------------
+
+PRESENTATION_DIGESTS = json.loads(
+    (pathlib.Path(__file__).parent / "presentation_digests.json").read_text())
+
+
+def _pinned_inputs():
+    """(key, marked set) for every pinned presentation: the catalog under
+    the three markings at dims 0-4, four entries at dim 5, both shapes of
+    every extension of anodyne_library(2, 5) and two hand-made free marks
+    over degenerate simplices."""
+    catalog = twocat.standard_examples()
+    for name, C in sorted(catalog.items()):
+        for marking in ("street", "rs", "natural"):
+            for N in range(5):
+                yield (f"{name}/{marking}/{N}",
+                       nerves.nerve_with_info(C, N, marking)[0])
+    for name in ("chain-2", "iso", "sigma-iso", "oriental-3"):
+        for marking in ("street", "rs", "natural"):
+            yield (f"{name}/{marking}/5",
+                   nerves.nerve_with_info(catalog[name], 5, marking)[0])
+    for ext in lifting.anodyne_library(2, 5):
+        yield f"{ext.label()}/A", ext.A
+        yield f"{ext.label()}/B", ext.B
+    for m, under in ((2, "001"), (1, "00")):
+        yield (f"free-mark-over-{under}", tdelta.TruncatedTDeltaSet
+               .from_json_dict(_with_free_token(m, under)))
+
+
+def presentation_digest(P):
+    doc = json.dumps(P.to_json_dict(), sort_keys=True)
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
+def test_presentations_are_pinned():
+    got = {key: presentation_digest(categorify(X))
+           for key, X in _pinned_inputs()}
+    assert len(got) == 342
+    assert got == PRESENTATION_DIGESTS
