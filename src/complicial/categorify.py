@@ -1,11 +1,12 @@
 """2-polygraph presentations of categorified marked simplicial sets.
 
-``categorify`` turns a finite truncated set into a presentation: vertices
-give 0-generators, non-degenerate edges give 1-generators, triangles give
-2-generators (with formal inverses for marked triangles), marked edges give
-an adjoint-equivalence gadget each, and tetrahedra give the pasting
-relations.  Degenerate simplices normalize to identities and contribute
-nothing.
+``categorify`` turns a finite truncated set into a presentation by one rule
+per generator family, whatever the dimension: vertices give 0-generators,
+non-degenerate edges 1-generators and non-degenerate triangles
+2-generators.  A free mark, a token that no zeta_i picks, gives a formal
+inverse on a triangle and an adjoint-equivalence gadget on an edge.
+Tetrahedra give the pasting relations.  Degenerate simplices normalize to
+identities and give no generator of their own.
 
 A pasting is a vertical list of whiskered 2-generators; each factor stores
 the 1-generator words applied before and after its generator, so pastings
@@ -114,30 +115,26 @@ def _pair(p1, p2):
     return (p1, p2) if p1 <= p2 else (p2, p1)
 
 
-def _inverse_relations(src, tgt, gen, inv_gen):
-    around1 = Pasting(src, (PastingFactor((), gen, ()),
-                            PastingFactor((), inv_gen, ())))
-    around2 = Pasting(tgt, (PastingFactor((), inv_gen, ()),
-                            PastingFactor((), gen, ())))
-    return [_pair(around1, Pasting(src)), _pair(around2, Pasting(tgt))]
+def _alone(gen):
+    """The factors of the pasting that is the 2-generator gen, unwhiskered."""
+    return (PastingFactor((), gen, ()),)
+
+
+def _inverse_relations(src, tgt, gen, inv):
+    """The two relations that make the 2-generator inv: tgt => src inverse
+    to the pasting src => tgt whose factors are gen."""
+    return [_pair(Pasting(src, gen + _alone(inv)), Pasting(src)),
+            _pair(Pasting(tgt, _alone(inv) + gen), Pasting(tgt))]
 
 
 def categorify(X):
     """Presentation of the categorification of a finite truncated set."""
-    zero = tuple(X.simplex_ids(0))
-    one_gens = {}
-    two_gens = {}
-    relations = []
 
     def edge_word(e):
         if X.is_degenerate(1, e):
             v = X.face_of(1, 1, e)
             return Word(v, v, ())
         return Word(X.face_of(1, 1, e), X.face_of(1, 0, e), (f"E|{e}",))
-
-    if X.dim >= 1:
-        for e in X.nondegenerate_ids(1):
-            one_gens[f"E|{e}"] = (X.face_of(1, 1, e), X.face_of(1, 0, e))
 
     def tri_boundary(x):
         src = edge_word(X.face_of(2, 1, x))
@@ -150,73 +147,64 @@ def categorify(X):
             return ()
         return (PastingFactor(pre, f"A|{x}", post),)
 
-    if X.dim >= 2:
-        for x in X.nondegenerate_ids(2):
-            two_gens[f"A|{x}"] = tri_boundary(x)
-        zwit = X._zeta_wit[2]
-        for idx, w in enumerate(zwit):
-            if w is not None:
-                continue
-            t = X._tok_ids[2][idx]
-            x = X.under_of(2, t)
-            src, tgt = tri_boundary(x)
-            inv_id = f"Ainv|{t}"
-            two_gens[inv_id] = (tgt, src)
-            if X.is_degenerate(2, x):
-                p = Pasting(src, (PastingFactor((), inv_id, ()),))
-                relations.append(_pair(p, Pasting(src)))
-            else:
-                relations.extend(_inverse_relations(src, tgt, f"A|{x}", inv_id))
+    one_gens = {f"E|{e}": (X.face_of(1, 1, e), X.face_of(1, 0, e))
+                for e in X.nondegenerate_ids(1)}
+    two_gens = {f"A|{x}": tri_boundary(x) for x in X.nondegenerate_ids(2)}
+    relations = []
 
-    if X.dim >= 1:
-        zwit = X._zeta_wit[1]
-        for idx, w in enumerate(zwit):
-            if w is not None:
-                continue
-            t = X._tok_ids[1][idx]
-            e = X.under_of(1, t)
-            we = edge_word(e)
-            x, y = we.src, we.tgt
-            g = f"G|{t}"
-            one_gens[g] = (y, x)
-            idx_w = Word(x, x, ())
-            idy_w = Word(y, y, ())
-            gf = Word(x, x, we.gens + (g,))
-            fg = Word(y, y, (g,) + we.gens)
-            eta, eta_i = f"Eta|{t}", f"EtaInv|{t}"
-            eps, eps_i = f"Eps|{t}", f"EpsInv|{t}"
-            two_gens[eta] = (idx_w, gf)
-            two_gens[eta_i] = (gf, idx_w)
-            two_gens[eps] = (fg, idy_w)
-            two_gens[eps_i] = (idy_w, fg)
-            relations.extend(_inverse_relations(idx_w, gf, eta, eta_i))
-            relations.extend(_inverse_relations(fg, idy_w, eps, eps_i))
-            # f*eta = (eps*f)^-1 and g*eps = (eta*g)^-1
-            f_eta = Pasting(we, (PastingFactor((), eta, we.gens),))
-            epsinv_f = Pasting(we, (PastingFactor(we.gens, eps_i, ()),))
-            relations.append(_pair(f_eta, epsinv_f))
-            gfg = Word(y, y, (g,) + we.gens + (g,))
-            g_eps = Pasting(gfg, (PastingFactor((), eps, (g,)),))
-            etainv_g = Pasting(gfg, (PastingFactor((g,), eta_i, ()),))
-            relations.append(_pair(g_eps, etainv_g))
+    # a free mark on a triangle inverts it; on a degenerate triangle, an
+    # identity, the two inverse relations coincide
+    for t in X.free_token_ids(2):
+        x = X.under_of(2, t)
+        src, tgt = tri_boundary(x)
+        two_gens[f"Ainv|{t}"] = (tgt, src)
+        relations += _inverse_relations(src, tgt, tri_factors(x, (), ()),
+                                        f"Ainv|{t}")
 
-    if X.dim >= 3:
-        for x in X.nondegenerate_ids(3):
-            d0 = X.face_of(3, 0, x)
-            d1 = X.face_of(3, 1, x)
-            d2 = X.face_of(3, 2, x)
-            d3 = X.face_of(3, 3, x)
-            w01 = edge_word(X.face_of(2, 2, d3))
-            w23 = edge_word(X.face_of(2, 0, d0))
-            src = edge_word(X.face_of(2, 1, d2))
-            lhs = Pasting(src, tri_factors(d2, (), ()) +
-                          tri_factors(d0, w01.gens, ()))
-            rhs = Pasting(src, tri_factors(d1, (), ()) +
-                          tri_factors(d3, (), w23.gens))
-            if lhs != rhs:
-                relations.append(_pair(lhs, rhs))
+    # a free mark on an edge f: x -> y gives an adjoint equivalence
+    for t in X.free_token_ids(1):
+        we = edge_word(X.under_of(1, t))
+        x, y = we.src, we.tgt
+        g = f"G|{t}"
+        one_gens[g] = (y, x)
+        idx_w = Word(x, x, ())
+        idy_w = Word(y, y, ())
+        gf = Word(x, x, we.gens + (g,))
+        fg = Word(y, y, (g,) + we.gens)
+        eta, eta_i = f"Eta|{t}", f"EtaInv|{t}"
+        eps, eps_i = f"Eps|{t}", f"EpsInv|{t}"
+        two_gens[eta] = (idx_w, gf)
+        two_gens[eta_i] = (gf, idx_w)
+        two_gens[eps] = (fg, idy_w)
+        two_gens[eps_i] = (idy_w, fg)
+        relations += _inverse_relations(idx_w, gf, _alone(eta), eta_i)
+        relations += _inverse_relations(fg, idy_w, _alone(eps), eps_i)
+        # f*eta = (eps*f)^-1 and g*eps = (eta*g)^-1
+        f_eta = Pasting(we, (PastingFactor((), eta, we.gens),))
+        epsinv_f = Pasting(we, (PastingFactor(we.gens, eps_i, ()),))
+        relations.append(_pair(f_eta, epsinv_f))
+        gfg = Word(y, y, (g,) + we.gens + (g,))
+        g_eps = Pasting(gfg, (PastingFactor((), eps, (g,)),))
+        etainv_g = Pasting(gfg, (PastingFactor((g,), eta_i, ()),))
+        relations.append(_pair(g_eps, etainv_g))
 
-    P = TwoPolygraph(zero, one_gens, two_gens, tuple(sorted(set(relations))))
+    for x in X.nondegenerate_ids(3):
+        d0 = X.face_of(3, 0, x)
+        d1 = X.face_of(3, 1, x)
+        d2 = X.face_of(3, 2, x)
+        d3 = X.face_of(3, 3, x)
+        w01 = edge_word(X.face_of(2, 2, d3))
+        w23 = edge_word(X.face_of(2, 0, d0))
+        src = edge_word(X.face_of(2, 1, d2))
+        lhs = Pasting(src, tri_factors(d2, (), ()) +
+                      tri_factors(d0, w01.gens, ()))
+        rhs = Pasting(src, tri_factors(d1, (), ()) +
+                      tri_factors(d3, (), w23.gens))
+        if lhs != rhs:
+            relations.append(_pair(lhs, rhs))
+
+    P = TwoPolygraph(tuple(X.simplex_ids(0)), one_gens, two_gens,
+                     tuple(sorted(set(relations))))
     errs = P.validate()
     if errs:
         raise InvalidInput("categorify produced an ill-typed presentation: "

@@ -160,12 +160,8 @@ def _nondeg_chains(A, tops):
 
 
 def _free_token_unders(S):
-    out = []
-    for m in range(1, S.dim + 1):
-        under = S._tok_under[m]
-        free = set(range(len(under))).difference(*S._zeta[m - 1])
-        out += [(m, under[t]) for t in sorted(free)]
-    return out
+    return [(m, S._tok_under[m][S._tok_idx[m][t]])
+            for m in range(1, S.dim + 1) for t in S.free_token_ids(m)]
 
 
 def _compile_plan(ext):

@@ -172,6 +172,13 @@ class TruncatedTDeltaSet:
         hit = set().union(*self._deg[m - 1]) if m else ()
         return [s for i, s in enumerate(self._ids[m]) if i not in hit]
 
+    def free_token_ids(self, m):
+        """The tokens of level m that no zeta_i picks, in index order."""
+        if not 1 <= m <= self.dim:
+            return []
+        hit = set().union(*self._zeta[m - 1])
+        return [t for i, t in enumerate(self._tok_ids[m]) if i not in hit]
+
     def counts(self):
         return {
             "simplices": [len(self._ids[m]) for m in range(self.dim + 1)],

@@ -1,8 +1,11 @@
+import functools
 import hashlib
 import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from complicial import categorify as cg
 from complicial import cli, lifting, nerves, tdelta, twocat
@@ -204,6 +207,68 @@ def test_free_token_over_a_degenerate_triangle(tmp_path):
     assert cli.main(["categorify", "--input", str(path),
                      "--out", str(out)]) == 0
     assert json.loads(out.read_text()) == P.to_json_dict()
+
+
+# -- one rule per generator family, on random free marks ----------------------
+
+MARKINGS = ("street", "rs", "natural")
+
+
+@functools.cache
+def _nerve(name, N, marking):
+    return nerves.nerve_with_info(twocat.standard_examples()[name], N,
+                                  marking)[0]
+
+
+@st.composite
+def with_extra_tokens(draw):
+    """The document of a catalog nerve at dim 1-3 with 1-4 more tokens, each
+    over a simplex of some level 1..dim, degenerate or not by a coin toss
+    where the level has both; no zeta names them."""
+    N = draw(st.integers(1, 3))
+    X = _nerve(draw(st.sampled_from(sorted(twocat.standard_examples()))), N,
+               draw(st.sampled_from(MARKINGS)))
+    doc = X.to_json_dict()
+    for k in range(draw(st.integers(1, 4))):
+        m = draw(st.integers(1, N))
+        degenerate = draw(st.booleans())
+        pool = [s for s in X.simplex_ids(m)
+                if X.is_degenerate(m, s) == degenerate] or X.simplex_ids(m)
+        if pool:
+            doc["tokens"][m - 1].append(
+                {"id": f"extra{k}", "under": draw(st.sampled_from(pool))})
+    return doc
+
+
+@given(with_extra_tokens())
+@settings(max_examples=60, deadline=None)
+def test_generator_counts_follow_the_document(doc):
+    """Generators and inverse relations counted from the document's own
+    tables: degeneracy entries for the degenerate simplices, zeta entries
+    for the free marks."""
+    X = tdelta.TruncatedTDeltaSet.from_json_dict(doc)
+    assert X.validate() == []
+    P = categorify(X)
+    assert P.validate() == []
+    degenerate = {(m + 1, v) for m, _, _, v in doc["degeneracies"]}
+    picked = {(m + 1, t) for m, _, _, t in doc["zeta"]}
+
+    def nondegenerate(m):
+        return [s for s in doc["simplices"][m] if (m, s) not in degenerate] \
+            if m <= doc["dim"] else []
+
+    def free(m):
+        return [t for t in doc["tokens"][m - 1] if (m, t["id"]) not in picked] \
+            if m <= doc["dim"] else []
+
+    assert len(P.one_gens) == len(nondegenerate(1)) + len(free(1))
+    assert len(P.two_gens) == \
+        len(nondegenerate(2)) + len(free(2)) + 4 * len(free(1))
+    for t in free(2):
+        inv = f"Ainv|{t['id']}"
+        hits = [r for r in P.relations
+                if any(f.gen == inv for p in r for f in p.factors)]
+        assert len(hits) == (1 if (2, t["under"]) in degenerate else 2)
 
 
 # -- every presentation pinned by digest ---------------------------------------

@@ -13,14 +13,17 @@ The same holds one level up: the nerve of ``opposite_category(C)``, the
 2-category with its 1-cells reversed and its 2-cells kept, is isomorphic to
 ``opposite`` of the nerve of C.  So the two have the same level sizes, and
 every extension of the library reaches the same verdict and count on both.
+Both hold on the catalog and on random posets and their suspensions.
 """
 
 import pytest
+from hypothesis import given, settings
 
 from complicial import nerves, twocat
 from complicial.lifting import anodyne_library, check_extension
 from complicial.tdelta import TDeltaMap
 from oracles import opposite, opposite_category
+from test_nerves import posets
 
 DIM = 4
 LIBRARY = anodyne_library(2, DIM)
@@ -69,30 +72,53 @@ def test_dual_extensions_are_the_opposite_shapes():
             assert f.src.counts() == Y.counts()
 
 
+def _assert_checks_agree(X, Y, pairs):
+    """Each extension pair (e, d) gets the same verdict on X and Y, and the
+    same count where it passes."""
+    for e, d in pairs:
+        r, s = check_extension(X, e), check_extension(Y, d)
+        assert r.passed == s.passed, (e.label(), d.label())
+        if r.passed:
+            assert r.maps_checked == s.maps_checked, (e.label(), d.label())
+
+
+def _assert_opposite_category_agrees(C, marking):
+    """C^op validates, and its nerve and the opposite of the nerve of C have
+    the same level sizes and get the same verdicts and counts.  Returns the
+    nerve of C and its opposite."""
+    op = opposite_category(C)
+    assert op.validate() == []
+    X = nerves.nerve_with_info(C, DIM, marking)[0]
+    Y = opposite(X)
+    Z = nerves.nerve_with_info(op, DIM, marking)[0]
+    assert Z.counts() == Y.counts()
+    _assert_checks_agree(Z, Y, [(e, e) for e in LIBRARY])
+    return X, Y
+
+
 @pytest.mark.parametrize("marking", ["natural", "rs"])
 @pytest.mark.parametrize("entry", sorted(CATALOG))
 def test_lift_search_agrees_with_its_mirror_image(entry, marking):
     X = nerves.nerve_with_info(CATALOG[entry], DIM, marking)[0]
     op = opposite(X)
     assert op.validate() == []
-    for e, d in PAIRS:
-        r, s = check_extension(X, e), check_extension(op, d)
-        assert r.passed == s.passed, (e.label(), d.label())
-        if r.passed:
-            assert r.maps_checked == s.maps_checked, (e.label(), d.label())
+    _assert_checks_agree(X, op, PAIRS)
 
 
 @pytest.mark.parametrize("marking", ["natural", "rs"])
 @pytest.mark.parametrize("entry", sorted(CATALOG))
 def test_nerve_of_the_opposite_category_is_the_opposite_nerve(entry, marking):
-    C = CATALOG[entry]
-    op = opposite_category(C)
-    assert op.validate() == []
-    X = nerves.nerve_with_info(op, DIM, marking)[0]
-    Y = opposite(nerves.nerve_with_info(C, DIM, marking)[0])
-    assert X.counts() == Y.counts()
-    for e in LIBRARY:
-        r, s = check_extension(X, e), check_extension(Y, e)
-        assert r.passed == s.passed, e.label()
-        if r.passed:
-            assert r.maps_checked == s.maps_checked, e.label()
+    _assert_opposite_category_agrees(CATALOG[entry], marking)
+
+
+@given(posets())
+@settings(max_examples=15, deadline=None)
+def test_duality_on_random_two_categories(P):
+    """Both dualities on the locally discrete and the suspended posets of
+    tests/test_nerves.py."""
+    for C in (twocat.two_category_from_category(P, "P"),
+              twocat.suspension(P, "SP")):
+        for marking in ("natural", "rs"):
+            X, op = _assert_opposite_category_agrees(C, marking)
+            assert op.validate() == []
+            _assert_checks_agree(X, op, PAIRS)
