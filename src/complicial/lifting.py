@@ -295,9 +295,10 @@ def _part_to_map(X, ext, plan, values):
         for at, d in zip(range(lvl_from, lvl, -1), drops):
             v = X._face[at][d][v]
         simg[lvl][idx] = v
-    timg = [None] + [[min(X._tokens_over_idx[m][simg[m][u]]) if w is None
-                      else -1 for u, w in zip(A._tok_under[m], A._zeta_wit[m])]
-                     for m in range(1, A.dim + 1)]
+    timg = [None] + [[min(X._tokens_over_idx[m][simg[m][u]])
+                      if t not in comarked else -1
+                      for t, u in enumerate(A._tok_under[m])]
+                     for m, comarked in enumerate(A._derived[1]) if m]
     return map_on_generators(A, X, simg, timg)
 
 

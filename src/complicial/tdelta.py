@@ -20,6 +20,7 @@ after construction.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from functools import cached_property, lru_cache, reduce
 from operator import itemgetter
 
@@ -164,7 +165,7 @@ class TruncatedTDeltaSet:
                 for t in self._tokens_over_idx[m].get(self._idx[m][sid], [])]
 
     def is_degenerate(self, m, sid):
-        return self._deg_wit[m][self._idx[m][sid]] is not None
+        return self._idx[m][sid] in self._derived[0][m]
 
     def nondegenerate_ids(self, m):
         if not 0 <= m <= self.dim:
@@ -192,17 +193,13 @@ class TruncatedTDeltaSet:
     # -- derived structure ----------------------------------------------------
 
     @cached_property
-    def _deg_wit(self):
-        """Per level: (i, preimage index) writing the simplex as s_i, with
-        the smallest such i; None for a non-degenerate simplex."""
-        wit = [[None] * len(self._ids[m]) for m in range(self.dim + 1)]
-        for m in range(self.dim):  # the last write, of the smallest i, wins
-            for i in reversed(range(m + 1)):
-                row = self._deg[m][i]
-                for j, target in enumerate(row):
-                    if target >= 0:
-                        wit[m + 1][target] = (i, j)
-        return wit
+    def _derived(self):
+        """(simplices, tokens): per level, the indices of the degenerate
+        simplices and of the comarked tokens, the targets of the s_i and
+        zeta_i rows one level down; none at level 0."""
+        return tuple([set()] + [set().union(*rows) - {-1}
+                                for rows in table[:-1]]
+                     for table in (self._deg, self._zeta))
 
     @cached_property
     def _tokens_over_idx(self):
@@ -213,18 +210,6 @@ class TruncatedTDeltaSet:
                 d.setdefault(u, []).append(t)
             out.append(d)
         return out
-
-    @cached_property
-    def _zeta_wit(self):
-        """Per token level: canonical (i, simplex index) witness, if comarked."""
-        wit = [None] + [[None] * len(self._tok_ids[m])
-                        for m in range(1, self.dim + 1)]
-        for m in reversed(range(self.dim)):
-            for i in reversed(range(m + 1)):
-                for j, t in enumerate(self._zeta[m][i]):
-                    if t >= 0:
-                        wit[m + 1][t] = (i, j)
-        return wit
 
     # -- checks ----------------------------------------------------------------
 
@@ -309,12 +294,14 @@ class TruncatedTDeltaSet:
 
         def entries(table, at, lo, hi, shift):
             # [m, i, s, v] per simplex s of level m, one (m, i) block after
-            # another, v read off table[m][i] in at[m + shift]
+            # another, v read off table[m][i] in at[m + shift]; an entry -1,
+            # an undefined operator, is left out as the loader reads it
             out = []
             for m in range(lo, hi):
                 to = at[m + shift]
                 for i, row in enumerate(table[m]):
-                    out += [[m, i, s, to[v]] for s, v in zip(ids[m], row)]
+                    out += [[m, i, s, to[v]] for s, v in zip(ids[m], row)
+                            if v >= 0]
             return out
 
         return {
@@ -400,8 +387,8 @@ class TDeltaMap:
     token of src, or -1 where the map is undefined.
 
     The images of non-degenerate simplices and free tokens are the map's
-    data; the rest follow through the Eilenberg-Zilber witness and zeta
-    (see ``map_on_generators``).
+    data; the rest follow through the degeneracy and zeta rows (see
+    ``map_on_generators``).
     """
 
     def __init__(self, src, dst, simg, timg):
@@ -445,14 +432,14 @@ class TDeltaMap:
             raise InvalidInput(f"cannot compose through {mid.name!r} and "
                                f"{B.name!r}: their ids differ")
         rows = ([], [None])
-        for k, wits, ids in ((0, A._deg_wit, A._ids),
-                             (1, A._zeta_wit, A._tok_ids)):
+        for k, ids, derived in ((0, A._ids, A._derived[0]),
+                                (1, A._tok_ids, A._derived[1])):
             for m in range(k, A.dim + 1):
                 first = (other._simg, other._timg)[k][m]
                 then = (self._simg, self._timg)[k][m]
                 row = [then[v] if v >= 0 else -1 for v in first]
-                for j, w in enumerate(wits[m]):
-                    if w is None and row[j] < 0:
+                for j, v in enumerate(row):
+                    if v < 0 and j not in derived[m]:
                         raise InvalidInput(
                             f"composite undefined on {ids[m][j]!r}")
                 rows[k].append(row)
@@ -490,10 +477,10 @@ class TDeltaMap:
         return {key: [[m, ids[m][j], x_ids[m][v]]
                       for m, row in enumerate(rows) if row
                       for j, v in enumerate(row)
-                      if v >= 0 and wits[m][j] is None]
-                for key, rows, ids, wits, x_ids in (
-                    ("simplices", self._simg, A._ids, A._deg_wit, X._ids),
-                    ("tokens", self._timg, A._tok_ids, A._zeta_wit,
+                      if v >= 0 and j not in derived[m]]
+                for key, rows, ids, derived, x_ids in (
+                    ("simplices", self._simg, A._ids, A._derived[0], X._ids),
+                    ("tokens", self._timg, A._tok_ids, A._derived[1],
                      X._tok_ids))}
 
 
@@ -501,18 +488,24 @@ def map_on_generators(A, X, simg, timg):
     """The map A -> X with the images of the generators in these rows.
 
     ``simg[m]`` and ``timg[m]`` are per level rows of indices into X (-1 where
-    undefined), adopted and overwritten in place: each degenerate simplex
-    and comarked token takes the image that its witness one level down gives
-    through X's degeneracies and zeta.
+    undefined), adopted and overwritten in place from the operator rows:
+    for each level m and each i from m - 1 down to 0, X's s_i (zeta_i) of
+    the image of each simplex a of level m - 1 is written into the entry of
+    A's s_i a (zeta_i a), and -1 where a has no image.  The smallest i is
+    written last, and within one i the last a: an element that several
+    (i, a) reach takes its image through the last of them.  An entry -1 of
+    A's rows, an operator A leaves undefined, writes nothing.
     """
     for m in range(1, min(A.dim, X.dim) + 1):
         below = simg[m - 1]
-        for row, wits, ops in ((simg[m], A._deg_wit[m], X._deg[m - 1]),
-                               (timg[m], A._zeta_wit[m], X._zeta[m - 1])):
-            for j, w in enumerate(wits):
-                if w is not None:
-                    b = below[w[1]]
-                    row[j] = ops[w[0]][b] if b >= 0 else -1
+        for row, a_ops, x_ops in ((simg[m], A._deg[m - 1], X._deg[m - 1]),
+                                  (timg[m], A._zeta[m - 1], X._zeta[m - 1])):
+            row.append(-1)  # a target -1 lands in this spare entry
+            for i in reversed(range(m)):
+                x_op = x_ops[i] + [-1]  # and an image -1 reads -1
+                deque(map(row.__setitem__, a_ops[i],
+                          map(x_op.__getitem__, below)), 0)
+            row.pop()
     return TDeltaMap(A, X, simg, timg)
 
 
@@ -525,15 +518,15 @@ def map_from_json_dict(src, dst, doc):
     Generators the document leaves out stay undefined."""
     def read(doc):
         rows = _undefined(src)
-        for k, key, lo, src_idx, wits, dst_idx in (
-                (0, "simplices", 0, src._idx, src._deg_wit, dst._idx),
-                (1, "tokens", 1, src._tok_idx, src._zeta_wit,
+        for k, key, lo, src_idx, derived, dst_idx in (
+                (0, "simplices", 0, src._idx, src._derived[0], dst._idx),
+                (1, "tokens", 1, src._tok_idx, src._derived[1],
                  dst._tok_idx)):
             for entry in typed(doc[key], list, f"map {key}"):
                 m, s, v = typed(entry, list, f"{key} entry")
                 ok = type(m) is int and lo <= m <= min(src.dim, dst.dim)
                 j = src_idx[m].get(s) if ok else None
-                ok = j is not None and wits[m][j] is None
+                ok = j is not None and j not in derived[m]
                 if not ok or rows[k][m][j] >= 0 or v not in dst_idx[m]:
                     raise InvalidInput(
                         f"{key} entry {[m, s, v]!r} would be dropped: "
@@ -739,8 +732,8 @@ def join(A, B, out_dim=None, name=None):
 
     def marked(m, p, a, b):
         q = m - 1 - p
-        return ((p < 0 or A._deg_wit[p][a] is None) and
-                (q < 0 or B._deg_wit[q][b] is None) and
+        return ((p < 0 or a not in A._derived[0][p]) and
+                (q < 0 or b not in B._derived[0][q]) and
                 (p > 0 and a in a_marks[p] or q > 0 and b in b_marks[q]))
 
     a_marks, b_marks = ([None] + [set(X._tok_under[m])

@@ -10,7 +10,10 @@ check nerve sizes and that the nerve is fully faithful;
 it came from; the string-keyed general pushout ``ref_pushout`` (which may
 append simplices) and its fold ``fold_of_ref_pushouts`` check the gluings
 of marks built on index tables; ``opposite`` and ``opposite_category``
-check the lift search and the nerve against their mirror images.
+check the lift search and the nerve against their mirror images;
+``witnesses`` gives each degenerate simplex and comarked token its
+Eilenberg-Zilber witness, from which the generic search and the map
+references fill in images one element at a time.
 """
 
 from __future__ import annotations
@@ -32,6 +35,26 @@ from complicial.twocat import FiniteTwoCategory, InvalidInput, OneCell, TwoCell
 
 _TABLES = weakref.WeakKeyDictionary()  # A -> _lift_tables(A)
 _BOUNDARIES = weakref.WeakKeyDictionary()  # X -> _by_boundary(X)
+_WITNESSES = weakref.WeakKeyDictionary()  # A -> witnesses(A)
+
+
+def witnesses(A):
+    """(simplex, token) witness tables of A: per level, for each degenerate
+    simplex the (i, preimage index) writing it as s_i, and for each
+    comarked token the (i, simplex index) writing it as zeta_i, with the
+    smallest such i and then the last preimage; None for a non-degenerate
+    simplex and a free token.  Entries -1 of A's rows write nothing."""
+    if A not in _WITNESSES:
+        out = ([[None] * len(level) for level in A._ids],
+               [None] + [[None] * len(level) for level in A._tok_ids[1:]])
+        for wit, table in zip(out, (A._deg, A._zeta)):
+            for m in range(A.dim):  # the last write, of the smallest i, wins
+                for i in reversed(range(m + 1)):
+                    for j, target in enumerate(table[m][i]):
+                        if target >= 0:
+                            wit[m + 1][target] = (i, j)
+        _WITNESSES[A] = out
+    return _WITNESSES[A]
 
 
 def _by_boundary(X):
@@ -56,15 +79,16 @@ def _lift_tables(A):
     """
     if A in _TABLES:
         return _TABLES[A]
+    deg_wit, zeta_wit = witnesses(A)
     dfill = [[] for _ in range(A.dim + 1)]
     for m in range(1, A.dim + 1):
-        for j, w in enumerate(A._deg_wit[m]):
+        for j, w in enumerate(deg_wit[m]):
             if w is not None:
                 dfill[m].append((j, w[0], w[1]))
     tderive = [None] + [[] for _ in range(A.dim)]
     tcheck = [None] + [[] for _ in range(A.dim)]
     for m in range(1, A.dim + 1):
-        zwit = A._zeta_wit[m]
+        zwit = zeta_wit[m]
         for t, w in enumerate(zwit):
             if w is not None:
                 tderive[m].append((t, w[0], w[1]))
@@ -94,15 +118,16 @@ def _iter_maps(A, X, budget, seed_simp=None, seed_tok=None):
         else [None] + [[-1] * len(A._tok_ids[m]) for m in range(1, A.dim + 1)]
 
     slots = []
+    deg_wit, zeta_wit = witnesses(A)
     for m in range(A.dim + 1):
         slots.append(("sfill", m))
-        wit = A._deg_wit[m]
+        wit = deg_wit[m]
         for j in range(len(A._ids[m])):
             if wit[j] is None and simg[m][j] < 0:
                 slots.append(("snd", m, j))
         if m >= 1:
             slots.append(("tfill", m))
-            zwit = A._zeta_wit[m]
+            zwit = zeta_wit[m]
             for j in range(len(A._tok_ids[m])):
                 if zwit[j] is None and timg[m][j] < 0:
                     slots.append(("tnd", m, j))
@@ -216,7 +241,7 @@ def _to_map(A, X, simg, timg):
 def count_generators(A):
     n = sum(len(A.nondegenerate_ids(m)) for m in range(A.dim + 1))
     for m in range(1, A.dim + 1):
-        n += sum(1 for w in A._zeta_wit[m] if w is None)
+        n += sum(1 for w in witnesses(A)[1][m] if w is None)
     return n
 
 
@@ -383,7 +408,7 @@ def ref_pushout(f, i, prefix="B.", name=""):
               for b in B.nondegenerate_ids(m)]
     b_tok = []
     for m in range(1, B.dim + 1):
-        wit = B._zeta_wit[m]
+        wit = witnesses(B)[1][m]
         b_tok += [[m, t, new_tid(m, t)]
                   for k, t in enumerate(B._tok_ids[m]) if wit[k] is None]
     b_to_p = map_from_json_dict(B, P, {"simplices": b_simp, "tokens": b_tok})
@@ -575,7 +600,8 @@ def nerve_map(F, C, D, N=5, marking="rs"):
     timg = [None]
     for m in range(1, N + 1):
         row = []
-        for t, u, w in zip(XC._tok_ids[m], XC._tok_under[m], XC._zeta_wit[m]):
+        for t, u, w in zip(XC._tok_ids[m], XC._tok_under[m],
+                           witnesses(XC)[1][m]):
             if w is not None:
                 tid = None  # a comarked token follows its simplex
             elif m == 1 and marking == "natural":

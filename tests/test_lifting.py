@@ -10,7 +10,8 @@ from complicial.lifting import (AnodyneExtension, anodyne_library,
                                 check_extension, is_precomplicial)
 from complicial.tdelta import BudgetExceeded, TruncatedTDeltaSet, inclusion_map
 from oracles import (LiftingProblem, check_extension_generic, find_isomorphism,
-                     find_lift, iter_maps, maps, rs_fibrancy_prediction)
+                     find_lift, iter_maps, maps, rs_fibrancy_prediction,
+                     witnesses)
 
 
 @pytest.fixture(scope="module")
@@ -153,7 +154,7 @@ def sub_marked_nerves(draw, dim=3):
     X = small_nerve(draw(st.sampled_from(SMALL)),
                     draw(st.sampled_from(["rs", "natural"])), dim)
     free = [(m, t) for m in range(1, X.dim + 1)
-            for t, w in zip(X._tok_ids[m], X._zeta_wit[m]) if w is None]
+            for t, w in zip(X._tok_ids[m], witnesses(X)[1][m]) if w is None]
     drop = draw(st.sets(st.sampled_from(free))) if free else set()
     doc = X.to_json_dict()
     doc["tokens"] = [[d for d in level if (m, d["id"]) not in drop]

@@ -7,7 +7,9 @@ generators by id, read once per map.  On every stage map of the
 factorization replay, and on maps whose document has one wrong simplex
 image, one wrong token image or one missing token image, the row code must
 give the same answers and the same composite documents.  The replay maps
-and the fibrancy witnesses are also pinned by digest.
+and the fibrancy witnesses are also pinned by digest.  ``ref_rows`` fills
+a map's derived images element by element from ``witnesses(A)``, the
+reference for ``map_on_generators`` where A leaves an operator undefined.
 """
 
 import hashlib
@@ -20,7 +22,7 @@ import pytest
 from complicial import factorization as fz
 from complicial import lifting, nerves, tdelta, twocat
 from complicial.twocat import InvalidInput
-from oracles import degeneracy_of, zeta_of
+from oracles import degeneracy_of, witnesses, zeta_of
 
 
 _GENERATORS = weakref.WeakKeyDictionary()
@@ -39,7 +41,7 @@ def ref_apply_simplex(f, m, sid):
     got = generators(f)[0].get((m, sid))
     if got is not None:
         return got
-    wit = f.src._deg_wit[m][f.src._idx[m][sid]]
+    wit = witnesses(f.src)[0][m][f.src._idx[m][sid]]
     if wit is None:
         raise InvalidInput(f"map undefined on non-degenerate {sid!r}")
     i, pre = wit
@@ -51,7 +53,7 @@ def ref_apply_token(f, m, tid):
     got = generators(f)[1].get((m, tid))
     if got is not None:
         return got
-    wit = f.src._zeta_wit[m][f.src._tok_idx[m][tid]]
+    wit = witnesses(f.src)[1][m][f.src._tok_idx[m][tid]]
     if wit is None:
         raise InvalidInput(f"map undefined on free token {tid!r}")
     i, x = wit
@@ -81,7 +83,7 @@ def ref_compose(f, g):
             for m in range(g.src.dim + 1) for s in g.src.nondegenerate_ids(m)]
     tok = []
     for m in range(1, g.src.dim + 1):
-        wit = g.src._zeta_wit[m]
+        wit = witnesses(g.src)[1][m]
         for i, t in enumerate(g.src._tok_ids[m]):
             if wit[i] is None:
                 tok.append([m, t, ref_apply_token(f, m,
@@ -330,3 +332,71 @@ def test_compose_rejects_mismatched_ids():
     g = tdelta.identity_map(tdelta.delta(2))
     with pytest.raises(InvalidInput):
         g.compose(f)
+
+
+def ref_rows(A, X, simg, timg):
+    """The rows ``map_on_generators(A, X, simg, timg)`` ends with, filled
+    on copies element by element: each element with a witness (i, a) in
+    ``witnesses(A)`` takes X's s_i or zeta_i of the image of a."""
+    deg_wit, zeta_wit = witnesses(A)
+    simg = [row[:] for row in simg]
+    timg = [None] + [row[:] for row in timg[1:]]
+    for m in range(1, min(A.dim, X.dim) + 1):
+        for row, wits, ops in ((simg[m], deg_wit[m], X._deg[m - 1]),
+                               (timg[m], zeta_wit[m], X._zeta[m - 1])):
+            for j, w in enumerate(wits):
+                if w is not None:
+                    b = simg[m - 1][w[1]]
+                    row[j] = ops[w[0]][b] if b >= 0 else -1
+    return simg, timg
+
+
+def _assert_derived_is_witness_mask(A):
+    for k, wits in enumerate(witnesses(A)):
+        assert [{j for j, w in enumerate(level) if w is not None}
+                for level in wits[k:]] == A._derived[k][k:], (A.name, k)
+
+
+def test_undefined_operators_of_the_source_write_nothing():
+    """Delta[2] with s_0 and zeta_0 undefined on the vertex 2: the edge 22
+    and its token become generators, and they are the last entries of
+    their rows, which a write to the target -1 would overwrite."""
+    D = tdelta.delta(2)
+    deg = [[row[:] for row in level] for level in D._deg[:-1]] + [None]
+    zeta = [[row[:] for row in level] for level in D._zeta[:-1]] + [None]
+    two = D._idx[0]["2"]
+    assert deg[0][0][two] == len(D._ids[1]) - 1
+    assert zeta[0][0][two] == len(D._tok_ids[1]) - 1
+    deg[0][0][two] = zeta[0][0][two] = -1
+    A = tdelta.TruncatedTDeltaSet(2, D._ids, D._face, deg, D._tok_ids,
+                                  D._tok_under, zeta, name="A")
+    assert "s_0 missing on 2 (level 0)" in A.validate()
+    assert not A.is_degenerate(1, "22") and "t|22" in A.free_token_ids(1)
+    _assert_derived_is_witness_mask(A)
+    X = tdelta.delta(2)
+    simg, timg = tdelta._undefined(A)
+    for m in range(3):
+        for s in A.nondegenerate_ids(m):
+            simg[m][A._idx[m][s]] = X._idx[m][s]
+    simg[1][A._idx[1]["22"]] = X._idx[1]["01"]  # not X's s_0 of 2
+    timg[1][A._tok_idx[1]["t|22"]] = X._tok_idx[1]["t|00"]
+    want = ref_rows(A, X, simg, timg)
+    f = tdelta.map_on_generators(A, X, simg, timg)
+    assert (f._simg, f._timg) == want
+    assert f.apply_simplex(1, "22") == "01"
+    assert f.apply_token(1, "t|00") == f.apply_token(1, "t|22") == "t|00"
+
+
+@pytest.mark.parametrize("name", sorted(twocat.standard_examples()))
+def test_derived_table_is_the_witness_mask_of_catalog_nerves(name):
+    C = twocat.standard_examples()[name]
+    for marking in ("street", "rs", "natural"):
+        for dim in range(5):
+            _assert_derived_is_witness_mask(
+                nerves.nerve_with_info(C, dim, marking)[0])
+
+
+def test_derived_table_is_the_witness_mask_of_library_shapes():
+    for ext in lifting.anodyne_library(2, 5):
+        _assert_derived_is_witness_mask(ext.A)
+        _assert_derived_is_witness_mask(ext.B)

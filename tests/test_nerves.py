@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from complicial import lifting, twocat
 from complicial.nerves import (duskin_nerve, natural_nerve, nerve_with_info,
                                rs_nerve, rs_to_natural)
-from oracles import nerve_map, rs_fully_faithful_check, two_functors
+from oracles import (nerve_map, rs_fully_faithful_check, two_functors,
+                     witnesses)
 
 
 @pytest.fixture(scope="module")
@@ -192,7 +193,7 @@ def test_rs_nerves_have_no_free_level1_tokens(catalog, N):
     # is the plain inclusion
     for name, C in sorted(catalog.items()):
         rs = rs_nerve(C, N)
-        assert all(w is not None for w in rs._zeta_wit[1]), name
+        assert all(w is not None for w in witnesses(rs)[1][1]), name
         assert rs_to_natural(rs, natural_nerve(C, N)).is_valid(), name
 
 

@@ -136,3 +136,28 @@ def test_arbitrary_ids_match_the_oracle(doc, tmp_path_factory):
     assert not X.validate()
     path = tmp_path_factory.mktemp("writer") / "X.json"
     assert written(X, path) == oracle(X)
+
+
+def _without(X, key, level, i):
+    """X's document without the ``key`` entries of operator i at level."""
+    doc = X.to_json_dict()
+    doc[key] = [e for e in doc[key] if e[:2] != [level, i]]
+    return doc
+
+
+@pytest.mark.parametrize("X, key, level, i", [
+    (tdelta.delta(2), "faces", 2, 0),
+    (tdelta.delta(3), "degeneracies", 1, 1),
+    (tdelta.delta_t(2), "zeta", 0, 0),
+    (nerves.natural_nerve(CATALOG["iso"], 3), "zeta", 2, 2),
+], ids=["faces", "degeneracies", "zeta", "iso-zeta"])
+def test_undefined_operators_round_trip(X, key, level, i, tmp_path):
+    """A document with an operator left out loads with it undefined, and
+    writes and reloads to the same tDelta-set with the same report."""
+    Y = tdelta.TruncatedTDeltaSet.from_json_dict(_without(X, key, level, i))
+    report = Y.validate()
+    assert report and "missing" in report[0]
+    text = written(Y, tmp_path / "Y.json")
+    assert text == oracle(Y)
+    back = tdelta.TruncatedTDeltaSet.from_json_dict(json.loads(text))
+    assert back.same_as(Y) and back.validate() == report
