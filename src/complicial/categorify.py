@@ -246,10 +246,8 @@ def counit_assignment(C, N=4):
     X, info = nerves.nerve_with_info(C, N, "natural")
     P = categorify(X)
     inv = twocat.invertible_2cells(C)
-    by_token = {}
-    for f, aes in info.completions.items():
-        for ae in aes:
-            by_token[nerves.completion_token(f, ae)] = ae
+    by_token = {nerves.completion_token(f, ae): ae for f in sorted(C.one_cells)
+                for ae in twocat.adjoint_equivalence_completions(C, f)}
     on_one = {}
     on_two = {}
     for g in P.one_gens:

@@ -286,6 +286,8 @@ def main(argv=None):
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:  # an output that cannot be written fails before any work
         for path in (getattr(args, "out", None), getattr(args, "report", None)):
+            if path and os.path.isdir(path):
+                raise InvalidInput(f"cannot write {path}: is a directory")
             if path and not os.path.isdir(os.path.dirname(path) or "."):
                 raise InvalidInput(f"cannot write {path}: no such directory")
         trace = getattr(args, "trace", None)

@@ -34,37 +34,38 @@ class StageError(Exception):
     """A stage assertion failed; the replay does not match the construction."""
 
 
-def _simplex_from_faces(X, info, m, face_sids):
-    """The m-simplex (m >= 3) with faces face_sids of X, a stage over the
-    nerve of info."""
-    j = info.by_faces[m].get(tuple(X._idx[m - 1][s] for s in face_sids))
+def _simplex(X, info, stage, tri, vs):
+    """The index in X, a stage over the nerve of info, of the simplex on
+    the vertices vs (at least three) whose triangle on (i, j, k) is the
+    triple (u, v, alpha) ``tri((i, j, k))``; the nerve is 3-coskeletal."""
+    m = len(vs) - 1
+    if m == 2:
+        try:
+            return X._idx[2][info.triangle(*tri(vs))]
+        except KeyError as exc:
+            raise StageError(f"{stage} skeleton fails: {exc.args[0]} is not "
+                             f"a triangle of the nerve") from None
+    faces = tuple(_simplex(X, info, stage, tri, vs[:i] + vs[i + 1:])
+                  for i in range(m + 1))
+    j = info.by_faces[m].get(faces)
     if j is None:
         raise StageError(f"no {m}-simplex has the prescribed boundary")
-    return X._ids[m][j]
+    return j
 
 
-def _tetrahedron(X, info, stage, triangles):
-    """The 3-simplex of X with faces d_0..d_3 the triangles (u, v, alpha)."""
-    try:
-        faces = [info.triangle(*t) for t in triangles]
-    except KeyError as exc:
-        raise StageError(f"{stage} skeleton fails: {exc.args[0]} is not a "
-                         f"triangle of the nerve") from None
-    return _simplex_from_faces(X, info, 3, faces)
-
-
-def _glue(X, ext, tops, stage, name):
-    """Push ext out along maps of its top simplex onto each of tops, built
-    and checked by the compiled lift plan.  Returns (P, X -> P, [B_k -> P],
-    number of gluings); P is built on the simplex rows of X."""
-    plan, incl = lifting._compile_plan(ext), ext.inclusion
-    xs = [X._idx[plan.m][top] for top in tops]
+def _glue(X, ext, xs, stage, name):
+    """Push ext out along maps of its top simplex onto each simplex of X
+    with an index in xs, built and checked by the compiled lift plan.
+    Returns (P, X -> P, [B_k -> P], number of gluings); P is built on the
+    simplex rows of X."""
+    plan, incl = lifting._compile_plan(ext), inclusion_map(ext.A, ext.B)
     good = set(lifting._passing(X, plan.m, xs, plan.domain_marks))
     gluings = []
-    for top, x in zip(tops, xs):
+    for x in xs:
         if x not in good:
             raise StageError(f"{stage}: a marked simplex of {ext.A.name} "
-                             f"lands on an unmarked one at {top}")
+                             f"lands on an unmarked one at "
+                             f"{X._ids[plan.m][x]}")
         gluings.append((lifting._part_to_map(X, ext, plan, (x,)), incl))
     P, x_to_p, b_maps = tdelta.pushout_family(
         X, gluings, prefix=f"{stage.lower()}.", name=name)
@@ -123,15 +124,11 @@ def stage_p1(X, info):
         wit = {(0, 1, 2): beta, (0, 1, 3): id2(f), (0, 1, 4): beta,
                (0, 2, 3): alpha, (0, 2, 4): id2(g), (0, 3, 4): beta}
 
-        def tri(i, j, k):
+        def tri(ijk):
+            i, j, k = ijk
             return (edges.get((i, j), idy), edges.get((j, k), idy),
-                    wit.get((i, j, k), id2(idy)))
-
-        def faces(vs):  # the vertex lists of d_0, d_1, ... of the simplex vs
-            return [[v for v in vs if v != w] for w in vs]
-        tets = [_tetrahedron(X, info, "P1", [tri(*t) for t in faces(vs)])
-                for vs in faces(range(5))]
-        tops.append(_simplex_from_faces(X, info, 4, tets))
+                    wit.get(ijk, id2(idy)))
+        tops.append(_simplex(X, info, "P1", tri, (0, 1, 2, 3, 4)))
     P1, x_to_p1, _, n = _glue(X, saturation(0), tops, "P1", f"P1({C.name})")
     report = StageReport("P1", n, X.counts()["tokens"], P1.counts()["tokens"])
     return P1, x_to_p1, report
@@ -141,7 +138,7 @@ def _section_of_collapse(P, Q, to_q, base):
     """Section of a token collapse P -> Q: each token of Q goes back to the
     least member of its class that is a token of the earlier stage base,
     else to the least member.  Q has the simplices of P."""
-    simg = inclusion_map(Q, P)._simg  # the tokens are chosen below
+    simg = [list(range(len(level))) for level in Q._ids]
     timg = [None]
     for m in range(1, P.dim + 1):
         keep = set(base.token_ids(m))
@@ -184,9 +181,9 @@ def stage_p3(P2, info):
             z = C.one_cells[g2].tgt
             idz = C.identity_of(z)
             id2 = C.identity2_of
-            tops.append(_tetrahedron(P2, info, "P3", [
-                (g2, idz, id2(g2)), (tgt, idz, alpha), (g1, g2, alpha),
-                (g1, g2, id2(tgt))]))
+            tri = {(1, 2, 3): (g2, idz, id2(g2)), (0, 2, 3): (tgt, idz, alpha),
+                   (0, 1, 3): (g1, g2, alpha), (0, 1, 2): (g1, g2, id2(tgt))}
+            tops.append(_simplex(P2, info, "P3", tri.get, (0, 1, 2, 3)))
     P3, p2_to_p3, _, n = _glue(P2, thinness(2, 3), tops, "P3",
                                P2.name.replace("P2", "P3"))
     report = StageReport("P3", n, P2.counts()["tokens"], P3.counts()["tokens"])
@@ -209,9 +206,10 @@ def stage_p4_and_retract(P3, info):
         x = C.one_cells[f].src
         y = C.one_cells[f].tgt
         id2 = C.identity2_of
-        tops.append(_tetrahedron(P3, info, "P4", [
-            (g, f, inv.get(eps)), (C.identity_of(x), f, id2(f)),
-            (f, C.identity_of(y), id2(f)), (f, g, eta)]))
+        tri = {(1, 2, 3): (g, f, inv.get(eps)), (0, 1, 2): (f, g, eta),
+               (0, 2, 3): (C.identity_of(x), f, id2(f)),
+               (0, 1, 3): (f, C.identity_of(y), id2(f))}
+        tops.append(_simplex(P3, info, "P4", tri.get, (0, 1, 2, 3)))
     P4, p3_to_p4, b_maps, n = _glue(P3, saturation(-1), tops, "P4",
                                     P3.name.replace("P3", "P4"))
 

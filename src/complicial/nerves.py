@@ -26,15 +26,13 @@ from .twocat import InvalidInput
 class NerveInfo:
     """Construction metadata: witness cells behind the simplex ids."""
 
-    __slots__ = ("C", "dim", "two_data", "two_index", "by_faces",
-                 "completions")
+    __slots__ = ("C", "dim", "two_data", "two_index", "by_faces")
 
     def __init__(self, C, dim):
         self.C, self.dim = C, dim
         self.two_data = {}   # sid -> (u, v, alpha)
         self.two_index = {}  # (u, v, alpha) -> sid
         self.by_faces = {}   # m >= 3 -> {face-index tuple: simplex index}
-        self.completions = {}
 
     def witness(self, sid):
         return self.two_data[sid][2]
@@ -164,11 +162,9 @@ def nerve_with_info(C, N=5, marking="street"):
     tok_ids, tok_under, zeta = tdelta._minimal_tokens(N, ids, deg, marked)
     if marking == "natural":
         # level 1 carries one token per adjoint-equivalence completion
-        info.completions = {f: twocat.adjoint_equivalence_completions(C, f)
-                            for f in sorted(C.one_cells)}
         if N >= 1:
             pairs = [(completion_token(f, ae), j) for j, f in enumerate(ids[1])
-                     for ae in info.completions[f]]
+                     for ae in twocat.adjoint_equivalence_completions(C, f)]
             tok_ids[1] = [t for t, _ in pairs]
             tok_under[1] = [j for _, j in pairs]
             at = {t: k for k, t in enumerate(tok_ids[1])}

@@ -53,10 +53,11 @@ def _index(ids, kind, m):
     return table
 
 
-def _check(row, targets, what, sources):
-    """Raise unless every entry of ``row`` is -1 or an index into targets."""
-    if row and (min(row) < -1 or max(row) >= len(targets)):
-        j = next(j for j, v in enumerate(row) if not -1 <= v < len(targets))
+def _check(row, targets, what, sources, low=-1):
+    """Raise unless every entry of ``row`` is an index into targets, or -1
+    (an undefined operator) where ``low`` is -1."""
+    if row and (min(row) < low or max(row) >= len(targets)):
+        j = next(j for j, v in enumerate(row) if not low <= v < len(targets))
         raise InvalidInput(f"unknown {what} of {sources[j]!r}")
 
 
@@ -104,7 +105,7 @@ class TruncatedTDeltaSet:
         ``deg[dim]``, ``zeta[dim]``, ``tok_ids[0]``, ``tok_under[0]``) are
         ignored.  A row entry is the index of an element of the right level,
         or -1 where the operator is undefined (``validate`` reports those);
-        anything else names an unknown element.
+        anything else, and a token over no simplex, names an unknown element.
         """
         if dim < 0:
             raise InvalidInput("dimension bound must be >= 0")
@@ -141,7 +142,7 @@ class TruncatedTDeltaSet:
                     _check(zeta[m][i], tok_ids[m + 1], f"token as zeta_{i}",
                            ids[m])
             if m:
-                _check(tok_under[m], ids[m], "simplex under", tok_ids[m])
+                _check(tok_under[m], ids[m], "simplex under", tok_ids[m], 0)
 
     # -- id-level accessors --------------------------------------------------
 

@@ -596,7 +596,8 @@ def nerve_map(F, C, D, N=5, marking="rs"):
         img.append([infoD.by_faces[m][tuple(below[r[j]] for r in rows)]
                     for j in range(len(XC._ids[m]))])
     by_token = {nerves.completion_token(f, ae): (f, ae)
-                for f, aes in infoC.completions.items() for ae in aes}
+                for f in sorted(C.one_cells)
+                for ae in twocat.adjoint_equivalence_completions(C, f)}
     timg = [None]
     for m in range(1, N + 1):
         row = []

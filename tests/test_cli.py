@@ -432,6 +432,27 @@ def test_unwritable_output_fails_before_any_work(argv, tmp_path, capsys,
     assert "input error: cannot write" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["nerve", "--input", "C.json", "--out", "{tmp}"],
+    ["check-fibrant", "--input", "X.json", "--report", "{tmp}"],
+    ["categorify", "--input", "X.json", "--out", "{tmp}"],
+    ["counit-check", "--cat", "C.json", "--report", "{tmp}"],
+    ["examples", "--name", "oriental-3", "--out", "{tmp}"],
+], ids=["nerve", "check-fibrant", "categorify", "counit-check", "examples"])
+def test_output_that_is_a_directory_fails_before_any_work(argv, tmp_path,
+                                                          capsys, monkeypatch):
+    """An --out or --report that names an existing directory ends the
+    command before it reads its input or builds the catalog."""
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the output was checked")
+
+    monkeypatch.setattr(cli, "_read", never)
+    monkeypatch.setattr(cli.twocat, "standard_examples", never)
+    assert run([a.format(tmp=tmp_path) for a in argv]) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == \
+        f"input error: cannot write {tmp_path}: is a directory\n"
+
+
 def test_failed_command_leaves_existing_output_alone(tmp_path, capsys):
     """The early check neither creates nor truncates the output."""
     bad, report = tmp_path / "X.json", tmp_path / "R.json"

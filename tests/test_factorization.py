@@ -125,14 +125,14 @@ def test_gluing_onto_an_unmarked_simplex_raises(catalog):
     X = nerves.duskin_nerve(catalog["chain-3"], 3)  # marks nothing but
     top, = X.nondegenerate_ids(3)                   # the degenerate simplices
     with pytest.raises(fz.StageError, match=f"P4: .* at {top}"):
-        fz._glue(X, lifting.saturation(-1), [top], "P4", "P4")
+        fz._glue(X, lifting.saturation(-1), [X._idx[3][top]], "P4", "P4")
 
 
 def test_a_boundary_that_no_simplex_has_raises(catalog):
     X, info = _rs(catalog["inv-oriental-2"])
     t = X.nondegenerate_ids(2)[0]
     with pytest.raises(fz.StageError, match="no 3-simplex"):
-        fz._simplex_from_faces(X, info, 3, [t] * 4)
+        fz._simplex(X, info, "P3", lambda ijk: info.two_data[t], (0, 1, 2, 3))
 
 
 def test_a_triple_that_is_no_triangle_raises(catalog):
@@ -140,9 +140,10 @@ def test_a_triple_that_is_no_triangle_raises(catalog):
     X, info = _rs(C)
     f = sorted(C.one_cells)[0]
     bad = (f, f, "no-such-cell")
+    tris = [info.two_data[s] for s in X.nondegenerate_ids(2)[:3]] + [bad]
+    faces = dict(zip([(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)], tris))
     with pytest.raises(fz.StageError, match="^P3 skeleton fails"):
-        fz._tetrahedron(X, info, "P3", [info.two_data[s] for s in
-                                        X.nondegenerate_ids(2)[:3]] + [bad])
+        fz._simplex(X, info, "P3", faces.get, (0, 1, 2, 3))
 
 
 @st.composite

@@ -105,6 +105,13 @@ def test_no_source_file_imports_dataclasses():
         assert "dataclasses" not in names, name
 
 
+def test_no_source_file_asserts():
+    """Invariants in src/ are raised exceptions: ``python -O`` drops every
+    ``assert``, and the -O run of the tests sees only those they reach."""
+    assert [(name, node.lineno) for name, node in _source_nodes()
+            if isinstance(node, ast.Assert)] == []
+
+
 # The oracles of tests/oracles.py: no command runs them, so src/ defines none
 MOVED = {
     "_iter_maps", "_lift_tables", "maps", "iter_maps", "_to_map",

@@ -130,7 +130,7 @@ def test_defaults():
     assert Pasting(Word("x", "x")).factors == ()
     a, b = NerveInfo("C", 2), NerveInfo("C", 2)
     assert (a.C, a.dim) == ("C", 2)
-    for field in ("two_data", "two_index", "completions"):
+    for field in ("two_data", "two_index", "by_faces"):
         assert getattr(a, field) == {}
         assert getattr(a, field) is not getattr(b, field)
     r, s = StageReport("P1", 0, [], []), StageReport("P2", 0, [], [])

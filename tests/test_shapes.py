@@ -290,3 +290,15 @@ def test_constructor_checks_every_row_and_shares_the_delta_rows():
     for args, message in cases:
         with pytest.raises(InvalidInput, match=message):
             TruncatedTDeltaSet(2, *args)
+
+
+def test_constructor_refuses_a_token_over_no_simplex():
+    """-1 in ``tok_under`` is refused as the loader refuses an unknown
+    ``under``: such a token would validate, and write and reload as a token
+    over the last simplex of its level."""
+    _, ids, face, deg = tdelta._delta_tables(1, 1)
+    tok_ids, tok_under, zeta = tdelta._minimal_tokens(1, ids, deg, [set()] * 2)
+    tok_under[1][tok_ids[1].index("t|00")] = -1
+    with pytest.raises(InvalidInput,
+                       match=r"^unknown simplex under of 't\|00'$"):
+        TruncatedTDeltaSet(1, ids, face, deg, tok_ids, tok_under, zeta)

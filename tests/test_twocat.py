@@ -22,6 +22,16 @@ def test_catalog_is_valid(catalog):
         assert C.validate() == [], name
 
 
+def test_category_builders_list_no_unit_composite():
+    """The 1-category builders list only composites of non-identity arrows;
+    ``_with_units`` adds the ones that the unit laws fix."""
+    for D in [*map(twocat.chain_category, range(-1, 7)),
+              twocat.iso_category(), twocat.parallel_pair_category()]:
+        arrows = D.arrow_map()
+        assert not [gf for gf, _ in D.comp
+                    if arrows[gf[0]].identity or arrows[gf[1]].identity]
+
+
 # -- oriental counts, against an independent path/subset oracle ---------------
 
 def oracle_one_cell_count(m):
