@@ -127,19 +127,21 @@ def _inverse_relations(src, tgt, gen, inv):
             _pair(Pasting(tgt, _alone(inv) + gen), Pasting(tgt))]
 
 
+def _edge_word(X, e):
+    """The 1-generator word of the edge e of X: empty where e is degenerate."""
+    if X.is_degenerate(1, e):
+        v = X.face_of(1, 1, e)
+        return Word(v, v, ())
+    return Word(X.face_of(1, 1, e), X.face_of(1, 0, e), (f"E|{e}",))
+
+
 def categorify(X):
     """Presentation of the categorification of a finite truncated set."""
 
-    def edge_word(e):
-        if X.is_degenerate(1, e):
-            v = X.face_of(1, 1, e)
-            return Word(v, v, ())
-        return Word(X.face_of(1, 1, e), X.face_of(1, 0, e), (f"E|{e}",))
-
     def tri_boundary(x):
-        src = edge_word(X.face_of(2, 1, x))
-        left = edge_word(X.face_of(2, 2, x))
-        right = edge_word(X.face_of(2, 0, x))
+        src = _edge_word(X, X.face_of(2, 1, x))
+        left = _edge_word(X, X.face_of(2, 2, x))
+        right = _edge_word(X, X.face_of(2, 0, x))
         return src, Word(left.src, right.tgt, left.gens + right.gens)
 
     def tri_factors(x, pre, post):
@@ -163,7 +165,7 @@ def categorify(X):
 
     # a free mark on an edge f: x -> y gives an adjoint equivalence
     for t in X.free_token_ids(1):
-        we = edge_word(X.under_of(1, t))
+        we = _edge_word(X, X.under_of(1, t))
         x, y = we.src, we.tgt
         g = f"G|{t}"
         one_gens[g] = (y, x)
@@ -193,9 +195,9 @@ def categorify(X):
         d1 = X.face_of(3, 1, x)
         d2 = X.face_of(3, 2, x)
         d3 = X.face_of(3, 3, x)
-        w01 = edge_word(X.face_of(2, 2, d3))
-        w23 = edge_word(X.face_of(2, 0, d0))
-        src = edge_word(X.face_of(2, 1, d2))
+        w01 = _edge_word(X, X.face_of(2, 2, d3))
+        w23 = _edge_word(X, X.face_of(2, 0, d0))
+        src = _edge_word(X, X.face_of(2, 1, d2))
         lhs = Pasting(src, tri_factors(d2, (), ()) +
                       tri_factors(d0, w01.gens, ()))
         rhs = Pasting(src, tri_factors(d1, (), ()) +
@@ -290,7 +292,7 @@ def section_check(assignment, x, y):
     """Check that the counit retracts the hom-category embedding at (x, y).
 
     ``assignment`` is ``counit_assignment(C, N)``; C and the nerve are read
-    off it.  The embedding sends a 1-cell to its generator word and a
+    off it.  The embedding sends a 1-cell to the word of its edge and a
     2-cell phi: a => b to the triangle generator over (id_x, b; phi);
     applying the counit assignment must give back exactly the cells of C.
     """
@@ -299,13 +301,8 @@ def section_check(assignment, x, y):
     on_one, on_two = assignment.on_one, assignment.on_two
     mismatches = []
     idx = C.identity_of(x)
-
-    def embed_word(f):
-        return Word(x, x, ()) if C.one_cells[f].identity \
-            else Word(x, y, (f"E|{f}",))
-
     for f in C.hom(x, y):
-        got = _eval_word(C, on_one, embed_word(f))
+        got = _eval_word(C, on_one, _edge_word(X, f))
         if got != f:
             mismatches.append(("one", f, got))
         for b in C.hom(x, y):
@@ -316,7 +313,7 @@ def section_check(assignment, x, y):
                 else:
                     got = _eval_pasting(
                         C, on_one, on_two,
-                        Pasting(embed_word(f),
+                        Pasting(_edge_word(X, f),
                                 (PastingFactor((), f"A|{sid}", ()),)))
                 if got != phi:
                     mismatches.append(("two", phi, got))

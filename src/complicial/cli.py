@@ -206,13 +206,10 @@ def cmd_categorify(args):
 def cmd_counit_check(args):
     C = _read(twocat.FiniteTwoCategory, "2-category", args.cat)
     assignment = categorify_mod.counit_assignment(C, args.dim)
-    sections = {}
-    ok = True
-    for x in C.objects:
-        for y in C.objects:
-            res = categorify_mod.section_check(assignment, x, y)
-            sections[f"{x}->{y}"] = bool(res)
-            ok = ok and bool(res)
+    check = categorify_mod.section_check
+    sections = {f"{x}->{y}": bool(check(assignment, x, y))
+                for x in C.objects for y in C.objects}
+    ok = all(sections.values())
     doc = {
         "category": C.name,
         "dim": args.dim,
@@ -285,12 +282,15 @@ def main(argv=None):
     except SystemExit as exc:  # argparse printed the help or the usage error
         return EXIT_OK if exc.code == 0 else EXIT_INPUT
     try:  # an output that cannot be written fails before any work
-        for path in (getattr(args, "out", None), getattr(args, "report", None)):
+        out, report, trace = (getattr(args, key, None)
+                              for key in ("out", "report", "trace"))
+        if "" in (out, report, trace):
+            raise InvalidInput("cannot write '': empty path")
+        for path in (out, report):
             if path and os.path.isdir(path):
                 raise InvalidInput(f"cannot write {path}: is a directory")
             if path and not os.path.isdir(os.path.dirname(path) or "."):
                 raise InvalidInput(f"cannot write {path}: no such directory")
-        trace = getattr(args, "trace", None)
         if trace and os.path.exists(trace) and not os.path.isdir(trace):
             raise InvalidInput(f"cannot write {trace}: not a directory")
         return args.func(args)

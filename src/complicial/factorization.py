@@ -25,9 +25,8 @@ from __future__ import annotations
 
 from . import lifting, nerves, tdelta, twocat
 from .lifting import saturation, thinness
-from .nerves import completion_token
+from .nerves import completion_token, unit_token
 from .tdelta import inclusion_map, map_on_generators
-from .twocat import AdjointEquivalence
 
 
 class StageError(Exception):
@@ -222,9 +221,7 @@ def stage_p4_and_retract(P3, info):
         idc = P3.under_of(1, t)
         if not C.one_cells[idc].identity:
             raise StageError("P3 marks a non-identity 1-simplex")
-        ae0 = AdjointEquivalence(idc, idc, C.identity2_of(idc),
-                                 C.identity2_of(idc))
-        cls[(1, t)] = completion_token(idc, ae0)
+        cls[(1, t)] = unit_token(C, idc)
     known = set(completions)
     for ae, bmap in zip(completions, b_maps):
         transpose = twocat.transpose_completion(C, ae)

@@ -160,8 +160,8 @@ def _nondeg_chains(A, tops):
 
 
 def _free_token_unders(S):
-    return [(m, S._tok_under[m][S._tok_idx[m][t]])
-            for m in range(1, S.dim + 1) for t in S.free_token_ids(m)]
+    return [(m, u) for m, comarked in enumerate(S._derived[1]) if m
+            for t, u in enumerate(S._tok_under[m]) if t not in comarked]
 
 
 def _compile_plan(ext):

@@ -48,6 +48,12 @@ def completion_token(f, ae):
                              for c in (f, ae.g, ae.eta, ae.eps)])
 
 
+def unit_token(C, f):
+    """The token of f's unit completion (f, f, id_f, id_f)."""
+    i2 = C.identity2_of(f)
+    return completion_token(f, twocat.AdjointEquivalence(f, f, i2, i2))
+
+
 def _in_id_order(prefix, items):
     """(ids, items): the k-th item is named prefix + str(k), and both lists
     are in the string order of those ids (``"W2.10"`` before ``"W2.2"``)."""
@@ -168,12 +174,8 @@ def nerve_with_info(C, N=5, marking="street"):
             tok_ids[1] = [t for t, _ in pairs]
             tok_under[1] = [j for _, j in pairs]
             at = {t: k for k, t in enumerate(tok_ids[1])}
-            zeta[0] = [[]]
-            for x in ids[0]:
-                f = C.identity_of(x)
-                i2 = C.identity2_of(f)
-                ae = twocat.AdjointEquivalence(f, f, i2, i2)
-                zeta[0][0].append(at.get(completion_token(f, ae), -2))
+            zeta[0] = [[at.get(unit_token(C, C.identity_of(x)), -2)
+                        for x in ids[0]]]
     face = [None] + [[[t[i] for t in faces[m]] for i in range(m + 1)]
                      for m in range(1, N + 1)]
     name = {"street": "N_street", "rs": "N_rs", "natural": "N_nat"}[marking]

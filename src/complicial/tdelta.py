@@ -171,14 +171,14 @@ class TruncatedTDeltaSet:
     def nondegenerate_ids(self, m):
         if not 0 <= m <= self.dim:
             return []
-        hit = set().union(*self._deg[m - 1]) if m else ()
+        hit = self._derived[0][m]
         return [s for i, s in enumerate(self._ids[m]) if i not in hit]
 
     def free_token_ids(self, m):
         """The tokens of level m that no zeta_i picks, in index order."""
         if not 1 <= m <= self.dim:
             return []
-        hit = set().union(*self._zeta[m - 1])
+        hit = self._derived[1][m]
         return [t for i, t in enumerate(self._tok_ids[m]) if i not in hit]
 
     def counts(self):
@@ -268,13 +268,8 @@ class TruncatedTDeltaSet:
         return errs
 
     def is_stratified(self):
-        for m in range(1, self.dim + 1):
-            seen = set()
-            for u in self._tok_under[m]:
-                if u in seen:
-                    return False
-                seen.add(u)
-        return True
+        return all(len(self._tokens_over_idx[m]) == len(self._tok_under[m])
+                   for m in range(1, self.dim + 1))
 
     def same_underlying(self, other):
         """Whether both have the same simplicial set: ids, faces and
@@ -735,11 +730,9 @@ def join(A, B, out_dim=None, name=None):
         q = m - 1 - p
         return ((p < 0 or a not in A._derived[0][p]) and
                 (q < 0 or b not in B._derived[0][q]) and
-                (p > 0 and a in a_marks[p] or q > 0 and b in b_marks[q]))
+                (p > 0 and a in A._tokens_over_idx[p] or
+                 q > 0 and b in B._tokens_over_idx[q]))
 
-    a_marks, b_marks = ([None] + [set(X._tok_under[m])
-                                  for m in range(1, out_dim + 1)]
-                        for X in (A, B))
     marks = [None] + [{j for j, k in enumerate(keys[m]) if marked(m, *k)}
                       for m in range(1, out_dim + 1)]
     return _shape(ids, face, deg, marks, name or f"{A.name} * {B.name}")
@@ -859,14 +852,10 @@ def identify_markings(X, name=None, labels=None):
     is stratified and the operation is idempotent.  Q adopts the simplices,
     faces and degeneracies of X.  Returns (Q, X -> Q).
     """
-    if labels is None:
-        labels = {}
-        for m in range(1, X.dim + 1):
-            least = {}
-            for t, u in zip(X._tok_ids[m], X._tok_under[m]):
-                least[u] = min(least.get(u, t), t)
-            labels.update({(m, t): least[u]
-                           for t, u in zip(X._tok_ids[m], X._tok_under[m])})
+    if labels is None:  # a level's tokens are in id order: the first is least
+        labels = {(m, t): X._tok_ids[m][X._tokens_over_idx[m][u][0]]
+                  for m in range(1, X.dim + 1)
+                  for t, u in zip(X._tok_ids[m], X._tok_under[m])}
     tok_ids, tok_under, cls = [None], [None], [None]
     for m in range(1, X.dim + 1):
         under = {}  # class label -> the simplex under the class

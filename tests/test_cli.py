@@ -105,16 +105,20 @@ def test_factorize_writes_no_trace_when_the_replay_fails(tmp_path,
     assert not trace.exists()
 
 
-@pytest.mark.parametrize("dim", ["3", "7", "-1"])
+@pytest.mark.parametrize("dim", ["3", "7", "-1", "0"])
 def test_factorize_out_of_range_dim_makes_no_trace(dim, tmp_path, capsys):
-    """The replay rejects the dimension before the trace directory exists."""
+    """The replay rejects the dimension, with its reason, before the trace
+    directory exists; stage P1 glues along 4-simplices."""
     cat = tmp_path / "C.json"
     run(["examples", "--name", "chain-1", "--out", str(cat)])
     trace = tmp_path / "trace"
     assert run(["factorize", "--input", str(cat), "--dim", dim,
                 "--trace", str(trace)]) == cli.EXIT_INPUT
     assert not trace.exists()
-    assert "input error" in capsys.readouterr().err
+    reason = {"7": "nerve dimension capped at 6",
+              "-1": "dimension bound must be >= 0"}.get(
+                  dim, "stage P1 needs dimension at least 4")
+    assert capsys.readouterr().err == f"input error: {reason}\n"
 
 
 @pytest.mark.parametrize("blocked", ["p2.json", "p4.json"])
@@ -451,6 +455,29 @@ def test_output_that_is_a_directory_fails_before_any_work(argv, tmp_path,
     assert run([a.format(tmp=tmp_path) for a in argv]) == cli.EXIT_INPUT
     assert capsys.readouterr().err == \
         f"input error: cannot write {tmp_path}: is a directory\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["nerve", "--input", "C.json", "--out", ""],
+    ["check-fibrant", "--input", "X.json", "--report", ""],
+    ["categorify", "--input", "X.json", "--out", ""],
+    ["counit-check", "--cat", "C.json", "--report", ""],
+    ["examples", "--name", "iso", "--out", ""],
+    ["factorize", "--input", "C.json", "--trace", ""],
+], ids=["nerve", "check-fibrant", "categorify", "counit-check", "examples",
+        "factorize"])
+def test_empty_output_path_fails_before_any_work(argv, capsys, monkeypatch):
+    """An empty --out, --report or --trace ends the command before it reads
+    its input or builds the catalog, instead of writing no report or
+    failing only after the work."""
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the output was checked")
+
+    monkeypatch.setattr(cli, "_read", never)
+    monkeypatch.setattr(cli.twocat, "standard_examples", never)
+    assert run(argv) == cli.EXIT_INPUT
+    assert capsys.readouterr().err == \
+        "input error: cannot write '': empty path\n"
 
 
 def test_failed_command_leaves_existing_output_alone(tmp_path, capsys):

@@ -352,9 +352,20 @@ def ref_rows(A, X, simg, timg):
 
 
 def _assert_derived_is_witness_mask(A):
+    """``_derived`` and the accessors that read it against the oracle
+    ``witnesses(A)``, and ``is_stratified`` against the raw token rows."""
     for k, wits in enumerate(witnesses(A)):
         assert [{j for j, w in enumerate(level) if w is not None}
                 for level in wits[k:]] == A._derived[k][k:], (A.name, k)
+    simplices, tokens = witnesses(A)
+    for m in range(A.dim + 1):
+        assert A.nondegenerate_ids(m) == [
+            s for s, w in zip(A._ids[m], simplices[m]) if w is None], A.name
+        assert A.free_token_ids(m) == ([] if m == 0 else [
+            t for t, w in zip(A._tok_ids[m], tokens[m]) if w is None]), A.name
+    assert A.is_stratified() == all(
+        len(set(A._tok_under[m])) == len(A._tok_under[m])
+        for m in range(1, A.dim + 1)), A.name
 
 
 def test_undefined_operators_of_the_source_write_nothing():
@@ -394,6 +405,15 @@ def test_derived_table_is_the_witness_mask_of_catalog_nerves(name):
         for dim in range(5):
             _assert_derived_is_witness_mask(
                 nerves.nerve_with_info(C, dim, marking)[0])
+
+
+def test_derived_table_is_the_witness_mask_of_a_replay_stage():
+    """P1 of sigma-iso marks triangles several times over, so it is not
+    stratified."""
+    C = twocat.standard_examples()["sigma-iso"]
+    P1 = fz.stage_p1(*nerves.nerve_with_info(C, 4, "rs"))[0]
+    assert not P1.is_stratified()
+    _assert_derived_is_witness_mask(P1)
 
 
 def test_derived_table_is_the_witness_mask_of_library_shapes():
