@@ -203,11 +203,17 @@ def cmd_categorify(args):
     return EXIT_OK
 
 
+def _key(x):
+    """An object id in a section key: a backslash escapes each backslash
+    and ``>``, so that different pairs get different keys."""
+    return x.replace("\\", "\\\\").replace(">", "\\>")
+
+
 def cmd_counit_check(args):
     C = _read(twocat.FiniteTwoCategory, "2-category", args.cat)
     assignment = categorify_mod.counit_assignment(C, args.dim)
     check = categorify_mod.section_check
-    sections = {f"{x}->{y}": bool(check(assignment, x, y))
+    sections = {f"{_key(x)}->{_key(y)}": bool(check(assignment, x, y))
                 for x in C.objects for y in C.objects}
     ok = all(sections.values())
     doc = {

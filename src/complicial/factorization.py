@@ -58,10 +58,10 @@ def _glue(X, ext, xs, stage, name):
     Returns (P, X -> P, [B_k -> P], number of gluings); P is built on the
     simplex rows of X."""
     plan, incl = lifting._compile_plan(ext), inclusion_map(ext.A, ext.B)
-    good = set(lifting._passing(X, plan.m, xs, plan.domain_marks))
+    good = lifting._admitted(X, plan.m, plan.domain_marks)
     gluings = []
     for x in xs:
-        if x not in good:
+        if good and not good[x]:
             raise StageError(f"{stage}: a marked simplex of {ext.A.name} "
                              f"lands on an unmarked one at "
                              f"{X._ids[plan.m][x]}")

@@ -16,8 +16,9 @@ never conflated with a definitive "no lift".
 
 from __future__ import annotations
 
-from bisect import bisect_left
-from itertools import compress
+from functools import reduce
+from itertools import accumulate, compress, count
+from operator import and_, gt, mul
 
 from . import tdelta
 from .record import Record
@@ -144,84 +145,134 @@ class _Plan(Record):
         "lift_marks")    # same, for the extra marked simplices of B
 
 
-def _nondeg_chains(A, tops):
-    """Reach every non-degenerate simplex of A from the top slots by faces,
-    breadth first."""
-    chains = {top: (pos, ()) for pos, top in enumerate(tops)}
-    frontier = list(tops)
-    for lvl, idx in frontier:  # the frontier grows as the loop runs
-        pos, drops = chains[(lvl, idx)]
-        for i in range(lvl + 1 if lvl else 0):
-            key = (lvl - 1, A._face[lvl][i][idx])
-            if key not in chains:
-                chains[key] = (pos, drops + (i,))
-                frontier.append(key)
-    return chains
+def _definition(ext):
+    """(m, k, A's marked vertex tuples, B's, index) of ext's family at its
+    params, as the shape builders take them: both shapes lie on Delta[m]
+    at dim m (A on the k-horn of it for a horn), and index(t) is the index
+    in A of the simplex on the vertex tuple t."""
+    params, family = dict(ext.params), ext.family
+    if family == "horn":
+        m, k = params["m"], params["k"]
+        marked = tdelta._marked_for_delta_k(k, m, m)
+        rank = tdelta._delta_tables(m, m)[0]
+        # the horn lacks one (m-1)-simplex, its face opposite k
+        gap = rank[m - 1][tuple(v for v in range(m + 1) if v != k)]
+        return m, k, marked, marked, lambda t: rank[len(t) - 1][t] - (
+            len(t) == m and rank[m - 1][t] > gap)
+    if family == "thinness":
+        m, k = params["m"], params["k"]
+        A, B = (tdelta._primed_marks(k, m, m, drops)
+                for drops in ((k - 1, k + 1), (k - 1, k, k + 1)))
+    elif family == "triviality":
+        m = params["l"]
+        A, B = set(), {tuple(range(m + 1))}
+    elif family == "saturation":
+        l = params["l"]
+        m = l + 4 if l >= 0 else 3
+        A, B = tdelta._DELTA3_EQ, set(tdelta._nondegenerate(3, 3))
+        if l >= 0:
+            return _joined(l, A, B)
+    else:
+        raise InvalidInput(f"{ext.label()}: not an elementary anodyne family")
+    rank = tdelta._delta_tables(m, m)[0]
+    return m, None, A, B, lambda t: rank[len(t) - 1][t]
 
 
-def _free_token_unders(S):
-    return [(m, u) for m, comarked in enumerate(S._derived[1]) if m
-            for t, u in enumerate(S._tok_under[m]) if t not in comarked]
+def _joined(l, *right):
+    """``_definition`` of Delta[l]*R -> Delta[l]*R' for the marked vertex
+    tuples R and R' of Delta[3]: the join is Delta[l + 4], its tuple t the
+    simplex a*b of its vertices a up to l and b above l (shifted down by
+    l + 1), marked where b is; each level in the string order of the ids
+    ``a*b``."""
+    m = l + 4
+    rank, ids = tdelta._delta_tables(m, m)[:2]
+    low, shift = "".join(map(str, range(l + 1))), str.maketrans(
+        "".join(map(str, range(l + 1, m + 1))), "0123")
+
+    def name(sid):  # the id a*b of the simplex with the id sid in Delta[m]
+        b = sid.lstrip(low)
+        return sid[:len(sid) - len(b)] + "*" + b.translate(shift)
+
+    place = []
+    for level in ids:
+        names = list(map(name, level))
+        place.append(dict(zip(sorted(range(len(level)),
+                                     key=names.__getitem__), count())))
+    return (m, None, *({t for t in tdelta._nondegenerate(m, m)
+                        if tuple(v - l - 1 for v in t if v > l) in marks}
+                       for marks in right),
+            lambda t: place[len(t) - 1][rank[len(t) - 1][t]])
 
 
 def _compile_plan(ext):
-    A, B = ext.A, ext.B
-    params = dict(ext.params)
+    """The plan of ext from its family's definition (``_definition``):
+    the chains are reached breadth first from the top slots, each face
+    d_i in order of i, and they and the marks are read off vertex tuples
+    before the chains are keyed by the indices of A."""
+    m, k, marked_a, marked_b, index = _definition(ext)
     if ext.family == "horn":
-        m, k = params["m"], params["k"]
         slots = [j for j in range(m + 1) if j != k]
-        top = B._idx[m][B.nondegenerate_ids(m)[0]]
-
-        def in_horn(lvl, face):  # a face of B's top, as a simplex of A
-            return A._idx[lvl][B._ids[lvl][face]]
-
-        tops = [(m - 1, in_horn(m - 1, B._face[m][j][top])) for j in slots]
-        chains = _nondeg_chains(A, tops)
+        tops = [tuple(v for v in range(m + 1) if v != j) for j in slots]
     else:
-        m, k, slots = A.dim, None, [None]
-        nd_top = A.nondegenerate_ids(m)
-        if len(nd_top) != 1:
-            raise InvalidInput(
-                f"{ext.label()}: expected a simplex-shaped domain")
-        chains = _nondeg_chains(A, [(m, A._idx[m][nd_top[0]])])
-    domain_marks = []
-    for lvl, under in _free_token_unders(A):
-        pos, drops = chains[(lvl, under)]
-        domain_marks.append((lvl, pos, drops))
-    # per level: the simplices of B under a token whose id A lacks
-    fresh = [None] + [{B._tok_under[lvl][B._tok_idx[lvl][t]] for t in
-                       set(B._tok_ids[lvl]).difference(A.token_ids(lvl))}
-                      for lvl in range(1, B.dim + 1)]
-    lift_marks = []
-    for lvl, under in _free_token_unders(B):
-        if under not in fresh[lvl]:
-            continue  # every token over it already lives in the domain
-        bid = B._ids[lvl][under]
-        if bid not in A._idx[lvl]:
-            if ext.family != "horn":
-                raise InvalidInput(
-                    f"{ext.label()}: new simplex outside a horn extension")
-            continue  # the horn top; its mark is checked by the fill search
-        pos, drops = chains[(lvl, A._idx[lvl][bid])]
-        lift_marks.append((lvl, pos, drops))
-    return _Plan(ext.family if ext.family == "horn" else "simplex",
-                 m, k, slots, chains, sorted(set(domain_marks)),
-                 sorted(set(lift_marks)))
+        slots, tops = [None], [tuple(range(m + 1))]
+    chains = {top: (pos, ()) for pos, top in enumerate(tops)}
+    frontier = list(tops)
+    for s in frontier:  # the frontier grows as the loop runs
+        pos, drops = chains[s]
+        for i in range(len(s) if len(s) > 1 else 0):
+            face = s[:i] + s[i + 1:]
+            if face not in chains:
+                chains[face] = (pos, drops + (i,))
+                frontier.append(face)
+
+    def marks(tuples):  # a horn lacks its top and its face opposite k
+        return sorted({(len(t) - 1, *chains[t]) for t in tuples
+                       if len(t) > 1 and t in chains})
+
+    return _Plan(ext.family if ext.family == "horn" else "simplex", m, k,
+                 slots, {(len(t) - 1, index(t)): c for t, c in chains.items()},
+                 marks(marked_a), marks(set(marked_b) - set(marked_a)))
 
 
-def _passing(X, lvl_from, values, marks, pos=0):
-    """The values, simplex indices of X at lvl_from, in order, that slot pos
-    admits: for each (level, pos, drops) in marks, the face along drops is
-    marked.  Filtered one mark at a time."""
-    for lvl, p, drops in marks:
-        if p != pos:
-            continue
-        img = values
-        for at, d in zip(range(lvl_from, lvl, -1), drops):
+def _table(X, key, build):
+    """X's memo entry at key, built by build() on first use."""
+    if key not in X._memo:
+        X._memo[key] = build()
+    return X._memo[key]
+
+
+def _marked_along(X, lvl_from, drops):
+    """Per simplex of X at lvl_from, whether its face along drops is marked;
+    None where all of them are.  The face deletes a set of vertex
+    positions, whichever order drops names them in: kept in X's memo by
+    that set, and drawn deleting the highest position first."""
+    kept = list(range(lvl_from + 1))
+    for d in drops:
+        del kept[d]
+    gone = sorted(set(range(lvl_from + 1)).difference(kept), reverse=True)
+
+    def build():
+        img = range(len(X._ids[lvl_from]))
+        for at, d in zip(range(lvl_from, 0, -1), gone):
             img = map(X._face[at][d].__getitem__, img)
-        marked = X._tokens_over_idx[lvl]
-        values = list(compress(values, map(marked.__contains__, img)))
-    return values
+        mask = list(map(X._tokens_over_idx[len(kept) - 1].__contains__, img))
+        return None if all(mask) else mask
+
+    return _table(X, ("marked", lvl_from, tuple(gone)), build)
+
+
+def _admitted(X, lvl_from, marks, pos=0):
+    """Per simplex of X at lvl_from, whether slot pos admits it: for each
+    (level, pos, drops) in marks, its face along drops is marked; None where
+    every simplex is admitted."""
+    masks = [mask for _, p, drops in marks if p == pos
+             for mask in [_marked_along(X, lvl_from, drops)] if mask]
+    return reduce(lambda a, b: list(map(and_, a, b)), masks) if masks \
+        else None
+
+
+# the most domain nodes that one block of a horn walk is bounded by
+_BLOCK_NODES = 1 << 16
 
 
 def _search(X, plan, budget):
@@ -230,56 +281,80 @@ def _search(X, plan, budget):
     A map is a simplex of X, or for a horn a compatible family of
     (m-1)-simplices, one per slot, drawn depth first in index order; each
     value drawn is a domain node, and drawing node budget + 1 raises
-    BudgetExceeded.  The marks a value meets are read off per-slot tables;
-    a horn lifts iff a marked m-simplex of X (valid, so its missing face
-    fits) has the family as its faces at the slots."""
+    BudgetExceeded.  A horn lifts iff a marked m-simplex of X (valid, so
+    its missing face fits) has the family as its faces at the slots.
+
+    A horn's families are drawn level by level for a block of first-slot
+    values at once (``tdelta.compatible_columns``), slot p from the
+    face-keyed table of its faces at the slots before it.  Where the bound
+    sum_p prod_{q <= p} B_q on the nodes of the whole walk (B_0 the
+    first-slot values, B_q the largest list of slot q's table) is within
+    the budget, the budget cannot bind, and each value that its slot's
+    domain marks refuse is dropped with its subtree: the families left are
+    the maps, in depth-first order.  Otherwise every node is drawn, and the
+    node index of a family is the sum of its prefixes' rows, plus one each,
+    in their columns."""
     m, slots = plan.m, plan.slots
     if plan.kind == "simplex":
         size = len(X._ids[m])
-        good = _passing(X, m, range(min(size, budget)), plan.domain_marks)
-        lifts = set(_passing(X, m, good, plan.lift_marks))
-        bad = next((i for i, x in enumerate(good) if x not in lifts), None)
+        dom, lift = (_admitted(X, m, marks)
+                     for marks in (plan.domain_marks, plan.lift_marks))
+        good = range(min(size, budget))
+        if dom:
+            good = list(compress(good, dom))
+        bad = next((i for i, x in enumerate(good) if not lift[x]), None) \
+            if lift else None
         if bad is not None:
             return bad + 1, (good[bad],)
         if size > budget:
             raise BudgetExceeded
         return len(good), None
-    level, last = m - 1, len(slots) - 1
-    size, face = len(X._ids[level]), X._face[level]
-    dom = [_passing(X, level, range(size), plan.domain_marks, p)
-           for p in range(last + 1)]
-    lift = [set(_passing(X, level, values, plan.lift_marks, p))
-            for p, values in enumerate(dom)]
-    dom = [set(values) for values in dom]
-    tops = list(X._tokens_over_idx[m])
-    filled = set(zip(*[list(map(X._face[m][j].__getitem__, tops))
-                       for j in slots]))
-    prefixes = []  # slot p draws the values whose faces fit the slots before
-    for p in range(1, last + 1):
-        prefixes.append({})
-        for y, key in enumerate(zip(*[face[j] for j in slots[:p]])):
-            prefixes[-1].setdefault(key, []).append(y)
+    level, face = m - 1, X._face[m - 1]
+    dom, lift = ([_admitted(X, level, marks, p) for p in range(len(slots))]
+                 for marks in (plan.domain_marks, plan.lift_marks))
+    fits = [_table(X, ("fits", level, tuple(slots[:p])),
+                  lambda p=p: tdelta.face_table(face, slots[:p]))
+            for p in range(1, len(slots))]
+    tops = _table(X, ("tops", m), lambda: [  # the marked m-simplices' faces
+        list(map(row.__getitem__, X._tokens_over_idx[m]))
+        for row in X._face[m]])
+    filled = set(zip(*[tops[j] for j in slots]))
+    below = 1 + sum(accumulate((max(map(len, t.values()), default=0)
+                                for t in fits), mul))
+    first = range(len(X._ids[level]))
+    prune = len(first) * below <= budget
+    if prune:
+        if dom[0]:
+            first = list(compress(first, dom[0]))
+        fits = [t if not ok else {key: kept for key, ys in t.items()
+                                  for kept in [list(compress(ys, map(
+                                      ok.__getitem__, ys)))] if kept}
+                for t, ok in zip(fits, dom[1:])]
+    block = max(1, _BLOCK_NODES // below)
     steps = checked = 0
-    for y in range(size):  # depth first over the first slot, level-wise below
-        steps += 1
-        if steps > budget:
-            raise BudgetExceeded
-        levels = [[(y,)]]
-        for d, row in zip(prefixes, (face[j - 1] for j in slots[1:])):
-            levels.append([t + (z,) for t in levels[-1]
-                           for z in d.get(tuple(map(row.__getitem__, t)), ())])
-        leaves, below = levels[-1], sum(map(len, levels)) - 1
-        if steps + below > budget:  # keep the leaves drawn within the budget
-            leaves = [t for t in leaves if steps + sum(
-                bisect_left(levels[p], t[:p + 1]) + 1
-                for p in range(1, last + 1)) <= budget]
-        good = [t for t in leaves if all(map(set.__contains__, dom, t))]
-        bad = next((i for i, t in enumerate(good) if t not in filled or
-                    not all(map(set.__contains__, lift, t))), None)
+    for lo in range(0, len(first), block):
+        part = first[lo:lo + block]
+        cols, reps = tdelta.compatible_columns(face, slots, fits, part)
+        lifts = list(map(filled.__contains__, zip(*cols)))
+        for ok, col in zip(lift, cols):
+            if ok:
+                lifts = list(map(and_, lifts, map(ok.__getitem__, col)))
+        good = [True] * len(lifts)
+        if not prune:
+            for ok, col in zip(dom, cols):
+                if ok:
+                    good = list(map(and_, good, map(ok.__getitem__, col)))
+        bad = next(compress(count(), map(gt, good, lifts)), None)
         if bad is not None:
-            return checked + bad + 1, good[bad]
-        checked += len(good)
-        steps += below
+            at, r = steps + bad + 1, bad
+            for rep in reversed(reps):
+                r = rep[r]
+                at += r + 1
+            if at > budget:
+                raise BudgetExceeded
+            return checked + sum(good[:bad]) + 1, tuple(c[bad] for c in cols)
+        checked += sum(good)
+        steps += len(part) + sum(map(len, reps))
         if steps > budget:
             raise BudgetExceeded
     return checked, None

@@ -16,8 +16,6 @@ Markings:
 
 from __future__ import annotations
 
-from itertools import chain
-
 from . import tdelta, twocat
 from .tdelta import TruncatedTDeltaSet
 from .twocat import InvalidInput
@@ -116,18 +114,19 @@ def _pastings_agree(C, faces):
 def _compatible_tuples(m, below):
     """The tuples (y_0, ..., y_m) of (m-1)-simplices with d_i y_j = d_{j-1}
     y_i for all i < j, in lexicographic order; ``below`` holds the face
-    tuple of each (m-1)-simplex.  Built level-wise: each tuple of length k
-    is repeated once per y_k whose faces d_0..d_{k-1} are its d_{k-1}s."""
-    cols = [range(len(below))]  # cols[j][r]: y_j of the r-th tuple
-    for k in range(1, m + 1):
-        fits = {}  # d_0..d_{k-1} -> the simplices with these faces
-        for y, f in enumerate(below):
-            fits.setdefault(f[:k], []).append(y)
-        face = [f[k - 1] for f in below].__getitem__
-        found = list(map(fits.get, zip(*[map(face, c) for c in cols])))
-        rep = [r for r, ys in enumerate(found) if ys for _ in ys]
-        cols = [list(map(c.__getitem__, rep)) for c in cols]
-        cols.append(list(chain.from_iterable(filter(None, found))))
+    tuple of each (m-1)-simplex.  InvalidInput, before they are built, if
+    their bound len(below) * prod_k B_k (B_k the largest list of slot k's
+    face table) exceeds ``tdelta.MAX_LEVEL``."""
+    face = [[f[i] for f in below] for i in range(m)]
+    fits = [tdelta.face_table(face, range(k)) for k in range(1, m + 1)]
+    bound = len(below)
+    for table in fits:
+        bound *= max(map(len, table.values()), default=0)
+    if bound > tdelta.MAX_LEVEL:
+        raise InvalidInput(f"nerve level {m} is bounded by {bound} simplices,"
+                           f" capped at {tdelta.MAX_LEVEL}")
+    cols = tdelta.compatible_columns(face, range(m + 1), fits,
+                                     range(len(below)))[0]
     return list(zip(*cols))
 
 

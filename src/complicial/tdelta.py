@@ -22,13 +22,16 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from functools import cached_property, lru_cache, reduce
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from .twocat import InvalidInput, read_document, typed
 
 
 DEFAULT_BUDGET = 50_000_000
 MAX_DIM = 6  # the largest dimension of a nerve, library or loaded document
+# the most simplices a nerve level may be bounded by before it is built;
+# twice the largest bound of a catalog level at dim 6 (oriental-3's level 6)
+MAX_LEVEL = 1 << 20
 
 
 def get_budget(budget=None):
@@ -51,6 +54,15 @@ def _index(ids, kind, m):
     if len(table) != len(ids):
         raise InvalidInput(f"duplicate {kind} ids at level {m}")
     return table
+
+
+def _unique(level, kind, m):
+    """Raise unless one level of ids, in string order, holds distinct
+    strings; the messages are those of ``_index``."""
+    if not set(map(type, level)) <= {str}:
+        raise InvalidInput(f"{kind} ids at level {m} must be strings")
+    if any(map(eq, level, itertools.islice(level, 1, None))):
+        raise InvalidInput(f"duplicate {kind} ids at level {m}")
 
 
 def _check(row, targets, what, sources, low=-1):
@@ -83,10 +95,11 @@ def _reorder(row, src, dst):
     another, once both levels are sorted; ``src`` and ``dst`` are their
     ``_level_order``.  Negative entries stay as they are."""
     if src is not None:
-        row = [row[j] for j in src[0]]
+        row = list(map(row.__getitem__, src[0]))
     if dst is not None:
         place = dst[1]
-        row = [place[v] if v >= 0 else v for v in row]
+        row = list(map(place.__getitem__, row)) if min(row, default=0) >= 0 \
+            else [place[v] if v >= 0 else v for v in row]
     return row
 
 
@@ -114,13 +127,13 @@ class TruncatedTDeltaSet:
         self.dim = dim
         self.name = name
         self._ids = [_reorder(ids[m], s_ord[m], None) for m in range(dim + 1)]
-        self._idx = [_index(level, "simplex", m)
-                     for m, level in enumerate(self._ids)]
         self._tok_ids = [None] + [_reorder(tok_ids[m], t_ord[m], None)
                                   for m in range(1, dim + 1)]
-        self._tok_idx = [None] + [_index(self._tok_ids[m], "token", m)
-                                  for m in range(1, dim + 1)]
         ids, tok_ids = self._ids, self._tok_ids
+        for m in range(dim + 1):
+            _unique(ids[m], "simplex", m)
+            if m:
+                _unique(tok_ids[m], "token", m)
         self._face = face = [None] + [
             [_reorder(row, s_ord[m], s_ord[m - 1]) for row in face[m]]
             for m in range(1, dim + 1)]
@@ -194,6 +207,17 @@ class TruncatedTDeltaSet:
     # -- derived structure ----------------------------------------------------
 
     @cached_property
+    def _idx(self):
+        """Per level, the index of each simplex id."""
+        return [{s: i for i, s in enumerate(level)} for level in self._ids]
+
+    @cached_property
+    def _tok_idx(self):
+        """Per level from 1 on, the index of each token id."""
+        return [None] + [{t: i for i, t in enumerate(level)}
+                         for level in self._tok_ids[1:]]
+
+    @cached_property
     def _derived(self):
         """(simplices, tokens): per level, the indices of the degenerate
         simplices and of the comarked tokens, the targets of the s_i and
@@ -201,6 +225,12 @@ class TruncatedTDeltaSet:
         return tuple([set()] + [set().union(*rows) - {-1}
                                 for rows in table[:-1]]
                      for table in (self._deg, self._zeta))
+
+    @cached_property
+    def _memo(self):
+        """Tables that other modules derive from these rows and keep with
+        them (the lift search's per-level tables); filled on their use."""
+        return {}
 
     @cached_property
     def _tokens_over_idx(self):
@@ -363,8 +393,11 @@ def _rows(doc, key, idx, lo, hi, to):
     tables would drop."""
     rows = [[[-1] * len(idx[m]) for _ in range(m + 1)] if lo <= m <= hi
             else None for m in range(len(idx))]
+    what = f"{key} entry"
     for entry in _list(doc[key], key):
-        m, i, s, v = typed(entry, list, f"{key} entry")
+        if type(entry) is not list:
+            typed(entry, list, what)
+        m, i, s, v = entry
         ok = type(m) is type(i) is int and lo <= m <= hi and 0 <= i <= m
         j = idx[m].get(s) if ok else None
         if j is None or rows[m][i][j] != -1:
@@ -374,6 +407,38 @@ def _rows(doc, key, idx, lo, hi, to):
                 f"that level, and no repeat")
         rows[m][i][j] = to[m].get(v, -2)
     return rows
+
+
+# -- compatible families ------------------------------------------------------
+
+def face_table(face, faces):
+    """{(d_i y for i in faces): [y, ...]} over the simplices y of one level,
+    whose face rows are ``face``; each list in index order."""
+    fits = {}
+    for y, key in enumerate(zip(*[face[i] for i in faces])):
+        fits.setdefault(key, []).append(y)
+    return fits
+
+
+def compatible_columns(face, slots, fits, first):
+    """The families (y_0, ..., y_last) of simplices of one level, y_p in
+    face position slots[p] of a simplex above, with d_a y_p = d_{b-1} y_q
+    for a = slots[q] < b = slots[p]: y_0 runs over ``first`` and y_p over
+    the list of ``fits[p - 1]`` (a ``face_table`` on slots[:p], or part of
+    one) under its faces d_{b-1} y_q.
+
+    Returns (cols, reps): cols[p][r] is y_p of the r-th family, the
+    families in lexicographic order; drawn level by level, reps[p - 1][r]
+    is the row of the family of slots 0..p-1 that row r extends."""
+    cols, reps = [first], []
+    for p in range(1, len(slots)):
+        row = face[slots[p] - 1].__getitem__
+        found = list(map(fits[p - 1].get, zip(*[map(row, c) for c in cols])))
+        rep = [r for r, ys in enumerate(found) if ys for _ in ys]
+        cols = [list(map(c.__getitem__, rep)) for c in cols]
+        cols.append(list(itertools.chain.from_iterable(filter(None, found))))
+        reps.append(rep)
+    return cols, reps
 
 
 # -- maps of tDelta-sets --------------------------------------------------------
@@ -567,10 +632,10 @@ def _minimal_tokens(dim, ids, deg, marked):
     tok_ids, tok_under, tok_of = [None], [None], [None]
     for m in range(1, dim + 1):
         under = sorted(set().union(*deg[m - 1], marked[m]))
-        tok_of.append({j: t for t, j in enumerate(under)})
-        tok_ids.append([f"t|{ids[m][j]}" for j in under])
+        tok_of.append(dict(zip(under, itertools.count())).__getitem__)
+        tok_ids.append(["t|" + s for s in map(ids[m].__getitem__, under)])
         tok_under.append(under)
-    zeta = [[[tok_of[m + 1][j] for j in row] for row in deg[m]]
+    zeta = [[list(map(tok_of[m + 1], row)) for row in deg[m]]
             for m in range(dim)] + [None]
     return tok_ids, tok_under, zeta
 
@@ -613,17 +678,31 @@ def _build_simplicial(m, dim, marked, name, drop=None):
     rank, ids, face, deg = _delta_tables(m, dim)
     marks = [{rank[k][s] for s in marked if s in rank[k]}
              for k in range(dim + 1)]
-    if drop is not None:  # restrict the rows of Delta[m] and renumber
-        place = [dict(zip(level.values() if k < len(drop) - 1 else [
-            j for s, j in level.items() if not drop.issubset(s)],
-            itertools.count())) for k, level in enumerate(rank)]
-        face = [None] + [[[place[k - 1][row[j]] for j in place[k]]
+    if drop is not None:
+        # a simplex with all of drop has at least len(drop) vertices: the
+        # levels from len(drop) - 1 on are restricted and renumbered, as
+        # _reorder does, (kept indices, their new indices); the rows of
+        # the levels below stay as they are
+        keep = [None] * (len(drop) - 1)
+        for k in range(len(drop) - 1, dim + 1):
+            # the sequences with all of drop: drop and k + 1 - |drop| more
+            gone = {rank[k][tuple(sorted((*drop, *more)))]
+                    for more in _monotone(m, k - len(drop))}
+            kept = list(itertools.filterfalse(gone.__contains__,
+                                              range(len(rank[k]))))
+            place = [None] * len(rank[k])
+            for new, old in enumerate(kept):
+                place[old] = new
+            keep.append((kept, place))
+        face = [None] + [[_reorder(row, keep[k], keep[k - 1])
                           for row in face[k]] for k in range(1, dim + 1)]
-        deg = [[[place[k + 1][row[j]] for j in place[k]] for row in deg[k]]
+        deg = [[_reorder(row, keep[k], keep[k + 1]) for row in deg[k]]
                for k in range(dim)] + [None]
-        marks = [{place[k][j] for j in marks[k] & place[k].keys()}
-                 for k in range(dim + 1)]
-        ids = [[ids[k][j] for j in place[k]] for k in range(dim + 1)]
+        marks = [marked_k if sel is None else
+                 {sel[1][j] for j in marked_k} - {None}
+                 for marked_k, sel in zip(marks, keep)]
+        ids = [level if sel is None else [level[j] for j in sel[0]]
+               for level, sel in zip(ids, keep)]
     return _shape(ids, face, deg, marks, name)
 
 
@@ -672,22 +751,25 @@ def delta_k(k, m, dim=None):
                  name=f"Delta^{k}[{m}]")
 
 
-def _delta_k_primed(k, m, dim, drops, name):
-    """The k-admissible m-simplex with the faces opposite ``drops`` marked."""
+def _primed_marks(k, m, dim, drops):
+    """The vertex tuples marked in the k-admissible m-simplex with the faces
+    opposite ``drops`` marked."""
     marked = _marked_for_delta_k(k, m, dim)
     marked.update(tuple(u for u in range(m + 1) if u != v)
                   for v in drops if 0 <= v <= m)
-    return delta(m, dim, marked=marked, name=name)
+    return marked
 
 
 def delta_k_prime(k, m, dim=None):
     dim = m if dim is None else dim
-    return _delta_k_primed(k, m, dim, (k - 1, k + 1), f"Delta^{k}[{m}]'")
+    return delta(m, dim, marked=_primed_marks(k, m, dim, (k - 1, k + 1)),
+                 name=f"Delta^{k}[{m}]'")
 
 
 def delta_k_dprime(k, m, dim=None):
     dim = m if dim is None else dim
-    return _delta_k_primed(k, m, dim, (k - 1, k, k + 1), f"Delta^{k}[{m}]''")
+    return delta(m, dim, marked=_primed_marks(k, m, dim, (k - 1, k, k + 1)),
+                 name=f"Delta^{k}[{m}]''")
 
 
 def horn(k, m, dim=None):
@@ -699,10 +781,12 @@ def horn(k, m, dim=None):
                              f"Horn^{k}[{m}]", drop=frozenset(range(m + 1)) - {k})
 
 
+_DELTA3_EQ = frozenset({(0, 2), (1, 3), (0, 1, 2), (0, 1, 3), (0, 2, 3),
+                        (1, 2, 3), (0, 1, 2, 3)})
+
+
 def delta3_eq(dim=3):
-    marked = {(0, 2), (1, 3), (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
-              (0, 1, 2, 3)}
-    return delta(3, dim, marked=marked, name="Delta[3]_eq")
+    return delta(3, dim, marked=_DELTA3_EQ, name="Delta[3]_eq")
 
 
 def delta3_sharp(dim=3):
@@ -724,7 +808,11 @@ def join(A, B, out_dim=None, name=None):
     if A.dim < out_dim or B.dim < out_dim:
         raise InvalidInput("join factors must be padded to the output "
                            "truncation")
-    ids, face, deg, keys = _join_rows(A, B, out_dim)
+    # the joins of A with factors on one simplicial set share their rows
+    held = A._memo.get(("join", out_dim))
+    if held is None or not held[0].same_underlying(B):
+        held = A._memo[("join", out_dim)] = B, _join_rows(A, B, out_dim)
+    ids, face, deg, keys = held[1]
 
     def marked(m, p, a, b):
         q = m - 1 - p

@@ -22,7 +22,7 @@ import weakref
 
 from complicial import nerves, twocat
 from complicial.categorify import PastingFactor, Word
-from complicial.lifting import ExtensionResult
+from complicial.lifting import ExtensionResult, _Plan
 from complicial.record import Record
 from complicial.tdelta import (BudgetExceeded, TruncatedTDeltaSet,
                                get_budget, identity_map, inclusion_map,
@@ -305,6 +305,128 @@ def check_extension_generic(X, ext, budget=None):
         if find_lift(LiftingProblem(ext, f), budget=budget) is None:
             return ExtensionResult(ext, checked, f)
     return ExtensionResult(ext, checked, None)
+
+
+# -- lift plans from the shapes, and the plain depth-first walk ---------------
+
+def _nondeg_chains(A, tops):
+    """Reach every non-degenerate simplex of A from the top slots by faces,
+    breadth first."""
+    chains = {top: (pos, ()) for pos, top in enumerate(tops)}
+    frontier = list(tops)
+    for lvl, idx in frontier:  # the frontier grows as the loop runs
+        pos, drops = chains[(lvl, idx)]
+        for i in range(lvl + 1 if lvl else 0):
+            key = (lvl - 1, A._face[lvl][i][idx])
+            if key not in chains:
+                chains[key] = (pos, drops + (i,))
+                frontier.append(key)
+    return chains
+
+
+def _free_token_unders(S):
+    return [(m, u) for m, comarked in enumerate(S._derived[1]) if m
+            for t, u in enumerate(S._tok_under[m]) if t not in comarked]
+
+
+def compile_plan_from_shapes(ext):
+    """``lifting._compile_plan`` read off the built shapes A and B: the
+    tops through their non-degenerate simplices, the chains through A's
+    face rows, the marks through the free tokens and the token ids."""
+    A, B = ext.A, ext.B
+    params = dict(ext.params)
+    if ext.family == "horn":
+        m, k = params["m"], params["k"]
+        slots = [j for j in range(m + 1) if j != k]
+        top = B._idx[m][B.nondegenerate_ids(m)[0]]
+
+        def in_horn(lvl, face):  # a face of B's top, as a simplex of A
+            return A._idx[lvl][B._ids[lvl][face]]
+
+        tops = [(m - 1, in_horn(m - 1, B._face[m][j][top])) for j in slots]
+        chains = _nondeg_chains(A, tops)
+    else:
+        m, k, slots = A.dim, None, [None]
+        nd_top = A.nondegenerate_ids(m)
+        if len(nd_top) != 1:
+            raise InvalidInput(
+                f"{ext.label()}: expected a simplex-shaped domain")
+        chains = _nondeg_chains(A, [(m, A._idx[m][nd_top[0]])])
+    domain_marks = []
+    for lvl, under in _free_token_unders(A):
+        pos, drops = chains[(lvl, under)]
+        domain_marks.append((lvl, pos, drops))
+    # per level: the simplices of B under a token whose id A lacks
+    fresh = [None] + [{B._tok_under[lvl][B._tok_idx[lvl][t]] for t in
+                       set(B._tok_ids[lvl]).difference(A.token_ids(lvl))}
+                      for lvl in range(1, B.dim + 1)]
+    lift_marks = []
+    for lvl, under in _free_token_unders(B):
+        if under not in fresh[lvl]:
+            continue  # every token over it already lives in the domain
+        bid = B._ids[lvl][under]
+        if bid not in A._idx[lvl]:
+            if ext.family != "horn":
+                raise InvalidInput(
+                    f"{ext.label()}: new simplex outside a horn extension")
+            continue  # the horn top; its mark is checked by the fill search
+        pos, drops = chains[(lvl, A._idx[lvl][bid])]
+        lift_marks.append((lvl, pos, drops))
+    return _Plan(ext.family if ext.family == "horn" else "simplex",
+                 m, k, slots, chains, sorted(set(domain_marks)),
+                 sorted(set(lift_marks)))
+
+
+def dfs_search(X, plan, budget):
+    """``lifting._search`` as the plain depth-first walk: one value at a
+    time, each value drawn a domain node, budget + 1 nodes raise
+    BudgetExceeded.  Returns (maps checked, values of the first map
+    without a lift or None, nodes drawn)."""
+    m, slots = plan.m, plan.slots
+    lvl_from = m if plan.kind == "simplex" else m - 1
+    steps = checked = 0
+
+    def admits(marks, family):
+        for lvl, pos, drops in marks:
+            v = family[pos]
+            for at, d in zip(range(lvl_from, lvl, -1), drops):
+                v = X._face[at][d][v]
+            if v not in X._tokens_over_idx[lvl]:
+                return False
+        return True
+
+    def lifts(family):
+        if plan.kind == "horn" and family not in {
+                tuple(X._face[m][j][x] for j in slots)
+                for x in X._tokens_over_idx[m]}:
+            return False
+        return admits(plan.lift_marks, family)
+
+    face = X._face[lvl_from] if lvl_from else None
+
+    def walk(family):
+        nonlocal steps, checked
+        p = len(family)
+        for z in range(len(X._ids[lvl_from])):
+            if any(face[slots[q]][z] != face[slots[p] - 1][y]
+                   for q, y in enumerate(family)):
+                continue
+            steps += 1
+            if steps > budget:
+                raise BudgetExceeded
+            drawn = family + (z,)
+            if p < len(slots) - 1:
+                found = walk(drawn)
+                if found is not None:
+                    return found
+            elif admits(plan.domain_marks, drawn):
+                checked += 1
+                if not lifts(drawn):
+                    return drawn
+        return None
+
+    found = walk(())
+    return checked, found, steps
 
 
 # -- string-keyed constructions ---------------------------------------------------

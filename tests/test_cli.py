@@ -176,6 +176,25 @@ def test_counit_check(tmp_path):
     assert doc["passed"] and doc["sections"] == {"*->*": True}
 
 
+def test_counit_sections_of_ids_with_arrows_stay_apart(tmp_path):
+    """chain-1 with its objects renamed ``a`` and ``a->a``: four object
+    pairs, four sections, and ``passed`` reads all of them."""
+    from complicial import twocat
+    doc = twocat.standard_examples()["chain-1"].to_json_dict()
+    ren = dict(zip(doc["objects"], ["a", "a->a"]))
+    doc["objects"] = [ren[x] for x in doc["objects"]]
+    for cell in doc["one_cells"]:
+        cell["src"], cell["tgt"] = ren[cell["src"]], ren[cell["tgt"]]
+    cat, report = tmp_path / "C.json", tmp_path / "cc.json"
+    cat.write_text(json.dumps(doc))
+    assert run(["counit-check", "--cat", str(cat), "--dim", "4",
+                "--report", str(report)]) == 0
+    out = json.loads(report.read_text())
+    assert out["sections"] == {"a->a": True, "a->a-\\>a": True,
+                               "a-\\>a->a": True, "a-\\>a->a-\\>a": True}
+    assert out["passed"]
+
+
 def _cyclic_2cells(names):
     """One object, one 1-cell e and the 2-cells names[a] forming Z/n."""
     n = len(names)
@@ -691,6 +710,35 @@ def _process(argv, cwd, **kwargs):
     """``python -m complicial.cli`` with ``argv``, run in ``cwd``."""
     return subprocess.run([sys.executable, "-m", "complicial.cli", *argv],
                           cwd=cwd, env=CHILD_ENV, timeout=120, **kwargs)
+
+
+# a CLI child under its own address-space limit, which prints its own peak
+# resident memory (KiB) after the command
+_LIMITED = ("import resource, sys; "
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from complicial import cli; status = cli.main(sys.argv[1:]); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); "
+            "sys.exit(status)")
+
+
+def test_nerve_level_past_the_cap_is_refused_before_it_is_built(tmp_path):
+    """Level 4 of the nerve of Z/33 is bounded by 33^4 simplices, just past
+    ``MAX_LEVEL`` = 2^20 = 32^4: exit 3 naming the level and the bound,
+    with the child's peak far below what building it would take."""
+    from complicial import twocat
+    from samples import cyclic_group
+    cat = tmp_path / "C.json"
+    cat.write_text(json.dumps(twocat.two_category_from_category(
+        cyclic_group(33), "Z/33").to_json_dict()))
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED, "nerve", "--input", str(cat),
+         "--dim", "4", "--out", str(tmp_path / "X.json")], cwd=tmp_path,
+        env=CHILD_ENV, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_INPUT, proc.stderr
+    assert proc.stderr == ("input error: nerve level 4 is bounded by "
+                           "1185921 simplices, capped at 1048576\n")
+    assert int(proc.stdout) < 200 * 1024
+    assert not (tmp_path / "X.json").exists()
 
 
 def test_console_entry_point(tmp_path):

@@ -120,7 +120,9 @@ MOVED = {
     "rs_fully_faithful_check", "rs_fibrancy_prediction", "one_isomorphisms",
     "is_equivalence", "evaluate_presentation", "evaluate_free",
     "EvaluationRefused", "_one_cell_words", "_detect_inverse_pairs",
-    "_normalize", "_closure_cells", "_UnionFind", "_by_boundary"}
+    "_normalize", "_closure_cells", "_UnionFind", "_by_boundary",
+    "_nondeg_chains", "_free_token_unders", "compile_plan_from_shapes",
+    "dfs_search"}
 
 
 def test_oracles_stay_out_of_the_engine():

@@ -1,15 +1,18 @@
 import functools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from complicial import nerves, tdelta, twocat
-from complicial.lifting import (AnodyneExtension, anodyne_library,
+from complicial.lifting import (AnodyneExtension, _compile_plan,
+                                _part_to_map, _Plan, anodyne_library,
                                 check_extension, is_precomplicial)
 from complicial.tdelta import BudgetExceeded, TruncatedTDeltaSet, inclusion_map
-from oracles import (LiftingProblem, check_extension_generic, find_isomorphism,
+from oracles import (LiftingProblem, check_extension_generic,
+                     compile_plan_from_shapes, dfs_search, find_isomorphism,
                      find_lift, iter_maps, maps, rs_fibrancy_prediction,
                      witnesses)
 
@@ -213,13 +216,57 @@ def test_budget_exhaustion_is_distinct(catalog):
         is_precomplicial(X, 2, 4, budget=50)
 
 
-def test_compile_plan_rejects_foreign_shapes(catalog):
+def test_compile_plan_rejects_foreign_shapes():
     """A raised invariant, so it also holds under ``python -O``."""
-    X = nerves.natural_nerve(catalog["chain-1"], 2)
     ext = AnodyneExtension("triviality", (("l", 2),),
                            tdelta.boundary(2, dim=2), tdelta.delta(2))
     with pytest.raises(twocat.InvalidInput, match="simplex-shaped"):
-        check_extension(X, ext)
+        compile_plan_from_shapes(ext)
+
+
+def test_plans_from_the_definitions_match_the_shapes():
+    """Every field of every plan of the libraries up to dim 6, the chains
+    in insertion order, as read off the built shapes."""
+    for N in range(1, 7):
+        for ext in anodyne_library(2, N):
+            got, want = _compile_plan(ext), compile_plan_from_shapes(ext)
+            assert [getattr(got, f) for f in _Plan.__slots__] == \
+                [getattr(want, f) for f in _Plan.__slots__], ext.label()
+            assert list(got.chains.items()) == list(want.chains.items())
+
+
+def test_plan_of_an_unknown_family_is_refused():
+    ext = AnodyneExtension("horn-noop", (), tdelta.delta(1), tdelta.delta(1))
+    with pytest.raises(twocat.InvalidInput,
+                       match="not an elementary anodyne family"):
+        _compile_plan(ext)
+
+
+@given(sub_marked_nerves(dim=4), st.lists(st.integers(0, 1000), min_size=30,
+                                          max_size=30))
+@settings(max_examples=8, deadline=None)
+def test_budgets_that_cut_anywhere_agree_with_the_plain_walk(X, cuts):
+    """With a budget from 1 to one past the nodes the plain depth-first walk
+    draws to completion, the column walk returns the same maps checked
+    and witness, or runs out of budget with the same message; so does the
+    default budget, under which it prunes."""
+    for ext, cut in zip(anodyne_library(2, 4), cuts):
+        plan = _compile_plan(ext)
+        checked, values, nodes = dfs_search(X, plan, float("inf"))
+        for budget in (1 + cut * nodes // 1000, None):
+            try:
+                want = dfs_search(X, plan, budget or float("inf"))[:2]
+            except BudgetExceeded:
+                with pytest.raises(BudgetExceeded, match=re.escape(
+                        f"{ext.label()}: {budget + 1} domain nodes")):
+                    check_extension(X, ext, budget)
+                continue
+            res = check_extension(X, ext, budget)
+            assert res.maps_checked == want[0], (ext.label(), budget)
+            assert (res.witness is None) == (want[1] is None)
+            if want[1] is not None:
+                assert res.witness.to_json_dict() == _part_to_map(
+                    X, ext, plan, want[1]).to_json_dict()
 
 
 def _relabel(X, prefix):
