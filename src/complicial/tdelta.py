@@ -98,8 +98,7 @@ def _reorder(row, src, dst):
         row = list(map(row.__getitem__, src[0]))
     if dst is not None:
         place = dst[1]
-        row = list(map(place.__getitem__, row)) if min(row, default=0) >= 0 \
-            else [place[v] if v >= 0 else v for v in row]
+        row = [place[v] if v >= 0 else v for v in row]
     return row
 
 
