@@ -244,21 +244,28 @@ def _table(X, key, build):
 def _marked_along(X, lvl_from, drops):
     """Per simplex of X at lvl_from, whether its face along drops is marked;
     None where all of them are.  The face deletes a set of vertex
-    positions, whichever order drops names them in: kept in X's memo by
-    that set, and drawn deleting the highest position first."""
+    positions, whichever order drops names them in."""
     kept = list(range(lvl_from + 1))
     for d in drops:
         del kept[d]
-    gone = sorted(set(range(lvl_from + 1)).difference(kept), reverse=True)
+    return _marked_after(X, lvl_from, tuple(sorted(
+        set(range(lvl_from + 1)).difference(kept), reverse=True)))
 
+
+def _marked_after(X, lvl, gone):
+    """``_marked_along`` for the face that deletes the vertex positions
+    gone, highest first: the mask one level down for the rest of gone, read
+    through d_{gone[0]}.  Kept in X's memo."""
     def build():
-        img = range(len(X._ids[lvl_from]))
-        for at, d in zip(range(lvl_from, 0, -1), gone):
-            img = map(X._face[at][d].__getitem__, img)
-        mask = list(map(X._tokens_over_idx[len(kept) - 1].__contains__, img))
-        return None if all(mask) else mask
+        if gone:
+            below = _marked_after(X, lvl - 1, gone[1:])
+            mask = below and list(map(below.__getitem__, X._face[lvl][gone[0]]))
+        else:
+            mask = list(map(X._tokens_over_idx[lvl].__contains__,
+                            range(len(X._ids[lvl]))))
+        return mask if mask and not all(mask) else None
 
-    return _table(X, ("marked", lvl_from, tuple(gone)), build)
+    return _table(X, ("marked", lvl, gone), build)
 
 
 def _admitted(X, lvl_from, marks, pos=0):

@@ -433,8 +433,11 @@ def compatible_columns(face, slots, fits, first):
     for p in range(1, len(slots)):
         row = face[slots[p] - 1].__getitem__
         found = list(map(fits[p - 1].get, zip(*[map(row, c) for c in cols])))
-        rep = [r for r, ys in enumerate(found) if ys for _ in ys]
-        cols = [list(map(c.__getitem__, rep)) for c in cols]
+        if None not in found and len(found) == sum(map(len, found)):
+            rep = range(len(found))  # one value each: the rows stay
+        else:
+            rep = [r for r, ys in enumerate(found) if ys for _ in ys]
+            cols = [list(map(c.__getitem__, rep)) for c in cols]
         cols.append(list(itertools.chain.from_iterable(filter(None, found))))
         reps.append(rep)
     return cols, reps
