@@ -58,13 +58,13 @@ def _glue(X, ext, xs, stage, name):
     Returns (P, X -> P, [B_k -> P], number of gluings); P is built on the
     simplex rows of X."""
     plan, incl = lifting._compile_plan(ext), inclusion_map(ext.A, ext.B)
-    good = lifting._admitted(X, plan.m, plan.domain_marks)
+    good = lifting._admitted(X, plan.level, plan.domain_marks)
     gluings = []
     for x in xs:
         if good and not good[x]:
             raise StageError(f"{stage}: a marked simplex of {ext.A.name} "
                              f"lands on an unmarked one at "
-                             f"{X._ids[plan.m][x]}")
+                             f"{X._ids[plan.level][x]}")
         gluings.append((lifting._part_to_map(X, ext, plan, (x,)), incl))
     P, x_to_p, b_maps = tdelta.pushout_family(
         X, gluings, prefix=f"{stage.lower()}.", name=name)

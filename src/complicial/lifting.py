@@ -17,8 +17,8 @@ never conflated with a definitive "no lift".
 from __future__ import annotations
 
 from functools import reduce
-from itertools import accumulate, compress, count
-from operator import and_, gt, mul
+from itertools import compress, count, repeat
+from operator import and_, gt
 
 from . import tdelta
 from .record import Record
@@ -48,6 +48,8 @@ def thinness(k, m):
 
 def saturation(l):
     """Delta[l]*Delta[3]_eq -> Delta[l]*Delta[3]#; l = -1 means no join factor."""
+    if not -1 <= l <= tdelta.MAX_DIM - 4:
+        raise InvalidInput(f"need -1 <= l <= {tdelta.MAX_DIM - 4}")
     if l == -1:
         A, B = tdelta.delta3_eq(3), tdelta.delta3_sharp(3)
     else:
@@ -143,6 +145,10 @@ class _Plan(Record):
         "chains",        # A nondeg (level, idx) -> (slot_pos, drops)
         "domain_marks",  # (level, slot_pos, drops) that must be marked in X
         "lift_marks")    # same, for the extra marked simplices of B
+
+    @property
+    def level(self):  # the level of X that the slots draw from
+        return self.m - (self.kind == "horn")
 
 
 def _definition(ext):
@@ -241,21 +247,11 @@ def _table(X, key, build):
     return X._memo[key]
 
 
-def _marked_along(X, lvl_from, drops):
-    """Per simplex of X at lvl_from, whether its face along drops is marked;
-    None where all of them are.  The face deletes a set of vertex
-    positions, whichever order drops names them in."""
-    kept = list(range(lvl_from + 1))
-    for d in drops:
-        del kept[d]
-    return _marked_after(X, lvl_from, tuple(sorted(
-        set(range(lvl_from + 1)).difference(kept), reverse=True)))
-
-
 def _marked_after(X, lvl, gone):
-    """``_marked_along`` for the face that deletes the vertex positions
-    gone, highest first: the mask one level down for the rest of gone, read
-    through d_{gone[0]}.  Kept in X's memo."""
+    """Per simplex of X at lvl, whether its face that deletes the vertex
+    positions gone, highest first, is marked; None where all of them are:
+    the mask one level down for the rest of gone, read through
+    d_{gone[0]}.  Kept in X's memo."""
     def build():
         if gone:
             below = _marked_after(X, lvl - 1, gone[1:])
@@ -268,66 +264,66 @@ def _marked_after(X, lvl, gone):
     return _table(X, ("marked", lvl, gone), build)
 
 
+def _all(rows):
+    """The AND of the bool rows, all of one length, as a list; None where
+    there are no rows."""
+    return reduce(lambda out, row: list(row if out is None
+                                        else map(and_, out, row)), rows, None)
+
+
 def _admitted(X, lvl_from, marks, pos=0):
     """Per simplex of X at lvl_from, whether slot pos admits it: for each
     (level, pos, drops) in marks, its face along drops is marked; None where
-    every simplex is admitted."""
-    masks = [mask for _, p, drops in marks if p == pos
-             for mask in [_marked_along(X, lvl_from, drops)] if mask]
-    return reduce(lambda a, b: list(map(and_, a, b)), masks) if masks \
-        else None
+    every simplex is admitted.  The face deletes a set of vertex positions,
+    whichever order drops names them in."""
+    rows = []
+    for drops in (drops for _, p, drops in marks if p == pos):
+        kept = list(range(lvl_from + 1))
+        for d in drops:
+            del kept[d]
+        gone = sorted(set(range(lvl_from + 1)) - set(kept), reverse=True)
+        rows.append(_marked_after(X, lvl_from, tuple(gone)))
+    return _all(filter(None, rows))
 
 
-# the most domain nodes that one block of a horn walk is bounded by
+# the most domain nodes that one block of a walk is bounded by
 _BLOCK_NODES = 1 << 16
 
 
 def _search(X, plan, budget):
     """(maps checked, slot values of the first map without a lift or None).
 
-    A map is a simplex of X, or for a horn a compatible family of
-    (m-1)-simplices, one per slot, drawn depth first in index order; each
+    A map is a family of simplices of X at the plan's level, one per slot:
+    an m-simplex, or for a horn compatible (m-1)-simplices at the faces
+    other than k.  Its values are drawn depth first in index order; each
     value drawn is a domain node, and drawing node budget + 1 raises
-    BudgetExceeded.  A horn lifts iff a marked m-simplex of X (valid, so
-    its missing face fits) has the family as its faces at the slots.
+    BudgetExceeded.  A map lifts iff its faces named by the lift marks are
+    marked and, for a horn, a marked m-simplex of X (valid, so its missing
+    face fits) has the family as its faces at the slots.
 
-    A horn's families are drawn level by level for a block of first-slot
-    values at once (``tdelta.compatible_columns``), slot p from the
-    face-keyed table of its faces at the slots before it.  Where the bound
-    sum_p prod_{q <= p} B_q on the nodes of the whole walk (B_0 the
-    first-slot values, B_q the largest list of slot q's table) is within
-    the budget, the budget cannot bind, and each value that its slot's
-    domain marks refuse is dropped with its subtree: the families left are
-    the maps, in depth-first order.  Otherwise every node is drawn, and the
-    node index of a family is the sum of its prefixes' rows, plus one each,
-    in their columns."""
-    m, slots = plan.m, plan.slots
-    if plan.kind == "simplex":
-        size = len(X._ids[m])
-        dom, lift = (_admitted(X, m, marks)
-                     for marks in (plan.domain_marks, plan.lift_marks))
-        good = range(min(size, budget))
-        if dom:
-            good = list(compress(good, dom))
-        bad = next((i for i, x in enumerate(good) if not lift[x]), None) \
-            if lift else None
-        if bad is not None:
-            return bad + 1, (good[bad],)
-        if size > budget:
-            raise BudgetExceeded
-        return len(good), None
-    level, face = m - 1, X._face[m - 1]
+    The families are drawn level by level for a block of first-slot values
+    at once (``tdelta.compatible_columns``), slot p from the face-keyed
+    table of its faces at the slots before it.  Where the bound on the
+    nodes of the whole walk, B_0 (1 + sum of ``tdelta.family_bounds``) for
+    B_0 first-slot values, is within the budget, the budget cannot bind,
+    and each value that its slot's domain marks refuse is dropped with its
+    subtree: the families left are the maps, in depth-first order.
+    Otherwise every node is drawn, and the node index of a family is the
+    sum of its prefixes' rows, plus one each, in their columns.  A mask
+    that admits every value adds no row."""
+    level, slots, face = plan.level, plan.slots, X._face[plan.level]
     dom, lift = ([_admitted(X, level, marks, p) for p in range(len(slots))]
                  for marks in (plan.domain_marks, plan.lift_marks))
     fits = [_table(X, ("fits", level, tuple(slots[:p])),
                   lambda p=p: tdelta.face_table(face, slots[:p]))
             for p in range(1, len(slots))]
-    tops = _table(X, ("tops", m), lambda: [  # the marked m-simplices' faces
-        list(map(row.__getitem__, X._tokens_over_idx[m]))
-        for row in X._face[m]])
-    filled = set(zip(*[tops[j] for j in slots]))
-    below = 1 + sum(accumulate((max(map(len, t.values()), default=0)
-                                for t in fits), mul))
+    filled = None
+    if plan.kind == "horn":  # the faces at the slots of the marked m-simplices
+        tops = _table(X, ("tops", plan.m), lambda: [
+            list(map(row.__getitem__, X._tokens_over_idx[plan.m]))
+            for row in X._face[plan.m]])
+        filled = set(zip(*[tops[j] for j in slots]))
+    below = 1 + sum(tdelta.family_bounds(fits))
     first = range(len(X._ids[level]))
     prune = len(first) * below <= budget
     if prune:
@@ -342,16 +338,14 @@ def _search(X, plan, budget):
     for lo in range(0, len(first), block):
         part = first[lo:lo + block]
         cols, reps = tdelta.compatible_columns(face, slots, fits, part)
-        lifts = list(map(filled.__contains__, zip(*cols)))
-        for ok, col in zip(lift, cols):
-            if ok:
-                lifts = list(map(and_, lifts, map(ok.__getitem__, col)))
-        good = [True] * len(lifts)
-        if not prune:
-            for ok, col in zip(dom, cols):
-                if ok:
-                    good = list(map(and_, good, map(ok.__getitem__, col)))
-        bad = next(compress(count(), map(gt, good, lifts)), None)
+        lifts = [map(ok.__getitem__, c) for ok, c in zip(lift, cols) if ok]
+        if filled is not None:
+            lifts.append(map(filled.__contains__, zip(*cols)))
+        lifts = _all(lifts)
+        good = None if prune else _all(
+            map(ok.__getitem__, c) for ok, c in zip(dom, cols) if ok)
+        bad = None if lifts is None else next(compress(count(), map(
+            gt, good or repeat(True, len(lifts)), lifts)), None)
         if bad is not None:
             at, r = steps + bad + 1, bad
             for rep in reversed(reps):
@@ -359,8 +353,9 @@ def _search(X, plan, budget):
                 at += r + 1
             if at > budget:
                 raise BudgetExceeded
-            return checked + sum(good[:bad]) + 1, tuple(c[bad] for c in cols)
-        checked += sum(good)
+            return checked + (bad if good is None else sum(good[:bad])) + 1, \
+                tuple(c[bad] for c in cols)
+        checked += len(cols[-1]) if good is None else sum(good)
         steps += len(part) + sum(map(len, reps))
         if steps > budget:
             raise BudgetExceeded
@@ -370,11 +365,10 @@ def _search(X, plan, budget):
 def _part_to_map(X, ext, plan, values):
     """Materialize a witness TDeltaMap from a family of slot values."""
     A = ext.A
-    lvl_from = plan.m if plan.kind == "simplex" else plan.m - 1
     simg = [[-1] * len(level) for level in A._ids]
     for (lvl, idx), (pos, drops) in plan.chains.items():
         v = values[pos]
-        for at, d in zip(range(lvl_from, lvl, -1), drops):
+        for at, d in zip(range(plan.level, lvl, -1), drops):
             v = X._face[at][d][v]
         simg[lvl][idx] = v
     timg = [None] + [[min(X._tokens_over_idx[m][simg[m][u]])
@@ -392,6 +386,9 @@ def check_extension(X, ext, budget=None):
     """
     budget = get_budget(budget)
     plan = _compile_plan(ext)
+    if plan.m > X.dim:
+        raise InvalidInput(f"{ext.label()}: dimension {plan.m} exceeds the "
+                           f"truncation of X")
     try:
         checked, values = _search(X, plan, budget)
     except BudgetExceeded:

@@ -115,13 +115,11 @@ def _compatible_tuples(m, below):
     """The tuples (y_0, ..., y_m) of (m-1)-simplices with d_i y_j = d_{j-1}
     y_i for all i < j, in lexicographic order; ``below`` holds the face
     tuple of each (m-1)-simplex.  InvalidInput, before they are built, if
-    their bound len(below) * prod_k B_k (B_k the largest list of slot k's
-    face table) exceeds ``tdelta.MAX_LEVEL``."""
+    their bound, len(below) times the last of ``tdelta.family_bounds``,
+    exceeds ``tdelta.MAX_LEVEL``."""
     face = [[f[i] for f in below] for i in range(m)]
     fits = [tdelta.face_table(face, range(k)) for k in range(1, m + 1)]
-    bound = len(below)
-    for table in fits:
-        bound *= max(map(len, table.values()), default=0)
+    bound = len(below) * tdelta.family_bounds(fits)[-1]
     if bound > tdelta.MAX_LEVEL:
         raise InvalidInput(f"nerve level {m} is bounded by {bound} simplices,"
                            f" capped at {tdelta.MAX_LEVEL}")

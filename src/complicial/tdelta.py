@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from functools import cached_property, lru_cache, reduce
-from operator import eq, itemgetter
+from operator import eq, itemgetter, mul
 
 from .twocat import InvalidInput, read_document, typed
 
@@ -419,6 +419,14 @@ def face_table(face, faces):
     return fits
 
 
+def family_bounds(fits):
+    """prod_{q <= p} B_q for each p, B_q the longest list of ``fits[q]``:
+    a bound on the families of slots 0..p + 1 that ``compatible_columns``
+    draws over one first value."""
+    return list(itertools.accumulate(
+        (max(map(len, t.values()), default=0) for t in fits), mul))
+
+
 def compatible_columns(face, slots, fits, first):
     """The families (y_0, ..., y_last) of simplices of one level, y_p in
     face position slots[p] of a simplex above, with d_a y_p = d_{b-1} y_q
@@ -729,10 +737,6 @@ def boundary(m, dim=None):
                              drop=frozenset(range(m + 1)))
 
 
-def _admissible(k, m):
-    return frozenset(v for v in (k - 1, k, k + 1) if 0 <= v <= m)
-
-
 def _nondegenerate(m, dim):
     """Non-degenerate vertex tuples of Delta[m] at levels 1..dim."""
     return [s for lvl in range(1, dim + 1)
@@ -740,14 +744,14 @@ def _nondegenerate(m, dim):
 
 
 def _marked_for_delta_k(k, m, dim):
-    need = _admissible(k, m)
+    if not 0 <= k <= m:
+        raise InvalidInput("need 0 <= k <= m")
+    need = {v for v in (k - 1, k, k + 1) if 0 <= v <= m}
     return {s for s in _nondegenerate(m, dim) if need.issubset(s)}
 
 
 def delta_k(k, m, dim=None):
     """The m-simplex with the k-admissible marking."""
-    if not 0 <= k <= m:
-        raise InvalidInput("need 0 <= k <= m")
     dim = m if dim is None else dim
     return delta(m, dim, marked=_marked_for_delta_k(k, m, dim),
                  name=f"Delta^{k}[{m}]")
@@ -776,8 +780,6 @@ def delta_k_dprime(k, m, dim=None):
 
 def horn(k, m, dim=None):
     """The k-horn of the m-simplex, marked as in the k-admissible simplex."""
-    if not 0 <= k <= m:
-        raise InvalidInput("need 0 <= k <= m")
     dim = m if dim is None else dim
     return _build_simplicial(m, dim, _marked_for_delta_k(k, m, dim),
                              f"Horn^{k}[{m}]", drop=frozenset(range(m + 1)) - {k})

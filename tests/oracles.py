@@ -382,8 +382,7 @@ def dfs_search(X, plan, budget):
     time, each value drawn a domain node, budget + 1 nodes raise
     BudgetExceeded.  Returns (maps checked, values of the first map
     without a lift or None, nodes drawn)."""
-    m, slots = plan.m, plan.slots
-    lvl_from = m if plan.kind == "simplex" else m - 1
+    m, slots, lvl_from = plan.m, plan.slots, plan.level
     steps = checked = 0
 
     def admits(marks, family):

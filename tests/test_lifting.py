@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from complicial import nerves, tdelta, twocat
+from complicial import lifting, nerves, tdelta, twocat
 from complicial.lifting import (AnodyneExtension, _compile_plan,
                                 _part_to_map, _Plan, anodyne_library,
-                                check_extension, is_precomplicial)
+                                check_extension, is_precomplicial,
+                                saturation, thinness)
 from complicial.tdelta import BudgetExceeded, TruncatedTDeltaSet, inclusion_map
 from oracles import (LiftingProblem, check_extension_generic,
                      compile_plan_from_shapes, dfs_search, find_isomorphism,
@@ -156,9 +157,18 @@ def sub_marked_nerves(draw, dim=3):
     dropped from its document."""
     X = small_nerve(draw(st.sampled_from(SMALL)),
                     draw(st.sampled_from(["rs", "natural"])), dim)
-    free = [(m, t) for m in range(1, X.dim + 1)
+    free = _free_tokens(X)
+    return _without(X, draw(st.sets(st.sampled_from(free))) if free else ())
+
+
+def _free_tokens(X):
+    """The (level, id) of every free token of X."""
+    return [(m, t) for m in range(1, X.dim + 1)
             for t, w in zip(X._tok_ids[m], witnesses(X)[1][m]) if w is None]
-    drop = draw(st.sets(st.sampled_from(free))) if free else set()
+
+
+def _without(X, drop):
+    """X with the tokens (level, id) in drop dropped from its document."""
     doc = X.to_json_dict()
     doc["tokens"] = [[d for d in level if (m, d["id"]) not in drop]
                      for m, level in enumerate(doc["tokens"], 1)]
@@ -267,6 +277,74 @@ def test_budgets_that_cut_anywhere_agree_with_the_plain_walk(X, cuts):
             if want[1] is not None:
                 assert res.witness.to_json_dict() == _part_to_map(
                     X, ext, plan, want[1]).to_json_dict()
+
+
+@pytest.mark.parametrize("name,marking,half", [
+    ("z2", "rs", False), ("sigma-iso", "natural", False),
+    ("inv-oriental-2", "rs", False), ("oriental-2", "natural", True),
+    ("sigma-iso", "rs", True)])
+def test_budgets_across_blocks_agree_with_the_plain_walk(
+        catalog, monkeypatch, name, marking, half):
+    """With blocks of a few nodes, every extension at dim 4 under budgets
+    that cut its plain depth-first walk anywhere gives that walk's maps
+    checked and witness, or runs out of budget at the same node; and some
+    walk of each plan kind cut by its budget draws more than one block
+    before it runs out."""
+    X = nerves.nerve_with_info(catalog[name], 4, marking)[0]
+    X = _without(X, set(_free_tokens(X)[::2])) if half else X
+    monkeypatch.setattr(lifting, "_BLOCK_NODES", 4)
+    blocks, columns = [], tdelta.compatible_columns
+    monkeypatch.setattr(tdelta, "compatible_columns",
+                        lambda *args: blocks.append(1) or columns(*args))
+    crossed = set()
+    for ext in anodyne_library(2, 4):
+        plan = _compile_plan(ext)
+        checked, values, nodes = dfs_search(X, plan, float("inf"))
+        for budget in sorted({max(1, nodes * j // 4) for j in range(4)}
+                             | {nodes, nodes + 1}):
+            blocks.clear()
+            if budget < nodes:
+                with pytest.raises(BudgetExceeded, match=re.escape(
+                        f"{ext.label()}: {budget + 1} domain nodes")):
+                    check_extension(X, ext, budget)
+                if len(blocks) > 1:
+                    crossed.add(plan.kind)
+                continue
+            res = check_extension(X, ext, budget)
+            assert res.maps_checked == checked, (ext.label(), budget)
+            assert (res.witness is None) == (values is None)
+            if values is not None:
+                assert res.witness.to_json_dict() == _part_to_map(
+                    X, ext, plan, values).to_json_dict()
+    assert crossed == {"horn", "simplex"}
+
+
+def test_extension_above_the_truncation_of_x_is_refused(catalog):
+    X = nerves.natural_nerve(catalog["iso"], 2)
+    exts = [ext for ext in anodyne_library(2, 4)
+            if ext.label() in ("horn(k=2,m=3)", "saturation(l=0)")]
+    assert len(exts) == 2
+    for ext in exts:
+        with pytest.raises(twocat.InvalidInput, match=re.escape(
+                f"{ext.label()}: dimension {ext.B.dim} exceeds the "
+                f"truncation of X")):
+            check_extension(X, ext)
+
+
+@pytest.mark.parametrize("build,args", [
+    (thinness, (7, 3)), (thinness, (-1, 3)), (tdelta.delta_k_prime, (5, 3)),
+    (tdelta.delta_k_dprime, (-2, 3)), (saturation, (3,)),
+    (saturation, (-3,))], ids=lambda v: getattr(v, "__name__", repr(v)))
+def test_family_builders_refuse_parameters_out_of_range(monkeypatch, build,
+                                                        args):
+    """k outside 0..m and l outside -1..MAX_DIM - 4 are refused before any
+    shape is built."""
+    def never(*_):
+        raise AssertionError("a shape was built")
+
+    monkeypatch.setattr(tdelta, "_build_simplicial", never)
+    with pytest.raises(twocat.InvalidInput, match="^need "):
+        build(*args)
 
 
 def _relabel(X, prefix):
