@@ -17,8 +17,8 @@ never conflated with a definitive "no lift".
 from __future__ import annotations
 
 from functools import reduce
-from itertools import compress, count, repeat
-from operator import and_, gt
+from itertools import accumulate, compress, count, repeat
+from operator import and_, gt, mul
 
 from . import tdelta
 from .record import Record
@@ -302,15 +302,16 @@ def _search(X, plan, budget):
     face fits) has the family as its faces at the slots.
 
     The families are drawn level by level for a block of first-slot values
-    at once (``tdelta.compatible_columns``), slot p from the face-keyed
-    table of its faces at the slots before it.  Where the bound on the
-    nodes of the whole walk, B_0 (1 + sum of ``tdelta.family_bounds``) for
-    B_0 first-slot values, is within the budget, the budget cannot bind,
-    and each value that its slot's domain marks refuse is dropped with its
-    subtree: the families left are the maps, in depth-first order.
-    Otherwise every node is drawn, and the node index of a family is the
-    sum of its prefixes' rows, plus one each, in their columns.  A mask
-    that admits every value adds no row."""
+    at once (``tdelta.compatible_columns``, with no cap: ``_BLOCK_NODES``
+    keeps the blocks small), slot p from the face-keyed table of its faces
+    at the slots before it.  Where the bound on the nodes of the whole
+    walk, B_0 (1 + sum_p prod_{q <= p} B_q) for B_0 first-slot values and
+    B_q the longest list of slot q's table, is within the budget, the
+    budget cannot bind, and each value that its slot's domain marks refuse
+    is dropped with its subtree: the families left are the maps, in
+    depth-first order.  Otherwise every node is drawn, and the node index
+    of a family is the sum of its prefixes' rows, plus one each, in their
+    columns.  A mask that admits every value adds no row."""
     level, slots, face = plan.level, plan.slots, X._face[plan.level]
     dom, lift = ([_admitted(X, level, marks, p) for p in range(len(slots))]
                  for marks in (plan.domain_marks, plan.lift_marks))
@@ -323,7 +324,8 @@ def _search(X, plan, budget):
             list(map(row.__getitem__, X._tokens_over_idx[plan.m]))
             for row in X._face[plan.m]])
         filled = set(zip(*[tops[j] for j in slots]))
-    below = 1 + sum(tdelta.family_bounds(fits))
+    below = 1 + sum(accumulate(  # 1 + sum_p prod_{q <= p} B_q
+        (max(map(len, t.values()), default=0) for t in fits), mul))
     first = range(len(X._ids[level]))
     prune = len(first) * below <= budget
     if prune:

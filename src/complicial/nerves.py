@@ -16,6 +16,9 @@ Markings:
 
 from __future__ import annotations
 
+from itertools import compress, repeat
+from operator import attrgetter
+
 from . import tdelta, twocat
 from .tdelta import TruncatedTDeltaSet
 from .twocat import InvalidInput
@@ -52,59 +55,56 @@ def unit_token(C, f):
     return completion_token(f, twocat.AdjointEquivalence(f, f, i2, i2))
 
 
-def _in_id_order(prefix, items):
-    """(ids, items): the k-th item is named prefix + str(k), and both lists
-    are in the string order of those ids (``"W2.10"`` before ``"W2.2"``)."""
-    order = sorted(range(len(items)), key=str)
-    return [prefix + str(k) for k in order], [items[k] for k in order]
+def _capped(m, rows):
+    """InvalidInput if a step of building level m makes more than
+    ``tdelta.MAX_LEVEL`` rows."""
+    if rows > tdelta.MAX_LEVEL:
+        raise InvalidInput(f"nerve level {m} needs {rows} rows, capped at "
+                           f"{tdelta.MAX_LEVEL}")
 
 
 def _levels(C, N, info):
-    """(ids, faces, deg) of the nerve's levels 0..N, each level in the
-    string order of its ids: faces[m] holds one tuple (d_0 y, ..., d_m y)
-    of level-(m-1) indices per m-simplex y, deg[m][i] the index rows of
-    s_i.  Fills ``info``'s triangle tables and ``by_faces``."""
+    """(ids, face, deg) of the nerve's levels 0..N, each level in the
+    string order of its ids: face[m][i] is the index row of d_i on level m,
+    deg[m][i] that of s_i on level m.  Fills ``info``'s triangle tables and
+    ``by_faces``."""
     ids = [list(C.objects)]
-    faces, deg = [None], []
+    face, deg = [None], []
     if N >= 1:
         ids.append(sorted(C.one_cells))
         at0 = {x: j for j, x in enumerate(ids[0])}
         at1 = {f: j for j, f in enumerate(ids[1])}
         cells = [C.one_cells[f] for f in ids[1]]
-        faces.append([(at0[c.tgt], at0[c.src]) for c in cells])
+        face.append([[at0[c.tgt] for c in cells], [at0[c.src] for c in cells]])
         deg.append([[at1[C.identity_of(x)] for x in ids[0]]])
-    if N >= 2:
-        triples = []
-        for u, ucell in C.one_cells.items():
-            for v, vcell in C.one_cells.items():
-                if vcell.src != ucell.tgt:
-                    continue
-                vu = C.comp(v, u)
-                for w in C.one_cells:
-                    for alpha in C.two_cells_between(w, vu):
-                        triples.append((u, v, alpha))
-        triples.sort()
+    if N >= 2:  # the triangles (u, v, alpha), alpha a 2-cell into vu
+        into = twocat._group(C.two_cells, attrgetter("tgt"))
+        _capped(2, sum(len(into.get(vu, ())) for vu in C.comp1.values()))
+        triples = sorted((u, v, a) for (v, u), vu in C.comp1.items()
+                         for a in into.get(vu, ()))
         info.two_data = {f"W2.{k}": t for k, t in enumerate(triples)}
         info.two_index = {t: sid for sid, t in info.two_data.items()}
-        level, two = _in_id_order("W2.", triples)
+        ids.append(sorted(info.two_data))  # "W2.10" before "W2.2"
+        two = list(map(info.two_data.__getitem__, ids[2]))
         at2 = {t: j for j, t in enumerate(two)}
-        ids.append(level)
-        faces.append([(at1[v], at1[C.two_cells[alpha].src], at1[u])
-                      for u, v, alpha in two])
+        face.append([[at1[v] for _, v, _ in two],
+                     [at1[C.two_cells[a].src] for _, _, a in two],
+                     [at1[u] for u, _, _ in two]])
         deg.append([[at2[(C.identity_of(c.src), f, C.identity2_of(f))]
                      for f, c in zip(ids[1], cells)],
                     [at2[(f, C.identity_of(c.tgt), C.identity2_of(f))]
                      for f, c in zip(ids[1], cells)]])
     for m in range(3, N + 1):
-        tuples = _compatible_tuples(m, faces[m - 1])
+        cols = _compatible_tuples(m, face[m - 1])
         if m == 3:
-            tuples = [t for t in tuples
-                      if _pastings_agree(C, [two[y] for y in t])]
-        info.by_faces[m] = _add_tuple_level(m, tuples, ids, faces, deg)
-    return ids, faces, deg
+            keep = list(map(_pastings_agree, repeat(C),
+                            *[map(two.__getitem__, c) for c in cols]))
+            cols = [list(compress(c, keep)) for c in cols]
+        info.by_faces[m] = _add_tuple_level(m, cols, ids, face, deg)
+    return ids, face, deg
 
 
-def _pastings_agree(C, faces):
+def _pastings_agree(C, *faces):
     """Whether the faces d_0..d_3 of a compatible 3-simplex, as (u, v,
     alpha) triples, paste to one 2-cell both ways."""
     (_, a23, a123), (_, _, a023), (a01, _, a013), (_, _, a012) = faces
@@ -112,38 +112,39 @@ def _pastings_agree(C, faces):
 
 
 def _compatible_tuples(m, below):
-    """The tuples (y_0, ..., y_m) of (m-1)-simplices with d_i y_j = d_{j-1}
-    y_i for all i < j, in lexicographic order; ``below`` holds the face
-    tuple of each (m-1)-simplex.  InvalidInput, before they are built, if
-    their bound, len(below) times the last of ``tdelta.family_bounds``,
-    exceeds ``tdelta.MAX_LEVEL``."""
-    face = [[f[i] for f in below] for i in range(m)]
-    fits = [tdelta.face_table(face, range(k)) for k in range(1, m + 1)]
-    bound = len(below) * tdelta.family_bounds(fits)[-1]
-    if bound > tdelta.MAX_LEVEL:
-        raise InvalidInput(f"nerve level {m} is bounded by {bound} simplices,"
-                           f" capped at {tdelta.MAX_LEVEL}")
-    cols = tdelta.compatible_columns(face, range(m + 1), fits,
-                                     range(len(below)))[0]
-    return list(zip(*cols))
+    """The columns (y_0, ..., y_m) of the families of (m-1)-simplices with
+    d_i y_j = d_{j-1} y_i for all i < j, in lexicographic order; ``below``
+    holds the face rows of level m-1.  InvalidInput, before a step of the
+    walk is built, if it has more than ``tdelta.MAX_LEVEL`` rows."""
+    fits = [tdelta.face_table(below, range(k)) for k in range(1, m + 1)]
+    return tdelta.compatible_columns(below, range(m + 1), fits,
+                                     range(len(below[0])),
+                                     lambda rows: _capped(m, rows))[0]
 
 
-def _add_tuple_level(m, tuples, ids, faces, deg):
-    """Append level m, whose simplices are the sorted face tuples, and the
-    degeneracies of level m-1 into it; return {face tuple: index}."""
-    level, tuples = _in_id_order(f"W{m}.", tuples)
-    at = {t: j for j, t in enumerate(tuples)}
-    s = [*deg[m - 2], ()]  # s_{-1} and s_{m-1} are never applied
-    ids.append(level)
-    faces.append(tuples)
+def _add_tuple_level(m, cols, ids, face, deg):
+    """Append level m, whose simplices have the faces of the columns
+    ``cols`` (cols[i] the d_i of each, the families in lexicographic order),
+    and the degeneracies of level m-1 into it; return {face tuple: index}."""
+    order = sorted(range(len(cols[0])), key=str)  # the string order of ids
+    rows = [list(map(c.__getitem__, order)) for c in cols]
+    at = {t: j for j, t in enumerate(zip(*rows))}
+    below, s, z = face[m - 1], deg[m - 2], range(len(ids[m - 1]))
+    ids.append([f"W{m}.{k}" for k in order])
+    face.append(rows)
     # d_j s_i z is s_{i-1} d_j z below i, z at i and i+1, s_i d_{j-1} z above
-    deg.append([[at[(*map(s[i - 1].__getitem__, y[:i]), z, z,
-                     *map(s[i].__getitem__, y[i + 1:]))]
-                 for z, y in enumerate(faces[m - 1])] for i in range(m)])
+    deg.append([list(map(at.__getitem__, zip(
+        *[map(s[i - 1].__getitem__, r) for r in below[:i]], z, z,
+        *[map(s[i].__getitem__, r) for r in below[i + 1:]])))
+        for i in range(m)])
     return at
 
 
 def nerve_with_info(C, N=5, marking="street"):
+    """(X, info): the nerve of C up to dimension N with the given marking.
+    C must be valid (``C.validate()`` empty), as the CLI checks.
+    InvalidInput on a bad marking or N, and, before it is built, on a level
+    that takes more than ``tdelta.MAX_LEVEL`` rows."""
     if marking not in ("street", "rs", "natural"):
         raise InvalidInput(f"unknown marking {marking!r}")
     if N > tdelta.MAX_DIM:
@@ -151,7 +152,7 @@ def nerve_with_info(C, N=5, marking="street"):
     if N < 0:
         raise InvalidInput("dimension bound must be >= 0")
     info = NerveInfo(C, N)
-    ids, faces, deg = _levels(C, N, info)
+    ids, face, deg = _levels(C, N, info)
     # the marked non-degenerate simplices; _minimal_tokens adds the others
     marked = [None] + [set() for _ in range(N)]
     if marking != "street":
@@ -163,18 +164,15 @@ def nerve_with_info(C, N=5, marking="street"):
             marked[2] = {j for j, sid in enumerate(ids[2])
                          if info.witness(sid) in thin}
     tok_ids, tok_under, zeta = tdelta._minimal_tokens(N, ids, deg, marked)
-    if marking == "natural":
+    if marking == "natural" and N >= 1:
         # level 1 carries one token per adjoint-equivalence completion
-        if N >= 1:
-            pairs = [(completion_token(f, ae), j) for j, f in enumerate(ids[1])
-                     for ae in twocat.adjoint_equivalence_completions(C, f)]
-            tok_ids[1] = [t for t, _ in pairs]
-            tok_under[1] = [j for _, j in pairs]
-            at = {t: k for k, t in enumerate(tok_ids[1])}
-            zeta[0] = [[at.get(unit_token(C, C.identity_of(x)), -2)
-                        for x in ids[0]]]
-    face = [None] + [[[t[i] for t in faces[m]] for i in range(m + 1)]
-                     for m in range(1, N + 1)]
+        pairs = [(completion_token(f, ae), j) for j, f in enumerate(ids[1])
+                 for ae in twocat.adjoint_equivalence_completions(C, f)]
+        tok_ids[1] = [t for t, _ in pairs]
+        tok_under[1] = [j for _, j in pairs]
+        at = {t: k for k, t in enumerate(tok_ids[1])}
+        zeta[0] = [[at.get(unit_token(C, C.identity_of(x)), -2)
+                    for x in ids[0]]]
     name = {"street": "N_street", "rs": "N_rs", "natural": "N_nat"}[marking]
     X = TruncatedTDeltaSet(N, ids, face, deg + [None], tok_ids, tok_under,
                            zeta, name=f"{name}({C.name or '?'},{N})")

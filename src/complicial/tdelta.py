@@ -22,15 +22,15 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from functools import cached_property, lru_cache, reduce
-from operator import eq, itemgetter, mul
+from operator import eq, itemgetter
 
 from .twocat import InvalidInput, read_document, typed
 
 
 DEFAULT_BUDGET = 50_000_000
 MAX_DIM = 6  # the largest dimension of a nerve, library or loaded document
-# the most simplices a nerve level may be bounded by before it is built;
-# twice the largest bound of a catalog level at dim 6 (oriental-3's level 6)
+# the most rows a nerve level may take, counted before they are built: its
+# triangles, or the families of each step of the walk that builds a level
 MAX_LEVEL = 1 << 20
 
 
@@ -419,20 +419,13 @@ def face_table(face, faces):
     return fits
 
 
-def family_bounds(fits):
-    """prod_{q <= p} B_q for each p, B_q the longest list of ``fits[q]``:
-    a bound on the families of slots 0..p + 1 that ``compatible_columns``
-    draws over one first value."""
-    return list(itertools.accumulate(
-        (max(map(len, t.values()), default=0) for t in fits), mul))
-
-
-def compatible_columns(face, slots, fits, first):
+def compatible_columns(face, slots, fits, first, cap=None):
     """The families (y_0, ..., y_last) of simplices of one level, y_p in
     face position slots[p] of a simplex above, with d_a y_p = d_{b-1} y_q
     for a = slots[q] < b = slots[p]: y_0 runs over ``first`` and y_p over
     the list of ``fits[p - 1]`` (a ``face_table`` on slots[:p], or part of
-    one) under its faces d_{b-1} y_q.
+    one) under its faces d_{b-1} y_q.  ``cap``, if given, is called with
+    the number of families of slots 0..p before their columns are built.
 
     Returns (cols, reps): cols[p][r] is y_p of the r-th family, the
     families in lexicographic order; drawn level by level, reps[p - 1][r]
@@ -441,6 +434,8 @@ def compatible_columns(face, slots, fits, first):
     for p in range(1, len(slots)):
         row = face[slots[p] - 1].__getitem__
         found = list(map(fits[p - 1].get, zip(*[map(row, c) for c in cols])))
+        if cap:
+            cap(sum(map(len, filter(None, found))))
         if None not in found and len(found) == sum(map(len, found)):
             rep = range(len(found))  # one value each: the rows stay
         else:

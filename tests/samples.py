@@ -50,3 +50,29 @@ def strict_two_group():
           for c in "em" for d in "em" for k in "is"}
     return FiniteTwoCategory(("*",), one, mul, two, vcomp, wl, wr,
                              name="2-group")
+
+
+def fan(n, k):
+    """Objects x, z and y1..yn; 1-cells a_i: x -> y_i and b_i: y_i -> z
+    whose composites b_i.a_i are all one f: x -> z, and g_1..g_k: x -> z
+    with one 2-cell c_j: g_j => f each.  Nothing else composes, so every
+    whiskering of a c_j is by an identity, and every vertical composite has
+    an identity factor."""
+    ys = [f"y{i}" for i in range(1, n + 1)]
+    one = [OneCell(f"e{o}", o, o, True) for o in ["x", "z", *ys]]
+    one += [OneCell(f"a{y[1:]}", "x", y) for y in ys]
+    one += [OneCell(f"b{y[1:]}", y, "z") for y in ys]
+    one += [OneCell(g, "x", "z") for g in ["f"] + [f"g{j}" for j in range(k)]]
+    comp = {(f"b{y[1:]}", f"a{y[1:]}"): "f" for y in ys}
+    for c in one:
+        comp[(c.id, f"e{c.src}")] = comp[(f"e{c.tgt}", c.id)] = c.id
+    two = [TwoCell(f"i_{c.id}", c.id, c.id, True) for c in one]
+    two += [TwoCell(f"c{j}", f"g{j}", "f") for j in range(k)]
+    vcomp = {(f"i_{c.id}", f"i_{c.id}"): f"i_{c.id}" for c in one}
+    wl = {(g, f"i_{f}"): f"i_{r}" for (g, f), r in comp.items()}
+    wr = {(f"i_{g}", f): f"i_{r}" for (g, f), r in comp.items()}
+    for j in range(k):
+        vcomp[(f"c{j}", f"i_g{j}")] = vcomp[("i_f", f"c{j}")] = f"c{j}"
+        wl[("ez", f"c{j}")] = wr[(f"c{j}", "ex")] = f"c{j}"
+    return FiniteTwoCategory(["x", "z", *ys], one, comp, two, vcomp, wl, wr,
+                             name=f"fan({n},{k})")

@@ -713,18 +713,20 @@ def _process(argv, cwd, **kwargs):
 
 
 # a CLI child under its own address-space limit, which prints its own peak
-# resident memory (KiB) after the command
+# resident memory (KiB) after the command: ``VmHWM``, since the child's
+# ``ru_maxrss`` can count the pages of the process that forked it
 _LIMITED = ("import resource, sys; "
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
             "from complicial import cli; status = cli.main(sys.argv[1:]); "
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); "
-            "sys.exit(status)")
+            "print(*[line.split()[1] for line in open('/proc/self/status') "
+            "if line.startswith('VmHWM:')]); sys.exit(status)")
 
 
 def test_nerve_level_past_the_cap_is_refused_before_it_is_built(tmp_path):
-    """Level 4 of the nerve of Z/33 is bounded by 33^4 simplices, just past
-    ``MAX_LEVEL`` = 2^20 = 32^4: exit 3 naming the level and the bound,
-    with the child's peak far below what building it would take."""
+    """Level 4 of the nerve of Z/33 has 33^4 simplices, just past
+    ``MAX_LEVEL`` = 2^20 = 32^4, and so has the first step of the walk
+    that builds it: exit 3 naming the level and the rows, with the child's
+    peak far below what building them would take."""
     from complicial import twocat
     from samples import cyclic_group
     cat = tmp_path / "C.json"
@@ -735,8 +737,8 @@ def test_nerve_level_past_the_cap_is_refused_before_it_is_built(tmp_path):
          "--dim", "4", "--out", str(tmp_path / "X.json")], cwd=tmp_path,
         env=CHILD_ENV, capture_output=True, text=True, timeout=120)
     assert proc.returncode == cli.EXIT_INPUT, proc.stderr
-    assert proc.stderr == ("input error: nerve level 4 is bounded by "
-                           "1185921 simplices, capped at 1048576\n")
+    assert proc.stderr == ("input error: nerve level 4 needs 1185921 rows, "
+                           "capped at 1048576\n")
     assert int(proc.stdout) < 200 * 1024
     assert not (tmp_path / "X.json").exists()
 

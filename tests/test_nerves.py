@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from complicial import lifting, twocat
+from complicial import lifting, tdelta, twocat
 from complicial.nerves import (duskin_nerve, natural_nerve, nerve_with_info,
                                rs_nerve, rs_to_natural)
+from complicial.twocat import InvalidInput
 from oracles import (nerve_map, rs_fully_faithful_check, two_functors,
                      witnesses)
+from samples import fan
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +62,61 @@ def test_nerve_counts_match_two_functor_oracle(name, catalog):
     for m in range(4):
         functors = two_functors(twocat.oriental2(m), C)
         assert len(X.simplex_ids(m)) == len(functors), (name, m)
+
+
+# level sizes of the plain nerves of the orientals O(4) and O(5), each step
+# of whose walks draws fewer rows than ``MAX_LEVEL``
+ORIENTAL_LEVELS = {4: [5, 31, 205, 1411, 9947, 71303],
+                   5: [6, 63, 732, 9240, 121482]}
+
+
+@pytest.mark.parametrize("m, N", [(4, 5), (5, 3), (5, 4)])
+def test_oriental_nerves_under_the_cap_are_built(m, N):
+    X = duskin_nerve(twocat.oriental2(m), N)
+    assert [len(X.simplex_ids(k)) for k in range(N + 1)] == \
+        ORIENTAL_LEVELS[m][:N + 1]
+
+
+def test_a_walk_step_past_the_cap_is_refused():
+    """Level 6 of the nerve of O(4) has 517,517 simplices, but the first
+    step of the walk that builds it draws 1,738,749 pairs (y_0, y_1), past
+    ``MAX_LEVEL`` = 2^20; ``stretch/`` builds it under a larger cap."""
+    with pytest.raises(InvalidInput, match="^nerve level 6 needs 1738749 "
+                       "rows, capped at 1048576$"):
+        duskin_nerve(twocat.oriental2(4), 6)
+
+
+def _fan_triangles(n, k):
+    """The triangles of ``fan(n, k)``: k + 1 2-cells into f on each of its
+    n + 2 factorizations, one on each of the n + 2 identities and two on
+    each of the 2n + k other 1-cells."""
+    return (n + 2) * (k + 2) + 2 * (2 * n + k)
+
+
+class _Unlisted(dict):
+    """A ``comp1`` table whose entries cannot be listed: the nerve makes its
+    triangles from ``comp1.items()`` and counts them from the values."""
+
+    def items(self):
+        raise AssertionError("a triangle was made before the cap was checked")
+
+
+def test_triangles_are_counted_before_they_are_made(monkeypatch):
+    for n, k in ((1, 0), (2, 3), (3, 1)):
+        C = fan(n, k)
+        assert C.validate() == []
+        assert len(two_functors(twocat.oriental2(2), C)) == \
+            _fan_triangles(n, k)
+    n, k = 20, 30
+    count = _fan_triangles(n, k)
+    monkeypatch.setattr(tdelta, "MAX_LEVEL", count - 1)
+    C = fan(n, k)
+    C.comp1 = _Unlisted(C.comp1)
+    with pytest.raises(InvalidInput, match=f"^nerve level 2 needs {count} "
+                       f"rows, capped at {count - 1}$"):
+        duskin_nerve(C, 2)
+    monkeypatch.setattr(tdelta, "MAX_LEVEL", count)
+    assert len(duskin_nerve(fan(n, k), 2).simplex_ids(2)) == count
 
 
 def test_nerves_validate(catalog):
